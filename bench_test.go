@@ -266,35 +266,6 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndex compares plain evaluation, the Section 4.5
-// filter and the instance-indexed evaluator (ablation A3) on P5/D1.
-// The index subsumes the filter (a noise event touches zero buckets).
-func BenchmarkAblationIndex(b *testing.B) {
-	d := datasets(b, 1)[0]
-	a := compileFor(b, bench.P5(), d.Rel)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.Run(a, d.Rel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.Run(a, d.Rel, engine.WithFilter(true)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.RunIndexed(a, d.Rel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the building blocks.
 

@@ -283,11 +283,6 @@ func run(exp, profile string, datasets, maxSize int, seed int64, cap int) error 
 			return err
 		}
 		fmt.Println(bench.AblationStrategyTable(srows, capped, cap))
-		irows, err := bench.RunAblationIndex(ds)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.AblationIndexTable(irows))
 	}
 	if !runAll && exp != "1" && exp != "2" && exp != "3" && exp != "ablation" {
 		return fmt.Errorf("unknown experiment %q (use all, 1, 2, 3 or ablation)", exp)

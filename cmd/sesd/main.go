@@ -14,8 +14,6 @@
 //	                       types: string, int, float)
 //	-mailbox N             per-query mailbox capacity in event blocks (default 16)
 //	-matchlog N            retained matches per query (default 4096)
-//	-no-routing            deliver every event to every query,
-//	                       bypassing the routing index (triage aid)
 //	-checkpoint-dir DIR    persist checkpoints and the query manifest
 //	-checkpoint-every N    events between checkpoints (default 256)
 //	-drain-timeout D       max graceful-drain wait (default 30s)
@@ -117,8 +115,6 @@ type options struct {
 	schemaSpec      string
 	mailbox         int
 	matchLog        int
-	noRouting       bool
-	noCompile       bool
 	checkpointDir   string
 	checkpointEvery int
 	drainTimeout    time.Duration
@@ -134,6 +130,22 @@ type options struct {
 	peer            string
 	clusterFile     string
 	partition       int
+	// idleTimeout overrides httpIdleTimeout when positive. No flag sets
+	// it: the smoke test lowers it to outlive it with a follow stream.
+	idleTimeout time.Duration
+}
+
+// HTTP server timeouts: a client that never finishes its request
+// headers, or parks an idle keep-alive connection, is dropped. There
+// is deliberately no WriteTimeout — ?follow=1 match streams and
+// /replica/wal long-polls are legitimately long-lived responses.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: httpReadHeaderTimeout, IdleTimeout: httpIdleTimeout}
 }
 
 func main() {
@@ -142,8 +154,6 @@ func main() {
 	flag.StringVar(&o.schemaSpec, "schema", "", "event schema as name:type,... (types: string, int, float)")
 	flag.IntVar(&o.mailbox, "mailbox", 0, "per-query mailbox capacity in event blocks (default 16)")
 	flag.IntVar(&o.matchLog, "matchlog", 0, "retained matches per query (default 4096)")
-	flag.BoolVar(&o.noRouting, "no-routing", false, "deliver every event to every query, bypassing the routing index (triage aid)")
-	flag.BoolVar(&o.noCompile, "no-compile", false, "evaluate transition conditions through the generic interpreter instead of compiled predicates (triage aid)")
 	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for checkpoints and the query manifest")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "events between checkpoints (default 256)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "maximum graceful-drain wait on shutdown")
@@ -234,8 +244,6 @@ func run(o options, logw *os.File, ready chan<- string) error {
 		Registry:             reg,
 		Mailbox:              o.mailbox,
 		MatchLog:             o.matchLog,
-		DisableRouting:       o.noRouting,
-		NoCompile:            o.noCompile,
 		CheckpointDir:        o.checkpointDir,
 		CheckpointEvery:      o.checkpointEvery,
 		DrainTimeout:         o.drainTimeout,
@@ -286,7 +294,10 @@ func run(o options, logw *os.File, ready chan<- string) error {
 		srv.Close()
 		return err
 	}
-	hs := &http.Server{Handler: mux}
+	hs := newHTTPServer(mux)
+	if o.idleTimeout > 0 {
+		hs.IdleTimeout = o.idleTimeout
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(logw, "sesd: serving schema (%s) on http://%s/ as %s\n", schema, ln.Addr(), srv.Role())

@@ -25,15 +25,31 @@ func TestParseSchema(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: slow-header and idle connections are bounded;
+// responses are not (TestRunSmoke holds a follow stream across several
+// idle timeouts).
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(nil)
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
+		t.Errorf("timeouts: read-header %s, idle %s, write %s; want the first two positive and no write timeout",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+}
+
 // TestRunSmoke boots the full server in-process, registers a query,
 // ingests events, scrapes /metrics and shuts down with SIGTERM — the
 // same smoke sequence the CI workflow runs against the built binary.
+// A ?follow=1 match stream opened before the ingest stays attached for
+// several IdleTimeouts and still receives the drain-time match: the
+// server's timeouts must never cut a long-lived response.
 func TestRunSmoke(t *testing.T) {
+	const idle = 50 * time.Millisecond
 	o := options{
 		partition:    -1,
 		addr:         "127.0.0.1:0",
 		schemaSpec:   "ID:int,L:string,V:float,U:string",
 		drainTimeout: 10 * time.Second,
+		idleTimeout:  idle,
 	}
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
@@ -62,9 +78,20 @@ func TestRunSmoke(t *testing.T) {
 		return string(b)
 	}
 	post("/queries", `{"id": "smoke", "query": "PATTERN PERMUTE(c, d) THEN (b) WHERE c.L = 'C' AND d.L = 'D' AND b.L = 'B' WITHIN 264h"}`)
+	followed := make(chan string, 1)
+	follow, err := http.Get(base + "/queries/smoke/matches?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer follow.Body.Close()
+		b, _ := io.ReadAll(follow.Body)
+		followed <- string(b)
+	}()
 	post("/events", `{"time": 1000, "attrs": {"ID": 1, "L": "C", "V": 1.5, "U": "mg"}}
 {"time": 2000, "attrs": {"ID": 1, "L": "D", "V": 84, "U": "mgl"}}
 {"time": 3000, "attrs": {"ID": 1, "L": "B", "V": 0, "U": "WHO-Tox"}}`)
+	time.Sleep(5 * idle)
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -90,6 +117,9 @@ func TestRunSmoke(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("server did not exit after SIGTERM")
+	}
+	if got := <-followed; strings.Count(got, "\n") != 1 {
+		t.Errorf("follow stream held across %s of idle delivered %q, want the one drain-time match", 5*idle, got)
 	}
 }
 

@@ -65,7 +65,6 @@ type options struct {
 	queryText       string
 	queryFile       string
 	filter          bool
-	noCompile       bool
 	maximal         bool
 	metrics         bool
 	analyze         bool
@@ -89,7 +88,6 @@ func main() {
 	flag.StringVar(&o.queryText, "query", "", "query text")
 	flag.StringVar(&o.queryFile, "query-file", "", "file containing the query text")
 	flag.BoolVar(&o.filter, "filter", false, "enable the event filtering optimisation (Section 4.5)")
-	flag.BoolVar(&o.noCompile, "no-compile", false, "evaluate conditions through the generic interpreter instead of compiled predicates (triage aid)")
 	flag.BoolVar(&o.maximal, "maximal", false, "drop non-maximal matches among tied timestamps")
 	flag.BoolVar(&o.metrics, "metrics", false, "print execution metrics to stderr")
 	flag.BoolVar(&o.analyze, "analyze", false, "print the complexity classification to stderr")
@@ -179,9 +177,6 @@ func run(o options) error {
 	}
 
 	opts := []ses.Option{ses.WithFilter(o.filter)}
-	if o.noCompile {
-		opts = append(opts, ses.WithCompiledChecks(false))
-	}
 	var traceFile *os.File
 	var traceErr func() error
 	if o.traceFile != "" {

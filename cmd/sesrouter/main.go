@@ -70,6 +70,19 @@ func main() {
 	}
 }
 
+// HTTP server timeouts: a client that never finishes its request
+// headers, or parks an idle keep-alive connection, is dropped. There
+// is deliberately no WriteTimeout — ?follow=1 merged match streams are
+// legitimately long-lived responses.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: httpReadHeaderTimeout, IdleTimeout: httpIdleTimeout}
+}
+
 // parseSchema parses "name:type,name:type,..." into a schema.
 func parseSchema(spec string) (*ses.Schema, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -136,7 +149,7 @@ func run(addr, clusterFile, schemaSpec string, inflight int, healthEvery time.Du
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: router.Handler()}
+	hs := newHTTPServer(router.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(logw, "sesrouter: routing %d partitions (key %s, %d slots) on http://%s/, next seq %d\n",

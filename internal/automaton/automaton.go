@@ -98,15 +98,6 @@ func (c ConstCheck) Eval(e *event.Event) bool {
 	return err == nil && c.Op.Eval(cmp)
 }
 
-// Outcome applies the compiled predicate to an event, distinguishing a
-// failed comparison from incomparable kinds (schema drift).
-func (c *ConstCheck) Outcome(e *event.Event) event.PredOutcome {
-	if c.pred != nil {
-		return c.pred(e.Attrs[c.Attr])
-	}
-	return interpOutcome(c.Op, e.Attrs[c.Attr], c.Const)
-}
-
 // CmpOp translates a pattern operator to its event-level counterpart
 // (the enums are ordered identically; the switch keeps them honest).
 func CmpOp(op pattern.Op) event.CmpOp {
@@ -252,16 +243,6 @@ func (a *Automaton) VarIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// StateByVars returns the state whose variable set equals vs, or nil.
-func (a *Automaton) StateByVars(vs VarSet) *State {
-	for i := range a.States {
-		if a.States[i].Vars == vs {
-			return &a.States[i]
-		}
-	}
-	return nil
 }
 
 // StateLabel renders a state's variable set like the paper's figures,
@@ -552,8 +533,8 @@ func (a *Automaton) PassesFilter(e *event.Event) bool {
 }
 
 // PassesFilterInterpreted is PassesFilter evaluated through the
-// generic event.Compare interpreter, kept as the -no-compile escape
-// hatch and as the oracle for compiled-vs-interpreted identity tests.
+// generic event.Compare interpreter, the oracle of the
+// compiled-vs-interpreted identity tests.
 func (a *Automaton) PassesFilterInterpreted(e *event.Event) bool {
 	for i := range a.Vars {
 		ok := true

@@ -408,17 +408,6 @@ func TestVarIndexAndInfo(t *testing.T) {
 	}
 }
 
-func TestStateByVars(t *testing.T) {
-	a := compileQ1(t)
-	full := a.SetPrefix[len(a.Pattern.Sets)]
-	if st := a.StateByVars(full); st == nil || st.ID != a.Accept {
-		t.Errorf("StateByVars(full) = %v", st)
-	}
-	if st := a.StateByVars(VarSet(1) << 63); st != nil {
-		t.Errorf("StateByVars(bogus) = %v", st)
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	a := compileQ1(t)
 	var b strings.Builder

@@ -26,9 +26,7 @@ type RouteKey struct {
 //
 // All is true when some variable carries no equality condition; such
 // an automaton can react to arbitrary events and must be treated as
-// type-agnostic (catch-all) by a router. Union automata (multi-variant
-// queries) route as the union of their variants' key sets, falling
-// back to All when any variant is unroutable — see RouteKeysUnion.
+// type-agnostic (catch-all) by a router.
 type RouteSet struct {
 	Keys []RouteKey
 	All  bool
@@ -80,36 +78,6 @@ func (a *Automaton) routeKeySet() RouteSet {
 		}
 		seen[id] = len(rs.Keys)
 		rs.Keys = append(rs.Keys, RouteKey{Attr: key.Attr, Val: key.Const, Start: v.Set == 0})
-	}
-	return rs
-}
-
-// RouteKeysUnion merges the routing summaries of a union automaton's
-// variants: the union of the variants' keys, catch-all as soon as any
-// variant is. An event relevant to any variant matches some variant's
-// key set, so the union remains a sound routing filter for the whole
-// query.
-func RouteKeysUnion(autos []*Automaton) RouteSet {
-	type keyID struct {
-		attr int
-		val  event.Value
-	}
-	seen := make(map[keyID]int)
-	var rs RouteSet
-	for _, a := range autos {
-		vs := a.RouteKeys()
-		if vs.All {
-			return RouteSet{All: true}
-		}
-		for _, k := range vs.Keys {
-			id := keyID{attr: k.Attr, val: k.Val}
-			if at, ok := seen[id]; ok {
-				rs.Keys[at].Start = rs.Keys[at].Start || k.Start
-				continue
-			}
-			seen[id] = len(rs.Keys)
-			rs.Keys = append(rs.Keys, k)
-		}
 	}
 	return rs
 }

@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/engine"
-	"repro/internal/pattern"
 )
 
 // This file contains the two ablations DESIGN.md adds beyond the
@@ -112,90 +110,6 @@ func RunAblationFilter(datasets []Dataset) ([]FilterRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// IndexRow compares three evaluator configurations on one dataset
-// (ablation A3, the paper's future-work optimisation): the plain
-// evaluator without and with the Section 4.5 filter, and the
-// instance-indexed evaluator without the filter. The index subsumes
-// the filter — an event whose type satisfies no variable's constant
-// conditions touches zero buckets — and additionally skips instances
-// parked in states the event's type cannot fire.
-type IndexRow struct {
-	Dataset                        string
-	W                              int
-	P5Plain, P5Filter, P5Indexed   time.Duration
-	P6Plain, P6Filter, P6Indexed   time.Duration
-	P5IterFilter, P5IterIndexed    int64
-	P6IterFilter, P6IterIndexed    int64
-	MatchesEqualP5, MatchesEqualP6 bool
-}
-
-// RunAblationIndex runs P5 (mutually exclusive) and P6 (overlapping)
-// under the three configurations.
-func RunAblationIndex(datasets []Dataset) ([]IndexRow, error) {
-	var rows []IndexRow
-	for _, d := range datasets {
-		row := IndexRow{Dataset: d.Name, W: d.W}
-		for i, p := range []*pattern.Pattern{P5(), P6()} {
-			a, err := automaton.Compile(p, d.Rel.Schema())
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			plainMatches, _, err := engine.Run(a, d.Rel)
-			if err != nil {
-				return nil, err
-			}
-			plainDur := time.Since(start)
-			start = time.Now()
-			_, mf, err := engine.Run(a, d.Rel, engine.WithFilter(true))
-			if err != nil {
-				return nil, err
-			}
-			filterDur := time.Since(start)
-			start = time.Now()
-			idxMatches, mi, err := engine.RunIndexed(a, d.Rel)
-			if err != nil {
-				return nil, err
-			}
-			idxDur := time.Since(start)
-			equal := len(plainMatches) == len(idxMatches)
-			if i == 0 {
-				row.P5Plain, row.P5Filter, row.P5Indexed = plainDur, filterDur, idxDur
-				row.P5IterFilter, row.P5IterIndexed = mf.InstanceIterations, mi.InstanceIterations
-				row.MatchesEqualP5 = equal
-			} else {
-				row.P6Plain, row.P6Filter, row.P6Indexed = plainDur, filterDur, idxDur
-				row.P6IterFilter, row.P6IterIndexed = mf.InstanceIterations, mi.InstanceIterations
-				row.MatchesEqualP6 = equal
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// AblationIndexTable renders the index comparison.
-func AblationIndexTable(rows []IndexRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation A3 — instance indexing vs event filtering (execution time)\n")
-	fmt.Fprintf(&b, "%-8s %8s %11s %11s %11s %11s %11s %11s\n",
-		"dataset", "W", "P5 plain", "P5 filter", "P5 index", "P6 plain", "P6 filter", "P6 index")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %8d %11s %11s %11s %11s %11s %11s\n",
-			r.Dataset, r.W,
-			fmtDur(r.P5Plain), fmtDur(r.P5Filter), fmtDur(r.P5Indexed),
-			fmtDur(r.P6Plain), fmtDur(r.P6Filter), fmtDur(r.P6Indexed))
-	}
-	b.WriteString("\niterations over Ω (filter vs index, both without the other)\n")
-	fmt.Fprintf(&b, "%-8s %8s %14s %14s %14s %14s\n",
-		"dataset", "W", "P5 filter", "P5 index", "P6 filter", "P6 index")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %8d %14d %14d %14d %14d\n",
-			r.Dataset, r.W, r.P5IterFilter, r.P5IterIndexed, r.P6IterFilter, r.P6IterIndexed)
-	}
-	return b.String()
 }
 
 // AblationFilterTable renders the filter breakdown.

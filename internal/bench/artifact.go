@@ -128,9 +128,8 @@ func artifactCases(ds []Dataset) ([]artifactCase, func(), error) {
 	}
 	// runBlocks is runOn through the columnar hot path: the relation is
 	// fed as server-sized blocks via StepBlock instead of event by
-	// event. Paired with WithCompiledChecks(false) it is the A/B the
-	// -no-compile flag exposes; all throughput entries over the same
-	// query must agree on their match-count fingerprints.
+	// event. All throughput entries over the same query must agree on
+	// their match-count fingerprints.
 	runBlocks := func(a *automaton.Automaton, d Dataset, opts ...engine.Option) func() (int64, int, error) {
 		r := engine.New(a, opts...)
 		return func() (int64, int, error) {
@@ -181,8 +180,6 @@ func artifactCases(ds []Dataset) ([]artifactCase, func(), error) {
 			return m.MaxSimultaneousInstances, int(m.Matches), err
 		}},
 		{"CompiledThroughput/q1/" + d1.Name, runBlocks(aq1, d1, engine.WithFilter(true))},
-		{"InterpretedThroughput/q1/" + d1.Name,
-			runBlocks(aq1, d1, engine.WithFilter(true), engine.WithCompiledChecks(false))},
 		{"Exp3_P5_Filter/" + d1.Name, runOn(a5, d1, engine.WithFilter(true))},
 		{"Exp3_P5_NoFilter/" + d1.Name, runOn(a5, d1)},
 	}

@@ -197,20 +197,6 @@ func TestAblations(t *testing.T) {
 	if !strings.Contains(AblationStrategyTable(srows, capped, 200000), "Ablation A2") {
 		t.Errorf("strategy table header missing")
 	}
-
-	irows, err := RunAblationIndex(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(irows) != 1 || !irows[0].MatchesEqualP5 || !irows[0].MatchesEqualP6 {
-		t.Errorf("index ablation rows = %+v", irows)
-	}
-	if irows[0].P5IterIndexed > irows[0].P5IterFilter {
-		t.Errorf("index should iterate no more than the filter on P5: %+v", irows[0])
-	}
-	if !strings.Contains(AblationIndexTable(irows), "Ablation A3") {
-		t.Errorf("index table header missing")
-	}
 }
 
 func TestServerSharedMatchesIndependent(t *testing.T) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,11 +80,26 @@ func routeErrStatus(err error) (int, map[string]string) {
 	return http.StatusBadGateway, map[string]string{"error": err.Error()}
 }
 
-// maxIngestBody bounds one routed ingest batch (64 MiB).
-const maxIngestBody = 64 << 20
+// MaxIngestBody bounds one POST /events body (64 MiB), on the router
+// and on a node alike. A larger body is refused whole with 413.
+const MaxIngestBody = 64 << 20
+
+// maxSeqStamp is the most bytes the router's sequence stamp adds to
+// one ingest line: `"seq":`, 19 digits and a comma.
+const maxSeqStamp = 26
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxIngestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.maxIngestBody))
+	// The nodes apply the same cap to the stamped sub-batches, so a
+	// body whose stamped form could exceed it is refused here, before
+	// any sequence number is assigned.
+	stamped := int64(len(body)) + int64(bytes.Count(body, []byte{'\n'})+1)*maxSeqStamp
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) || stamped > r.maxIngestBody {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("ingest body exceeds %d bytes", r.maxIngestBody)})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return

@@ -38,6 +38,8 @@ type Router struct {
 	keyIdx int
 	client *http.Client
 	retry  resilience.RetryPolicy
+	// maxIngestBody is MaxIngestBody; tests lower it (export_test.go).
+	maxIngestBody int64
 
 	// nextSeq is the next global sequence number to assign. It is only
 	// mutated under ingestMu (assignment must be atomic with enqueueing
@@ -165,6 +167,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		client: opts.Client,
 		retry:  opts.Retry,
 		drain:  make(chan struct{}),
+
+		maxIngestBody: MaxIngestBody,
 	}
 	for _, p := range r.m.Partitions {
 		rp := &routePartition{Partition: p, queue: make(chan *subBatch, opts.InFlight)}

@@ -640,3 +640,38 @@ func compileQuery(t *testing.T, q string) *automaton.Automaton {
 	}
 	return auto
 }
+
+// TestRouterIngestBodyTooLarge: the router refuses an oversized POST
+// /events body whole with 413 and a JSON error — a truncating reader
+// would acknowledge a prefix cut on a line boundary and lose the tail
+// — and assigns no sequence number to any of it.
+func TestRouterIngestBodyTooLarge(t *testing.T) {
+	tc := startCluster(t, 2, 16, false)
+	lines, _ := genStream(t, rand.New(rand.NewSource(5)), 40)
+	body := strings.Join(lines, "\n") + "\n"
+	prefix := strings.Join(lines[:10], "\n") + "\n"
+	tc.router.SetMaxIngestBodyForTest(int64(len(prefix)))
+
+	resp := postJSON(t, tc.rts.URL+"/events", body)
+	var doc map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("413 body is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || doc["error"] == "" {
+		t.Fatalf("oversized POST /events = %d %v, want 413 with an error", resp.StatusCode, doc)
+	}
+	if seq := tc.router.NextSeq(); seq != 0 {
+		t.Fatalf("rejected body consumed sequence numbers: next seq %d", seq)
+	}
+	for _, n := range tc.leaders {
+		if last := n.srv.LastSeq(); last != -1 {
+			t.Fatalf("rejected body reached a node: last seq %d", last)
+		}
+	}
+	// A body within the cap (stamp headroom included) still routes.
+	ingestLines(t, tc.rts.URL, lines[:2])
+	if seq := tc.router.NextSeq(); seq != 2 {
+		t.Fatalf("next seq after a 2-line batch = %d", seq)
+	}
+}

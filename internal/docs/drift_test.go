@@ -42,10 +42,7 @@ var driftPins = map[string][]string{
 		"\"dropped\"",
 	},
 	"docs/OPERATIONS.md": {
-		// sesd flags (PR 7-8 renames pinned: routing and predicate
-		// compilation are opt-out, mailbox capacity is in blocks).
-		"-no-routing",
-		"-no-compile",
+		// sesd flags (mailbox capacity is in blocks).
 		"-mailbox",
 		"event blocks",
 		"-matchlog",

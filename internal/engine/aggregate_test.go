@@ -801,10 +801,6 @@ func TestAggregateRejectedExecutors(t *testing.T) {
 		!strings.Contains(err.Error(), "union") {
 		t.Errorf("NewUnion: err = %v", err)
 	}
-	if _, err := NewIndexed(a, WithAggregation(NewAggregator(plan))); err == nil ||
-		!strings.Contains(err.Error(), "IndexedRunner") {
-		t.Errorf("NewIndexed: err = %v", err)
-	}
 }
 
 // TestAggregateReset: Runner.Reset clears aggregate state so a

@@ -98,7 +98,11 @@ func randIdentityEvents(rng *rand.Rand, n int) []event.Event {
 	return evs
 }
 
-// TestCompiledInterpretedIdentity is the -no-compile escape hatch's
+// interpreted is the test-only option selecting the event.Compare
+// interpreter, the oracle the compiled predicates are checked against.
+func interpreted() Option { return func(c *config) { c.interpret = true } }
+
+// TestCompiledInterpretedIdentity is the compiled predicates'
 // contract: over random patterns and adversarial streams, the compiled
 // predicate path and the event.Compare interpreter must produce byte-
 // identical match streams, identical filter decisions and identical
@@ -121,9 +125,9 @@ func TestCompiledInterpretedIdentity(t *testing.T) {
 		filter := rng.Intn(2) == 0
 
 		compiled := New(a, WithFilter(filter))
-		interp := New(a, WithFilter(filter), WithCompiledChecks(false))
+		interp := New(a, WithFilter(filter), interpreted())
 		blkCompiled := New(a, WithFilter(filter))
-		blkInterp := New(a, WithFilter(filter), WithCompiledChecks(false))
+		blkInterp := New(a, WithFilter(filter), interpreted())
 
 		var got, want, blkGot, blkWant []string
 		for i := range evs {

@@ -154,23 +154,23 @@ func (p OverloadPolicy) String() string {
 
 // config holds the runner options.
 type config struct {
-	filter          bool
-	strategy        Strategy
-	maxInstances    int
-	policy          OverloadPolicy
-	shedLowWater    int
-	trace           func(TraceStep)
-	emitOnAccept    bool
-	checkpointEvery int64
-	checkpointSink  func([]byte) error
-	workers         int
-	shardBuffer     int
-	watermarkEvery  int64
-	registry        *obs.Registry
-	metricLabels    []string
-	noCompile       bool
-	agg             *Aggregator
-	aggOnly         bool
+	filter         bool
+	strategy       Strategy
+	maxInstances   int
+	policy         OverloadPolicy
+	shedLowWater   int
+	trace          func(TraceStep)
+	emitOnAccept   bool
+	shardBuffer    int
+	watermarkEvery int64
+	registry       *obs.Registry
+	metricLabels   []string
+	agg            *Aggregator
+	aggOnly        bool
+	// interpret evaluates conditions through the generic event.Compare
+	// interpreter instead of the compiled predicates. No option sets it:
+	// the interpreter is the oracle of TestCompiledInterpretedIdentity.
+	interpret bool
 }
 
 // Option configures a Runner.
@@ -184,13 +184,6 @@ func WithFilter(on bool) Option { return func(c *config) { c.filter = on } }
 // WithStrategy selects the event selection strategy (default:
 // SkipTillNext, the paper's semantics).
 func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
-
-// WithCompiledChecks selects between the kind-specialized predicate
-// closures compiled by automaton.Compile (on, the default) and the
-// generic event.Compare interpreter (off). Both produce byte-identical
-// match streams; the interpreted path survives as the -no-compile
-// escape hatch and as the oracle for identity tests.
-func WithCompiledChecks(on bool) Option { return func(c *config) { c.noCompile = !on } }
 
 // WithMaxInstances sets a safety cap on simultaneous automaton
 // instances; what happens when the cap is hit is decided by the
@@ -206,15 +199,6 @@ func WithOverloadPolicy(p OverloadPolicy) Option { return func(c *config) { c.po
 // ShedStartStates policy resumes opening start instances (default:
 // half the instance cap).
 func WithShedLowWater(n int) Option { return func(c *config) { c.shedLowWater = n } }
-
-// WithCheckpointing asks Stream to snapshot the runner state every n
-// consumed events and hand the encoded snapshot to sink. A sink error
-// terminates the stream (reported via Err). It has no effect on direct
-// Step/Flush use; callers driving Step themselves should call
-// SnapshotBytes at their own cadence.
-func WithCheckpointing(n int64, sink func([]byte) error) Option {
-	return func(c *config) { c.checkpointEvery, c.checkpointSink = n, sink }
-}
 
 // WithTrace installs a hook invoked for every instance-lifecycle
 // event: fired transitions, start-instance spawns, window expiries,
@@ -244,13 +228,6 @@ func WithMetricLabels(kv ...string) Option {
 	return func(c *config) { c.metricLabels = append(c.metricLabels, kv...) }
 }
 
-// WithWorkers sets the number of goroutines used by evaluators that
-// fan out over independent units of work (partitioned batch matching
-// and the sharded streaming executor). A single Runner ignores it: one
-// automaton over one input is inherently sequential. 0 (the default)
-// means runtime.GOMAXPROCS(0); 1 forces sequential evaluation.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
 // WithShardBuffer sets the capacity of each shard's input channel in
 // the sharded streaming executor (default 128). Smaller buffers bound
 // memory and propagate backpressure sooner; larger buffers absorb
@@ -263,17 +240,6 @@ func WithShardBuffer(n int) Option { return func(c *config) { c.shardBuffer = n 
 // smaller values lower match emission latency, larger values lower
 // coordination overhead.
 func WithWatermarkEvery(n int64) Option { return func(c *config) { c.watermarkEvery = n } }
-
-// Workers resolves the worker count requested via WithWorkers among
-// opts: the explicit value if one was given, else 0 (meaning "auto",
-// i.e. runtime.GOMAXPROCS(0), to callers that fan out).
-func Workers(opts ...Option) int {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.workers
-}
 
 // WithEmitOnAccept switches from the paper's MAXIMAL emission (matches
 // surface when an accepting instance expires or at end of input, with
@@ -351,8 +317,8 @@ const noTime = event.Time(math.MinInt64)
 // Runner executes one SES automaton incrementally. It is not safe for
 // concurrent use; create one Runner per goroutine.
 type Runner struct {
-	a       *automaton.Automaton
-	cfg     config
+	a        *automaton.Automaton
+	cfg      config
 	insts    []instance
 	scratch  []instance
 	arena    nodeArena
@@ -391,7 +357,7 @@ type Runner struct {
 	err   error
 
 	// stepMatches collects matches emitted mid-consume under the
-	// WithEmitOnAccept mode; drained by Step (and by IndexedRunner).
+	// WithEmitOnAccept mode; drained by Step.
 	stepMatches []Match
 }
 
@@ -642,7 +608,7 @@ func (r *Runner) traceMatches(e *event.Event, matches []Match, from int) {
 // passesFilter applies the Section 4.5 filter through the configured
 // evaluation path.
 func (r *Runner) passesFilter(e *event.Event) bool {
-	if r.cfg.noCompile {
+	if r.cfg.interpret {
 		return r.a.PassesFilterInterpreted(e)
 	}
 	return r.a.PassesFilter(e)
@@ -838,7 +804,7 @@ func (r *Runner) eval(t *automaton.Transition, inst *instance, e *event.Event) b
 			return false
 		}
 	}
-	if r.cfg.noCompile {
+	if r.cfg.interpret {
 		return r.evalInterp(t, inst, e)
 	}
 	for ci := range t.Conds {
@@ -877,9 +843,10 @@ func (r *Runner) eval(t *automaton.Transition, inst *instance, e *event.Event) b
 }
 
 // evalInterp evaluates a transition's conditions through the generic
-// event.Compare interpreter (the -no-compile path). Match results are
-// identical to the compiled path by construction; mismatch accounting
-// is shared so the escape hatch stays observably equivalent too.
+// event.Compare interpreter, the reference the compiled predicates are
+// tested against. Match results are identical to the compiled path by
+// construction; mismatch accounting is shared so the two stay
+// observably equivalent too.
 func (r *Runner) evalInterp(t *automaton.Transition, inst *instance, e *event.Event) bool {
 	for ci := range t.Conds {
 		c := &t.Conds[ci]

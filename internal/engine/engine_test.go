@@ -647,19 +647,6 @@ func TestEmitOnAcceptGroupInLastSet(t *testing.T) {
 	}
 }
 
-// TestEmitOnAcceptIndexed: the indexed evaluator honours the mode.
-func TestEmitOnAcceptIndexed(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	input := rel(t, "A@0", "B@1")
-	matches, _, err := RunIndexed(a, input, WithEmitOnAccept(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 1 || matches[0].String() != "{x/e0, y/e1}" {
-		t.Errorf("matches = %v", matchStrings(matches))
-	}
-}
-
 // TestDeterminism: two runs over the same input produce identical
 // matches in identical order, and identical metrics.
 func TestDeterminism(t *testing.T) {

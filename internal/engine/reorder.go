@@ -251,89 +251,8 @@ func (h eventHeap) init() {
 // and reported through the returned late counter after the output
 // channel closes.
 func (r *Runner) StreamReordered(ctx context.Context, in <-chan event.Event, slack event.Duration) (<-chan Match, *int64) {
-	out := make(chan Match)
 	late := new(int64)
 	ro := NewReorderer(slack)
 	ro.Late = func(event.Event) { *late++ }
-	go func() {
-		defer close(out)
-		arrival := 0
-		emit := func(ms []Match) bool {
-			for _, m := range ms {
-				select {
-				case out <- m:
-				case <-ctx.Done():
-					r.setErr(ctx.Err())
-					return false
-				}
-			}
-			return true
-		}
-		feed := func(evs []event.Event) bool {
-			for i := range evs {
-				ev := evs[i]
-				ev.Seq = int(r.metrics.EventsProcessed)
-				ms, err := r.Step(&ev)
-				if err != nil {
-					r.setErr(err)
-					return false
-				}
-				if !emit(ms) {
-					return false
-				}
-			}
-			return true
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				r.setErr(ctx.Err())
-				return
-			case e, ok := <-in:
-				if !ok {
-					if !feed(ro.Drain()) {
-						return
-					}
-					emit(r.Flush())
-					return
-				}
-				e.Seq = arrival // arrival order for stable tie-breaks
-				arrival++
-				if !feed(ro.Push(e)) {
-					return
-				}
-			}
-		}
-	}()
-	return out, late
-}
-
-// SortStream is a convenience for batch use: it reads the whole
-// channel, reorders within the slack, and returns a sorted relation
-// over the given schema plus the number of events dropped as too late.
-func SortStream(in <-chan event.Event, schema *event.Schema, slack event.Duration) (*event.Relation, int, error) {
-	rel := event.NewRelation(schema)
-	ro := NewReorderer(slack)
-	dropped := 0
-	ro.Late = func(event.Event) { dropped++ }
-	arrival := 0
-	appendAll := func(evs []event.Event) error {
-		for _, e := range evs {
-			if err := rel.Append(e.Time, e.Attrs...); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for e := range in {
-		e.Seq = arrival
-		arrival++
-		if err := appendAll(ro.Push(e)); err != nil {
-			return nil, dropped, fmt.Errorf("engine: %w", err)
-		}
-	}
-	if err := appendAll(ro.Drain()); err != nil {
-		return nil, dropped, fmt.Errorf("engine: %w", err)
-	}
-	return rel, dropped, nil
+	return stream(ctx, in, ro, []*Runner{r}), late
 }

@@ -135,42 +135,6 @@ func TestStreamReorderedMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestStreamReorderedCancellation(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	r := New(a)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event)
-	out, _ := r.StreamReordered(ctx, in, 10)
-	cancel()
-	for range out {
-	}
-	if r.Err() != context.Canceled {
-		t.Errorf("Err = %v", r.Err())
-	}
-}
-
-func TestSortStream(t *testing.T) {
-	in := make(chan event.Event, 8)
-	in <- mkEvent(5, "A")
-	in <- mkEvent(3, "B")
-	in <- mkEvent(9, "C")
-	in <- mkEvent(1, "D") // beyond slack 4 relative to 9? 9-4=5 > 1 → late
-	close(in)
-	rel, dropped, err := SortStream(in, simpleSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1 {
-		t.Errorf("dropped = %d", dropped)
-	}
-	if rel.Len() != 3 || !rel.Sorted() {
-		t.Fatalf("rel = %v", rel.Events())
-	}
-	if rel.Event(0).Time != 3 || rel.Event(2).Time != 9 {
-		t.Errorf("order = %v", rel.Events())
-	}
-}
-
 func TestReordererNegativeSlackPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -182,8 +182,7 @@ type shardMsg struct {
 // keyed by the named attribute. shards is the number of worker
 // goroutines; 0 means runtime.GOMAXPROCS(0). Options are applied to
 // every per-key runner; WithShardBuffer and WithWatermarkEvery tune
-// the executor itself. Checkpointing options are rejected: snapshots
-// of a sharded stream would need a consistent cut across shards.
+// the executor itself.
 func NewSharded(a *automaton.Automaton, keyAttr string, shards int, opts ...Option) (*ShardedRunner, error) {
 	idx, ok := a.Schema.Index(keyAttr)
 	if !ok {
@@ -193,18 +192,11 @@ func NewSharded(a *automaton.Automaton, keyAttr string, shards int, opts ...Opti
 	for _, o := range opts {
 		o(&s.cfg)
 	}
-	if s.cfg.checkpointEvery > 0 || s.cfg.checkpointSink != nil {
-		return nil, fmt.Errorf("engine: checkpointing is not supported on a sharded stream")
-	}
 	if s.cfg.agg != nil {
 		return nil, fmt.Errorf("engine: aggregation is not supported on a sharded stream (per-key runners would race on one aggregator)")
 	}
 	if s.shards <= 0 {
-		if s.cfg.workers > 0 {
-			s.shards = s.cfg.workers
-		} else {
-			s.shards = runtime.GOMAXPROCS(0)
-		}
+		s.shards = runtime.GOMAXPROCS(0)
 	}
 	if s.cfg.shardBuffer <= 0 {
 		s.cfg.shardBuffer = 128

@@ -215,15 +215,11 @@ func TestShardedMetricsMerge(t *testing.T) {
 }
 
 // TestShardedUnknownKey verifies construction fails cleanly on a
-// missing key attribute and on checkpointing options.
+// missing key attribute.
 func TestShardedUnknownKey(t *testing.T) {
 	a, _ := compileSharded(t)
 	if _, err := NewSharded(a, "NOPE", 2); err == nil {
 		t.Error("unknown key attribute accepted")
-	}
-	sink := func([]byte) error { return nil }
-	if _, err := NewSharded(a, "ID", 2, WithCheckpointing(10, sink)); err == nil {
-		t.Error("checkpointing option accepted on sharded runner")
 	}
 }
 

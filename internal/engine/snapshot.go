@@ -172,7 +172,7 @@ func (r *Runner) SnapshotBytes() ([]byte, error) {
 // WriteSnapshot. The automaton must be structurally identical to the
 // one the snapshot was taken from (checked via fingerprint), and the
 // restored configuration must use the same event selection strategy;
-// all other options (overload policy, filter, checkpointing, ...) may
+// all other options (overload policy, filter, ...) may
 // differ from the original run.
 func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runner, error) {
 	var snap snapshotFile

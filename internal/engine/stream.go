@@ -21,64 +21,88 @@ import (
 // Stream owns a copy of every received event and assigns consecutive
 // sequence numbers to the copies (starting after any events already
 // consumed via Step), so callers may leave Event.Seq zero.
-//
-// With WithCheckpointing(n, sink), the runner state is snapshotted
-// every n consumed events and handed to sink, enabling crash recovery
-// via RestoreRunner.
 func (r *Runner) Stream(ctx context.Context, in <-chan event.Event) <-chan Match {
+	return stream(ctx, in, nil, []*Runner{r})
+}
+
+// stream is the one channel driver behind Runner.Stream,
+// Runner.StreamReordered and Union.Stream: it receives events, checks
+// their order (or, with a Reorderer, restores it), stamps sequence
+// numbers, steps every runner, emits the completed matches under ctx,
+// flushes at end of input and records the terminal error. Sequence
+// numbers and the error live on runners[0], which is where Runner.Err
+// and Union.Err read them. A failing step emits nothing for its event.
+func stream(ctx context.Context, in <-chan event.Event, ro *Reorderer, runners []*Runner) <-chan Match {
 	out := make(chan Match)
+	head := runners[0]
 	go func() {
 		defer close(out)
+		emit := func(ms []Match) bool {
+			for _, m := range ms {
+				select {
+				case out <- m:
+				case <-ctx.Done():
+					head.setErr(ctx.Err())
+					return false
+				}
+			}
+			return true
+		}
+		// batch gathers one event's matches across the runners: each
+		// runner's Step result is only valid until its next Step.
+		var batch []Match
+		feed := func(evs ...event.Event) bool {
+			for i := range evs {
+				ev := evs[i] // heap copy owned by the runners' buffers
+				ev.Seq = int(head.metrics.EventsProcessed)
+				batch = batch[:0]
+				for _, r := range runners {
+					ms, err := r.Step(&ev)
+					if err != nil {
+						head.setErr(err)
+						return false
+					}
+					batch = append(batch, ms...)
+				}
+				if !emit(batch) {
+					return false
+				}
+			}
+			return true
+		}
 		var last event.Time
-		first := true
+		received := 0
 		for {
 			select {
 			case <-ctx.Done():
-				r.setErr(ctx.Err())
+				head.setErr(ctx.Err())
 				return
 			case e, ok := <-in:
-				if !ok {
-					for _, m := range r.Flush() {
-						select {
-						case out <- m:
-						case <-ctx.Done():
-							r.setErr(ctx.Err())
+				switch {
+				case !ok:
+					if ro != nil && !feed(ro.Drain()...) {
+						return
+					}
+					for _, r := range runners {
+						if !emit(r.Flush()) {
 							return
 						}
 					}
 					return
+				case ro != nil:
+					e.Seq = received // arrival order for stable tie-breaks
+					ok = feed(ro.Push(e)...)
+				case received > 0 && e.Time < last:
+					head.setErr(fmt.Errorf("engine: out-of-order event at time %d after %d", e.Time, last))
+					return
+				default:
+					last = e.Time
+					ok = feed(e)
 				}
-				if !first && e.Time < last {
-					r.setErr(fmt.Errorf("engine: out-of-order event at time %d after %d", e.Time, last))
+				if !ok {
 					return
 				}
-				first, last = false, e.Time
-				ev := e // heap copy owned by the runner's buffers
-				ev.Seq = int(r.metrics.EventsProcessed)
-				matches, err := r.Step(&ev)
-				if err != nil {
-					r.setErr(err)
-					return
-				}
-				for _, m := range matches {
-					select {
-					case out <- m:
-					case <-ctx.Done():
-						r.setErr(ctx.Err())
-						return
-					}
-				}
-				if n := r.cfg.checkpointEvery; n > 0 && r.cfg.checkpointSink != nil &&
-					r.metrics.EventsProcessed%n == 0 {
-					snap, err := r.SnapshotBytes()
-					if err == nil {
-						err = r.cfg.checkpointSink(snap)
-					}
-					if err != nil {
-						r.setErr(fmt.Errorf("engine: checkpoint: %w", err))
-						return
-					}
-				}
+				received++
 			}
 		}
 	}()

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/automaton"
 	"repro/internal/event"
 	"repro/internal/paperdata"
 )
@@ -41,146 +44,174 @@ func TestStreamMatchesRun(t *testing.T) {
 	}
 }
 
-func TestStreamCancellation(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	r := New(a)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event)
-	out := r.Stream(ctx, in)
-	cancel()
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-out:
-			if !ok {
-				if r.Err() != context.Canceled {
-					t.Errorf("Err() = %v, want context.Canceled", r.Err())
-				}
-				return
+// streamWrapper starts one of the three public faces of the shared
+// stream loop over the two-step pattern x.L='A' then y.L='B'.
+type streamWrapper struct {
+	name string
+	// reorders: the wrapper absorbs disorder within a slack of 5
+	// instead of failing on it.
+	reorders bool
+	// start returns the match channel plus accessors for the terminal
+	// error and the late-event count. prestep events are consumed via
+	// Step before the stream starts.
+	start func(t *testing.T, ctx context.Context, in <-chan event.Event, prestep []event.Event) (out <-chan Match, errf func() error, late func() int64)
+}
+
+func streamWrappers(within event.Duration) []streamWrapper {
+	noLate := func() int64 { return 0 }
+	stepAll := func(t *testing.T, step func(*event.Event) ([]Match, error), evs []event.Event) {
+		for i := range evs {
+			if _, err := step(&evs[i]); err != nil {
+				t.Fatal(err)
 			}
-		case <-deadline:
-			t.Fatal("stream did not terminate after cancellation")
 		}
 	}
-}
-
-func TestStreamOutOfOrder(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	r := New(a)
-	in := make(chan event.Event, 2)
-	mk := func(tt event.Time, l string) event.Event {
-		return event.Event{Time: tt, Attrs: []event.Value{
-			event.Int(1), event.String(l), event.Float(0),
-		}}
-	}
-	in <- mk(10, "A")
-	in <- mk(5, "B")
-	close(in)
-	out := r.Stream(context.Background(), in)
-	for range out {
-	}
-	if err := r.Err(); err == nil {
-		t.Errorf("out-of-order input should fail the stream")
-	}
-}
-
-func TestStreamEmitsIncrementally(t *testing.T) {
-	a := compile(t, seqPattern(t, 10), simpleSchema())
-	r := New(a)
-	in := make(chan event.Event)
-	out := r.Stream(context.Background(), in)
-	mk := func(tt event.Time, l string) event.Event {
-		return event.Event{Time: tt, Attrs: []event.Value{
-			event.Int(1), event.String(l), event.Float(0),
-		}}
-	}
-	in <- mk(0, "A")
-	in <- mk(1, "B")
-	// The accepted instance expires when an event far in the future
-	// arrives; the match must surface before the input closes.
-	in <- mk(1000, "A")
-	select {
-	case m := <-out:
-		if m.String() != "{x/e0, y/e0}" && m.EventCount() != 2 {
-			t.Errorf("unexpected match %v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no incremental match emitted")
-	}
-	close(in)
-	for range out {
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamCancelMidEmit: the stream goroutine is blocked sending a
-// match nobody reads; cancellation must close the output promptly and
-// surface ctx.Err() via Err().
-func TestStreamCancelMidEmit(t *testing.T) {
-	a := compile(t, seqPattern(t, 10), simpleSchema())
-	r := New(a)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event, 3)
-	mk := func(tt event.Time, l string) event.Event {
-		return event.Event{Time: tt, Attrs: []event.Value{
-			event.Int(1), event.String(l), event.Float(0),
-		}}
-	}
-	in <- mk(0, "A")
-	in <- mk(1, "B")
-	in <- mk(1000, "A") // expires the accepted instance: a match is emitted
-	out := r.Stream(ctx, in)
-	time.Sleep(50 * time.Millisecond) // let the goroutine block on the unread send
-	cancel()
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-out:
-			if !ok {
-				if r.Err() != context.Canceled {
-					t.Errorf("Err() = %v, want context.Canceled", r.Err())
-				}
-				return
+	return []streamWrapper{
+		{name: "Runner.Stream", start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
+			r := New(compile(t, seqPattern(t, within), simpleSchema()))
+			stepAll(t, r.Step, pre)
+			return r.Stream(ctx, in), r.Err, noLate
+		}},
+		{name: "Runner.StreamReordered", reorders: true, start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
+			r := New(compile(t, seqPattern(t, within), simpleSchema()))
+			stepAll(t, r.Step, pre)
+			out, late := r.StreamReordered(ctx, in, 5)
+			return out, r.Err, func() int64 { return *late }
+		}},
+		{name: "Union.Stream", start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
+			u, err := NewUnion([]*automaton.Automaton{compile(t, seqPattern(t, within), simpleSchema())})
+			if err != nil {
+				t.Fatal(err)
 			}
-		case <-deadline:
-			t.Fatal("output channel did not close after mid-emit cancellation")
-		}
+			stepAll(t, u.Step, pre)
+			return u.Stream(ctx, in), u.Err, noLate
+		}},
 	}
 }
 
-// TestStreamCancelMidFlush: input closes, the end-of-input flush
-// produces a match nobody reads; cancellation must still terminate the
-// stream promptly with ctx.Err().
-func TestStreamCancelMidFlush(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	r := New(a)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event, 2)
-	mk := func(tt event.Time, l string) event.Event {
-		return event.Event{Time: tt, Attrs: []event.Value{
-			event.Int(1), event.String(l), event.Float(0),
-		}}
+// TestStreamLoop drives the one stream loop through each of its three
+// wrappers: flush at end of input, emission before end of input,
+// sequence numbering after direct Steps, disorder (an error for the
+// in-order wrappers, absorbed or counted late by the reordering one),
+// cancellation while blocked emitting a step's or the flush's match,
+// and Err after the output closed.
+func TestStreamLoop(t *testing.T) {
+	cases := []struct {
+		name    string
+		within  event.Duration
+		prestep []event.Event
+		input   []event.Event
+		// closed: the input is closed up front. Otherwise the test reads
+		// wantOpen matches — emitted before end of input — and closes it.
+		closed   bool
+		wantOpen int
+		// cancel: nobody reads the output; ctx is cancelled once the loop
+		// blocks emitting, which is when residual[reorders] events are
+		// still queued.
+		cancel   bool
+		residual map[bool]int
+		// want / wantErr / wantLate are indexed by streamWrapper.reorders.
+		want     map[bool][]string
+		wantErr  map[bool]string
+		wantLate int64
+	}{
+		{
+			name: "flush at EOF", within: 100, closed: true,
+			input: []event.Event{mkEvent(0, "A"), mkEvent(1, "B")},
+			want:  map[bool][]string{false: {"{x/e0, y/e1}"}, true: {"{x/e0, y/e1}"}},
+		},
+		{
+			name: "seq continues after Step", within: 100, closed: true,
+			prestep: []event.Event{mkEvent(-1, "C")},
+			input:   []event.Event{mkEvent(0, "A"), mkEvent(1, "B")},
+			want:    map[bool][]string{false: {"{x/e1, y/e2}"}, true: {"{x/e1, y/e2}"}},
+		},
+		{
+			// The accepted instance expires when an event far in the
+			// future is stepped (one more arrival later under reordering,
+			// which holds the newest event back); the match must surface
+			// while the input is still open.
+			name: "emits before EOF", within: 10, wantOpen: 1,
+			input: []event.Event{mkEvent(0, "A"), mkEvent(1, "B"), mkEvent(1000, "A"), mkEvent(2000, "A")},
+			want:  map[bool][]string{false: {"{x/e0, y/e1}"}, true: {"{x/e0, y/e1}"}},
+		},
+		{
+			name: "disorder", within: 100, closed: true,
+			input:    []event.Event{mkEvent(10, "A"), mkEvent(6, "C"), mkEvent(1, "B"), mkEvent(12, "B")},
+			want:     map[bool][]string{false: nil, true: {"{x/e1, y/e2}"}},
+			wantErr:  map[bool]string{false: "out-of-order event at time 6 after 10"},
+			wantLate: 1, // B@1 is more than the slack behind A@10
+		},
+		{
+			// In order the match surfaces at A@1000, leaving A@2000 queued.
+			name: "cancel mid-emit", within: 10, cancel: true, residual: map[bool]int{false: 1},
+			input:   []event.Event{mkEvent(0, "A"), mkEvent(1, "B"), mkEvent(1000, "A"), mkEvent(2000, "A")},
+			wantErr: map[bool]string{false: context.Canceled.Error(), true: context.Canceled.Error()},
+		},
+		{
+			name: "cancel mid-flush", within: 100, cancel: true, closed: true,
+			input:   []event.Event{mkEvent(0, "A"), mkEvent(1, "B")},
+			wantErr: map[bool]string{false: context.Canceled.Error(), true: context.Canceled.Error()},
+		},
 	}
-	in <- mk(0, "A")
-	in <- mk(1, "B") // accepted instance; emitted only by the flush
-	close(in)
-	out := r.Stream(ctx, in)
-	time.Sleep(50 * time.Millisecond) // goroutine is now blocked emitting the flush match
-	cancel()
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-out:
-			if !ok {
-				if r.Err() != context.Canceled {
-					t.Errorf("Err() = %v, want context.Canceled", r.Err())
+	for _, tc := range cases {
+		for _, w := range streamWrappers(tc.within) {
+			tc, w := tc, w
+			t.Run(tc.name+"/"+w.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				in := make(chan event.Event, len(tc.input)) // sized to the sends
+				for _, e := range tc.input {
+					in <- e
 				}
-				return
-			}
-		case <-deadline:
-			t.Fatal("output channel did not close after mid-flush cancellation")
+				if tc.closed {
+					close(in)
+				}
+				out, errf, late := w.start(t, ctx, in, tc.prestep)
+
+				var got []string
+				switch {
+				case tc.cancel:
+					for len(in) > tc.residual[w.reorders] {
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				case !tc.closed:
+					for i := 0; i < tc.wantOpen; i++ {
+						select {
+						case m := <-out:
+							got = append(got, m.String())
+						case <-time.After(2 * time.Second):
+							t.Fatal("no match emitted while the input was open")
+						}
+					}
+					close(in)
+				}
+				deadline := time.After(2 * time.Second)
+				for open := true; open; {
+					select {
+					case m, ok := <-out:
+						if open = ok; ok {
+							got = append(got, m.String())
+						}
+					case <-deadline:
+						t.Fatal("output channel did not close")
+					}
+				}
+				if tc.cancel {
+					got = nil // a match may or may not slip out before the cancel lands
+				}
+				if want := tc.want[w.reorders]; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("matches = %v, want %v", got, want)
+				}
+				err, wantErr := errf(), tc.wantErr[w.reorders]
+				if (err == nil) != (wantErr == "") || (err != nil && !strings.Contains(err.Error(), wantErr)) {
+					t.Errorf("Err() = %v, want %q", err, wantErr)
+				}
+				if w.reorders && late() != tc.wantLate {
+					t.Errorf("late = %d, want %d", late(), tc.wantLate)
+				}
+			})
 		}
 	}
 }
@@ -217,59 +248,4 @@ func TestStreamErrConcurrentPoll(t *testing.T) {
 	if r.Err() == nil {
 		t.Errorf("out-of-order input should have set Err")
 	}
-}
-
-// TestStreamCheckpointing: WithCheckpointing hands restorable
-// snapshots to the sink at the configured cadence.
-func TestStreamCheckpointing(t *testing.T) {
-	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
-	relation := paperdata.Relation()
-	var snaps [][]byte
-	r := New(a, WithCheckpointing(5, func(b []byte) error {
-		snaps = append(snaps, b)
-		return nil
-	}))
-	in := make(chan event.Event)
-	out := r.Stream(context.Background(), in)
-	go func() {
-		for i := 0; i < relation.Len(); i++ {
-			in <- *relation.Event(i)
-		}
-		close(in)
-	}()
-	var streamed []Match
-	for m := range out {
-		streamed = append(streamed, m)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := relation.Len() / 5
-	if len(snaps) != want {
-		t.Fatalf("got %d checkpoints, want %d", len(snaps), want)
-	}
-	// The last snapshot is restorable and finishing from it yields the
-	// stream's remaining matches.
-	restored, err := RestoreRunnerBytes(a, snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumed := int(restored.Metrics().EventsProcessed)
-	var tail []Match
-	for i := consumed; i < relation.Len(); i++ {
-		ms, err := restored.Step(relation.Event(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail = append(tail, ms...)
-	}
-	tail = append(tail, restored.Flush()...)
-	full, _, err := Run(a, relation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(full) {
-		t.Errorf("streamed %d matches, want %d", len(streamed), len(full))
-	}
-	_ = tail // tail equivalence is covered exhaustively by TestSnapshotRoundTrip
 }

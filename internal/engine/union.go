@@ -96,60 +96,12 @@ func (u *Union) Reset() {
 // unbounded stream, so consumers needing it collect and call
 // FilterMaximal per window.
 func (u *Union) Stream(ctx context.Context, in <-chan event.Event) <-chan Match {
-	out := make(chan Match)
-	go func() {
-		defer close(out)
-		var seq int
-		var last event.Time
-		first := true
-		emit := func(ms []Match) bool {
-			for _, m := range ms {
-				select {
-				case out <- m:
-				case <-ctx.Done():
-					u.setErr(ctx.Err())
-					return false
-				}
-			}
-			return true
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				u.setErr(ctx.Err())
-				return
-			case e, ok := <-in:
-				if !ok {
-					emit(u.Flush())
-					return
-				}
-				if !first && e.Time < last {
-					u.setErr(fmt.Errorf("engine: out-of-order event at time %d after %d", e.Time, last))
-					return
-				}
-				first, last = false, e.Time
-				ev := e
-				ev.Seq = seq
-				seq++
-				ms, err := u.Step(&ev)
-				if err != nil {
-					u.setErr(err)
-					return
-				}
-				if !emit(ms) {
-					return
-				}
-			}
-		}
-	}()
-	return out
+	return stream(ctx, in, nil, u.runners)
 }
 
 // Err returns the error that terminated a Stream, if any. Like
 // Runner.Err it is safe to call at any time.
 func (u *Union) Err() error { return u.runners[0].Err() }
-
-func (u *Union) setErr(err error) { u.runners[0].setErr(err) }
 
 // RunUnion executes all automata over a complete relation, combines
 // the variants' matches and applies the MAXIMAL preference for

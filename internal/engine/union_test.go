@@ -157,22 +157,6 @@ func TestUnionStream(t *testing.T) {
 	}
 }
 
-func TestUnionStreamOutOfOrder(t *testing.T) {
-	u, err := NewUnion(optionalAutomata(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan event.Event, 2)
-	in <- event.Event{Time: 10, Attrs: []event.Value{event.Int(1), event.String("A"), event.Float(0)}}
-	in <- event.Event{Time: 5, Attrs: []event.Value{event.Int(1), event.String("Z"), event.Float(0)}}
-	close(in)
-	for range u.Stream(context.Background(), in) {
-	}
-	if u.Err() == nil {
-		t.Errorf("out-of-order stream should fail")
-	}
-}
-
 func TestUnionResetAndAccessors(t *testing.T) {
 	u, err := NewUnion(optionalAutomata(t))
 	if err != nil {

@@ -46,10 +46,6 @@ const (
 // FromGoTime converts a time.Time to the canonical seconds domain.
 func FromGoTime(t time.Time) Time { return Time(t.Unix()) }
 
-// FromGoDuration converts a time.Duration to the canonical seconds
-// domain, truncating sub-second precision.
-func FromGoDuration(d time.Duration) Duration { return Duration(d / time.Second) }
-
 // String renders the duration compactly (e.g. "264h", "90s") assuming
 // the canonical seconds domain.
 func (d Duration) String() string {

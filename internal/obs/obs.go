@@ -255,19 +255,11 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return m.hist
 }
 
-// Unregister removes the series with the exact given name (including
-// any label block) from the registry, so a future scrape no longer
-// reports it. It returns whether the series existed. Removing a series
-// does not invalidate handles previously returned by Counter/Gauge/
-// Histogram — they keep working but are no longer exported.
-func (r *Registry) Unregister(name string) bool {
-	return r.UnregisterMatching(func(n string) bool { return n == name }) > 0
-}
-
 // UnregisterMatching removes every series whose full name (including
 // the label block) satisfies pred, returning the number removed. It is
 // how the serving layer retires all series labeled with a removed
-// query's id in one sweep.
+// query's id in one sweep. Handles previously returned by
+// Counter/Gauge/Histogram keep working but are no longer exported.
 func (r *Registry) UnregisterMatching(pred func(name string) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

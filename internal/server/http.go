@@ -135,7 +135,7 @@ func writeError(w http.ResponseWriter, err error) {
 const maxEventLine = 1 << 20
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxIngestBody))
 	sc.Buffer(make([]byte, 64*1024), maxEventLine)
 	dec, _ := s.decPool.Get().(*engine.BlockDecoder)
 	if dec == nil {
@@ -155,6 +155,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if !dec.Add(lineNo, line) {
 			break
 		}
+	}
+	// An oversized body is refused whole: the scan stopped at an
+	// arbitrary byte, so neither the decoded prefix nor a decode error
+	// on the cut line means anything.
+	var tooBig *http.MaxBytesError
+	if errors.As(sc.Err(), &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("ingest body exceeds %d bytes", s.maxIngestBody)})
+		return
 	}
 	events, err := dec.Finish()
 	if err != nil {

@@ -412,3 +412,54 @@ WITHIN %dh`, 100+i),
 		t.Fatalf("stable query info = %+v, want done after %d events", info, rounds*rel.Len())
 	}
 }
+
+// TestHTTPIngestBodyTooLarge: a POST /events body over the cap is
+// refused whole with 413 and a JSON error — even when the cap falls on
+// a line boundary, where a truncating reader would acknowledge the
+// prefix and lose the tail — and a body at the cap still ingests.
+func TestHTTPIngestBodyTooLarge(t *testing.T) {
+	rel := paperdata.Relation()
+	s, err := server.New(server.Config{Schema: rel.Schema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.BroadcastForTest() // the query's event counter sees every ingested event
+	if _, err := s.AddQuery(testSpecs[0]); err != nil {
+		t.Fatal(err)
+	}
+	body := ndjsonBody(t, rel)
+	lines := strings.SplitAfter(body, "\n")
+	prefix := strings.Join(lines[:3], "")
+	s.SetMaxIngestBodyForTest(int64(len(prefix)))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Post(ts.URL+"/events", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("413 body is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || doc["error"] == "" {
+		t.Fatalf("oversized POST /events = %d %v, want 413 with an error", resp.StatusCode, doc)
+	}
+	if info, err := s.Query(testSpecs[0].ID); err != nil || info.Events != 0 {
+		t.Fatalf("rejected body reached the query: %+v, %v", info, err)
+	}
+
+	resp, err = ts.Client().Post(ts.URL+"/events", "application/x-ndjson", strings.NewReader(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /events at the cap = %d, want 200", resp.StatusCode)
+	}
+	if info, err := s.Query(testSpecs[0].ID); err != nil || info.Events != 3 {
+		t.Fatalf("body at the cap: query saw %+v, %v; want 3 events", info, err)
+	}
+}

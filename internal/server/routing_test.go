@@ -84,7 +84,7 @@ func ingestInBatches(t *testing.T, s *server.Server, events []event.Event, sizes
 // TestRoutingByteIdentityRandomMixes is the routing A/B property test:
 // for random subsets of the query pool and random batch shapes over a
 // time-ordered stream, a routed server and a full-fan-out server
-// (DisableRouting) must produce byte-identical match logs for every
+// (BroadcastForTest) must produce byte-identical match logs for every
 // query — same matches, same order, same sequence numbers.
 func TestRoutingByteIdentityRandomMixes(t *testing.T) {
 	rel := chemo.MustGenerate(chemo.Tiny())
@@ -104,12 +104,14 @@ func TestRoutingByteIdentityRandomMixes(t *testing.T) {
 
 			run := func(disable bool) map[string][]string {
 				s, err := server.New(server.Config{
-					Schema:         rel.Schema(),
-					Registry:       obs.NewRegistry(),
-					DisableRouting: disable,
+					Schema:   rel.Schema(),
+					Registry: obs.NewRegistry(),
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if disable {
+					s.BroadcastForTest()
 				}
 				for _, spec := range specs {
 					if _, err := s.AddQuery(spec); err != nil {
@@ -155,9 +157,12 @@ func TestRoutingConcurrentChurn(t *testing.T) {
 	stable := pool[:4]
 
 	run := func(disable bool, churn bool) map[string][]string {
-		s, err := server.New(server.Config{Schema: rel.Schema(), DisableRouting: disable})
+		s, err := server.New(server.Config{Schema: rel.Schema()})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if disable {
+			s.BroadcastForTest()
 		}
 		for _, spec := range stable {
 			if _, err := s.AddQuery(spec); err != nil {
@@ -231,15 +236,17 @@ func TestRoutingCrashReplayIdentity(t *testing.T) {
 
 	run := func(disable bool) map[string][]string {
 		cfg := server.Config{
-			Schema:         rel.Schema(),
-			CheckpointDir:  t.TempDir(),
-			WALDir:         t.TempDir(),
-			WALFsync:       "never",
-			DisableRouting: disable,
+			Schema:        rel.Schema(),
+			CheckpointDir: t.TempDir(),
+			WALDir:        t.TempDir(),
+			WALFsync:      "never",
 		}
 		s1, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if disable {
+			s1.BroadcastForTest()
 		}
 		for _, spec := range specs {
 			if _, err := s1.AddQuery(spec); err != nil {
@@ -274,6 +281,9 @@ func TestRoutingCrashReplayIdentity(t *testing.T) {
 		s2, err := server.New(cfg)
 		if err != nil {
 			t.Fatalf("restart: %v", err)
+		}
+		if disable {
+			s2.BroadcastForTest()
 		}
 		if _, err := s2.Ingest(rel.Events()[half:]); err != nil {
 			t.Fatal(err)

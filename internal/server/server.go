@@ -97,12 +97,6 @@ type Config struct {
 	// the cap the oldest unshipped segments are reclaimed loudly
 	// instead of filling the disk. 0 never overrides the floor.
 	WALUnshippedCapBytes int64
-	// DisableRouting turns the type→queries routing index off: every
-	// event is delivered to every query, the pre-index fan-out. Routing
-	// is byte-identical to full fan-out on time-ordered streams — the
-	// knob exists for A/B verification (the routing identity tests) and
-	// as an operational escape hatch.
-	DisableRouting bool
 	// Automata, when non-nil, is a shared compiled-automaton cache (see
 	// NewAutomatonCache). Servers sharing one cache must share a schema.
 	// When nil the server creates a private cache.
@@ -116,13 +110,6 @@ type Config struct {
 	// WAL — when enabled — persists the sequence with each record so
 	// replay and replication keep the cluster-global numbering.
 	Ownership *cluster.Ownership
-	// NoCompile runs every query's transition conditions through the
-	// generic event.Compare interpreter instead of the kind-specialized
-	// compiled predicates. Match streams are byte-identical either way
-	// (the equivalence property tests pin this); the knob exists for A/B
-	// verification and as an escape hatch if a compiled fast path is
-	// ever suspected.
-	NoCompile bool
 }
 
 // Server fans one ingested event stream out to a registry of
@@ -141,6 +128,9 @@ type Server struct {
 	// decPool recycles NDJSON block decoders across ingest requests
 	// (handleIngest); decoders are reset before being returned.
 	decPool sync.Pool
+	// maxIngestBody is cluster.MaxIngestBody; tests lower it
+	// (export_test.go).
+	maxIngestBody int64
 
 	mu       sync.RWMutex
 	queries  map[string]*queryState
@@ -182,6 +172,10 @@ type Server struct {
 	routeMaxTime     int64
 	tauPrune         bool
 	routeDisorderMax int64
+	// broadcast puts every query in the catch-all bucket, the pre-index
+	// full fan-out; it is the reference the routing identity tests
+	// compare against (set through export_test.go only). Guarded by mu.
+	broadcast bool
 	// noTauPrune keeps the WITHIN prune permanently off; it is the A/B
 	// reference the prune-identity tests compare against (set through
 	// export_test.go only).
@@ -402,6 +396,8 @@ func New(cfg Config) (*Server, error) {
 		routeMaxTime: noLastStart,
 		tauPrune:     true,
 		autos:        cfg.Automata,
+
+		maxIngestBody: cluster.MaxIngestBody,
 	}
 	if s.autos == nil {
 		s.autos = NewAutomatonCache(0)
@@ -777,9 +773,6 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 
 	pol, _ := parsePolicy(spec.Policy) // validated in spec.validate
 	opts := []engine.Option{engine.WithFilter(spec.Filter)}
-	if s.cfg.NoCompile {
-		opts = append(opts, engine.WithCompiledChecks(false))
-	}
 	if s.cfg.Registry != nil {
 		// Both pipeline modes export the runner-level series (notably
 		// ses_cond_type_mismatch_total); registration is idempotent, so

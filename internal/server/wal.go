@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/event"
-	"repro/internal/resilience"
 	"repro/internal/wal"
 )
 
@@ -151,41 +148,4 @@ func (s *Server) feedReplay(q *queryState, batch []event.Event, lastOff int64) b
 	case <-s.ctx.Done():
 	}
 	return false
-}
-
-// WALStats reports the durable log's offset window and size; ok is
-// false when the server runs without a WAL.
-func (s *Server) WALStats() (first, next, sizeBytes int64, ok bool) {
-	if s.wal == nil {
-		return 0, 0, 0, false
-	}
-	return s.wal.FirstOffset(), s.wal.NextOffset(), s.wal.SizeBytes(), true
-}
-
-// waitCaughtUp blocks until the query has handed off to live delivery,
-// or the timeout elapses.
-func (s *Server) waitCaughtUp(id string, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	stillCatchingUp := errors.New("catching up")
-	err := resilience.Retry(ctx, resilience.RetryPolicy{
-		Initial: 2 * time.Millisecond,
-		Max:     20 * time.Millisecond,
-	}, func() error {
-		q, ok := s.lookup(id)
-		if !ok {
-			return resilience.Permanent(ErrNotFound)
-		}
-		if q.catchingUp.Load() {
-			return stillCatchingUp
-		}
-		return nil
-	})
-	if errors.Is(err, ErrNotFound) {
-		return ErrNotFound
-	}
-	if err != nil {
-		return fmt.Errorf("server: query %q still catching up after %s", id, timeout)
-	}
-	return nil
 }

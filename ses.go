@@ -220,24 +220,12 @@ var (
 	WithOverloadPolicy = engine.WithOverloadPolicy
 	// WithShedLowWater sets the resume threshold of ShedStartStates.
 	WithShedLowWater = engine.WithShedLowWater
-	// WithCheckpointing makes Runner.Stream snapshot the runner state
-	// every n events and hand the bytes to a sink.
-	WithCheckpointing = engine.WithCheckpointing
-	// WithWorkers sets the worker-pool size for MatchPartitioned (and
-	// the default shard count for ShardedRunner). 0 or 1 means
-	// sequential.
-	WithWorkers = engine.WithWorkers
 	// WithShardBuffer sets the per-shard input channel capacity of
 	// ShardedRunner (backpressure bound).
 	WithShardBuffer = engine.WithShardBuffer
 	// WithWatermarkEvery sets how many events the ShardedRunner
 	// dispatcher admits between watermark broadcasts.
 	WithWatermarkEvery = engine.WithWatermarkEvery
-	// WithCompiledChecks toggles the kind-specialized compiled
-	// transition predicates (on by default). WithCompiledChecks(false)
-	// falls back to the generic event.Compare interpreter; match
-	// streams are identical either way.
-	WithCompiledChecks = engine.WithCompiledChecks
 )
 
 // Event selection strategies.
@@ -599,31 +587,6 @@ func (q *Query) Supervise(ctx context.Context, in <-chan Event, cfg SuperviseCon
 	return out, sup, nil
 }
 
-// MatchIndexed evaluates a single-variant query with the
-// instance-indexed evaluator (the paper's future-work optimisation):
-// instances are bucketed by automaton state and an event only visits
-// the buckets its type can fire. Results are identical to Match; the
-// payoff grows with the selectivity of the pattern's constant
-// conditions. Queries with optional variables are not supported.
-func (q *Query) MatchIndexed(rel *Relation, opts ...Option) ([]Match, Metrics, error) {
-	if len(q.autos) != 1 {
-		return nil, Metrics{}, fmt.Errorf("ses: MatchIndexed does not support optional variables (%d variants)", len(q.autos))
-	}
-	return engine.RunIndexed(q.autos[0], rel, opts...)
-}
-
-// IndexedRunner is the incremental instance-indexed evaluator.
-type IndexedRunner = engine.IndexedRunner
-
-// IndexedRunner creates an incremental instance-indexed evaluator for
-// a single-variant query.
-func (q *Query) IndexedRunner(opts ...Option) (*IndexedRunner, error) {
-	if len(q.autos) != 1 {
-		return nil, fmt.Errorf("ses: IndexedRunner does not support optional variables (%d variants)", len(q.autos))
-	}
-	return engine.NewIndexed(q.autos[0], opts...)
-}
-
 // UnionRunner is an incremental evaluator over a query's variant
 // automata (queries with optional variables).
 type UnionRunner = engine.Union
@@ -690,13 +653,11 @@ func (q *Query) Aggregate(rel *Relation, opts ...Option) ([]byte, Metrics, error
 // Matches keep the original relation's event sequence numbers and are
 // returned ordered by start time; metrics are aggregated over the
 // partitions with Metrics merge semantics (throughput counters sum,
-// the instance peak is the per-partition maximum).
-//
-// With WithWorkers(n), n > 1, partitions are evaluated concurrently on
-// a bounded worker pool; the result is byte-identical to the
-// sequential evaluation.
+// the instance peak is the per-partition maximum). Partitions are
+// evaluated one after another; MatchPartitionedParallel evaluates them
+// concurrently with a byte-identical result.
 func (q *Query) MatchPartitioned(rel *Relation, attr string, opts ...Option) ([]Match, Metrics, error) {
-	return q.matchPartitioned(rel, attr, engine.Workers(opts...), opts...)
+	return q.matchPartitioned(rel, attr, 1, opts...)
 }
 
 // MatchPartitionedParallel is MatchPartitioned with an explicit worker
@@ -800,11 +761,10 @@ type ShardedRunner = engine.ShardedRunner
 // ShardedRunner creates a streaming parallel executor for a
 // single-variant query: incoming events are hash-partitioned by the
 // key attribute onto `shards` single-goroutine evaluators (0 means
-// WithWorkers/GOMAXPROCS), with bounded channels for backpressure and
+// GOMAXPROCS), with bounded channels for backpressure and
 // a watermark-driven merge producing a deterministic output order
 // independent of the shard count. Semantics per key are exactly
-// MatchPartitioned's. Checkpointing options are not supported; queries
-// with optional variables are not supported.
+// MatchPartitioned's. Queries with optional variables are not supported.
 func (q *Query) ShardedRunner(keyAttr string, shards int, opts ...Option) (*ShardedRunner, error) {
 	if len(q.autos) != 1 {
 		return nil, fmt.Errorf("ses: ShardedRunner does not support optional variables (%d variants)", len(q.autos))
