@@ -89,7 +89,10 @@ const MaxIngestBody = 64 << 20
 const maxSeqStamp = 26
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.maxIngestBody))
+	sc := r.getIngestScratch()
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, req.Body, r.maxIngestBody))
+	body := sc.body.Bytes()
 	// The nodes apply the same cap to the stamped sub-batches, so a
 	// body whose stamped form could exceed it is refused here, before
 	// any sequence number is assigned.
@@ -104,7 +107,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	res, err := r.IngestNDJSON(body)
+	res, err := r.ingest(sc, body)
 	if err != nil {
 		var re *routedError
 		if errors.As(err, &re) {

@@ -98,11 +98,20 @@ type Membership struct {
 // PartitionFor returns the partition owning a slot, nil when no
 // partition covers it (only possible on an invalid membership).
 func (m *Membership) PartitionFor(slot int) *Partition {
+	if i := m.partitionIndex(slot); i >= 0 {
+		return &m.Partitions[i]
+	}
+	return nil
+}
+
+// partitionIndex is PartitionFor as a position in m.Partitions, -1
+// when no partition covers the slot.
+func (m *Membership) partitionIndex(slot int) int {
 	i := sort.Search(len(m.Partitions), func(i int) bool { return m.Partitions[i].Hi > slot })
 	if slot < 0 || i == len(m.Partitions) || m.Partitions[i].Lo > slot {
-		return nil
+		return -1
 	}
-	return &m.Partitions[i]
+	return i
 }
 
 // Validate checks a membership's structural invariants — a key, a

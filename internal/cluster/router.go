@@ -47,6 +47,8 @@ type Router struct {
 	// for lag gauges are lock-free.
 	nextSeq  atomic.Int64
 	ingestMu sync.Mutex
+	// ingestFree recycles the per-batch ingest scratch (see ingestScratch).
+	ingestFree chan *ingestScratch
 
 	parts       []*routePartition
 	drain       chan struct{} // closed by Close; stops senders and health loops
@@ -169,6 +171,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		drain:  make(chan struct{}),
 
 		maxIngestBody: MaxIngestBody,
+		ingestFree:    make(chan *ingestScratch, ingestFreeCap),
 	}
 	for _, p := range r.m.Partitions {
 		rp := &routePartition{Partition: p, queue: make(chan *subBatch, opts.InFlight)}
@@ -525,6 +528,64 @@ type IngestResult struct {
 	Partitions int `json:"partitions"`
 }
 
+// ingestScratch is what routing one batch needs and nothing outlives:
+// the request body (HTTP path only), the block decoder, the line index
+// and one stamped sub-batch body per partition (indexed like
+// Router.parts). Reused across batches, none of them regrows from empty
+// per request.
+type ingestScratch struct {
+	body  bytes.Buffer
+	dec   *engine.BlockDecoder
+	lines [][]byte
+	subs  []subSlice
+}
+
+// subSlice is one partition's share of the batch being split.
+type subSlice struct {
+	buf     bytes.Buffer
+	events  int
+	maxSeq  int64
+	maxTime int64
+}
+
+// ingestFreeCap is how many idle ingestScratch values the router keeps
+// (a fixed list rather than a sync.Pool, which every other collection
+// empties); keepIngestBuf is the largest buffer worth keeping in one.
+const (
+	ingestFreeCap = 4
+	keepIngestBuf = 1 << 22
+)
+
+func (r *Router) getIngestScratch() *ingestScratch {
+	select {
+	case sc := <-r.ingestFree:
+		return sc
+	default:
+		return &ingestScratch{dec: engine.NewBlockDecoder(r.schema), subs: make([]subSlice, len(r.parts))}
+	}
+}
+
+// putIngestScratch returns the scratch of a batch every node has
+// acknowledged: only then is it certain that no HTTP transport is still
+// reading a sub-batch body, so the scratch of a failed batch is dropped
+// instead.
+func (r *Router) putIngestScratch(sc *ingestScratch) {
+	sc.dec.Reset()
+	clear(sc.lines)
+	if sc.body.Cap() > keepIngestBuf {
+		sc.body = bytes.Buffer{}
+	}
+	for i := range sc.subs {
+		if sc.subs[i].buf.Cap() > keepIngestBuf {
+			sc.subs[i].buf = bytes.Buffer{}
+		}
+	}
+	select {
+	case r.ingestFree <- sc:
+	default:
+	}
+}
+
 // IngestNDJSON routes one NDJSON batch: it validates and decodes every
 // line (the same block decoder nodes use), rejects lines that already
 // carry a "seq" (sequences are the router's to assign), stamps each
@@ -533,22 +594,26 @@ type IngestResult struct {
 // partition, in arrival order. It blocks until every involved
 // partition acknowledged its slice (or delivery failed terminally).
 func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
+	return r.ingest(r.getIngestScratch(), body)
+}
+
+// ingest is IngestNDJSON on a scratch from getIngestScratch, which it
+// gives back when the batch succeeds. body may be sc.body's contents.
+func (r *Router) ingest(sc *ingestScratch, body []byte) (IngestResult, error) {
 	var res IngestResult
-	lines, events, err := r.decodeBatch(body)
+	lines, events, err := r.decodeBatch(sc, body)
 	if err != nil {
 		return res, err
 	}
 	if len(events) == 0 {
+		r.putIngestScratch(sc)
 		return res, nil
 	}
-
-	type slice struct {
-		buf     bytes.Buffer
-		events  int
-		maxSeq  int64
-		maxTime int64
+	for i := range sc.subs {
+		sl := &sc.subs[i]
+		sl.buf.Reset()
+		sl.events, sl.maxSeq, sl.maxTime = 0, 0, 0
 	}
-	slices := make(map[int]*slice)
 
 	// Sequence assignment and enqueueing are atomic: two concurrent
 	// batches must not interleave their sequence ranges out of order
@@ -558,19 +623,15 @@ func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
 	r.ingestMu.Lock()
 	for i := range events {
 		slot := SlotOf(events[i].Attrs[r.keyIdx], r.m.Slots)
-		p := r.m.PartitionFor(slot)
-		if p == nil {
+		pi := r.m.partitionIndex(slot) // r.parts mirrors r.m.Partitions
+		if pi < 0 {
 			r.ingestMu.Unlock()
 			return res, fmt.Errorf("cluster: no partition owns slot %d", slot)
 		}
-		sl := slices[p.ID]
-		if sl == nil {
-			sl = &slice{}
-			slices[p.ID] = sl
-		}
+		sl := &sc.subs[pi]
 		seq := r.nextSeq.Add(1) - 1
 		sl.buf.WriteString(`{"seq":`)
-		sl.buf.WriteString(strconv.FormatInt(seq, 10))
+		sl.buf.Write(strconv.AppendInt(sl.buf.AvailableBuffer(), seq, 10))
 		sl.buf.WriteByte(',')
 		sl.buf.Write(lines[i][1:]) // the line is a JSON object; splice after '{'
 		sl.buf.WriteByte('\n')
@@ -582,7 +643,11 @@ func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
 	}
 	var pending []*subBatch
 	var perrs []error
-	for pid, sl := range slices {
+	for pi := range sc.subs {
+		sl := &sc.subs[pi]
+		if sl.events == 0 {
+			continue
+		}
 		sb := &subBatch{
 			body:    sl.buf.Bytes(),
 			events:  sl.events,
@@ -590,9 +655,8 @@ func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
 			maxTime: sl.maxTime,
 			done:    make(chan struct{}),
 		}
-		rp := r.partitionByID(pid)
 		select {
-		case rp.queue <- sb:
+		case r.parts[pi].queue <- sb:
 			pending = append(pending, sb)
 		case <-r.drain:
 			perrs = append(perrs, fmt.Errorf("cluster: router closed"))
@@ -613,6 +677,7 @@ func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
 	if len(perrs) > 0 {
 		return res, perrs[0]
 	}
+	r.putIngestScratch(sc)
 	if r.batches != nil {
 		r.batches.Inc()
 		r.events.Add(int64(len(events)))
@@ -620,22 +685,12 @@ func (r *Router) IngestNDJSON(body []byte) (IngestResult, error) {
 	return res, nil
 }
 
-// partitionByID returns the router state for a partition id.
-func (r *Router) partitionByID(id int) *routePartition {
-	for _, rp := range r.parts {
-		if rp.ID == id {
-			return rp
-		}
-	}
-	return nil
-}
-
 // decodeBatch splits and decodes the NDJSON body, returning the
 // trimmed raw lines alongside the decoded events (index-aligned).
 // Lines already carrying a "seq" are rejected.
-func (r *Router) decodeBatch(body []byte) ([][]byte, []event.Event, error) {
-	dec := engine.NewBlockDecoder(r.schema)
-	var lines [][]byte
+func (r *Router) decodeBatch(sc *ingestScratch, body []byte) ([][]byte, []event.Event, error) {
+	dec := sc.dec
+	lines := sc.lines[:0]
 	lineNo := 0
 	for len(body) > 0 {
 		var line []byte
@@ -654,6 +709,7 @@ func (r *Router) decodeBatch(body []byte) ([][]byte, []event.Event, error) {
 			break
 		}
 	}
+	sc.lines = lines
 	events, err := dec.Finish()
 	if err != nil {
 		return nil, nil, err

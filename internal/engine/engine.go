@@ -171,6 +171,10 @@ type config struct {
 	// interpreter instead of the compiled predicates. No option sets it:
 	// the interpreter is the oracle of TestCompiledInterpretedIdentity.
 	interpret bool
+	// keepChunks turns chunk retirement off (nodeArena.retire). No option
+	// sets it: a never-retiring runner is the reference the retirement
+	// tests compare match bytes against.
+	keepChunks bool
 }
 
 // Option configures a Runner.
@@ -260,26 +264,44 @@ type node struct {
 }
 
 // nodeChunk is the number of buffer nodes a nodeArena allocates per
-// heap allocation. 128 nodes ≈ 4 KiB per chunk: small enough that the
-// temporal locality of node lifetimes (nodes allocated together expire
-// together, within τ) keeps dead chunks collectable, large enough to
-// cut the allocation count on the consume hot path by two orders of
-// magnitude.
+// heap allocation. 128 nodes ≈ 4 KiB per chunk: large enough to cut the
+// allocation count on the consume hot path by two orders of magnitude,
+// small enough that the τ window is tracked at a useful grain (a chunk
+// is retired as a whole, see nodeArena.retire).
 const nodeChunk = 128
 
 // nodeArena bump-allocates buffer nodes in chunks, replacing the
 // one-heap-allocation-per-node cost of the consume hot path. Nodes are
-// never freed individually; a chunk becomes garbage when no live
-// instance references any node in it (buffers expire within the τ
-// window, so chunks age out together with the instances they serve).
+// never freed individually, and a chunk is one object to the collector:
+// while any node in it is reachable, every dead node beside it still
+// holds its prev pointer into an older chunk and its ev pointer into a
+// decoded block, so left alone the chunks keep each other — and every
+// event ever bound — alive back to the start of the stream. The arena
+// therefore remembers its filled chunks and retire zeroes them once
+// they fall out of the τ window.
 type nodeArena struct {
 	chunk []node
+	// filled holds the chunks handed out in full and not yet retired, in
+	// creation order (so last is non-decreasing along it).
+	filled []filledChunk
 }
 
-// new returns a fresh node from the arena. The pointer stays valid for
-// the arena's lifetime: chunks are never reallocated, only replaced.
+// filledChunk is a full chunk and the event time of its last node,
+// which is the latest time of any node in it: events arrive in time
+// order and a node is created for the event being consumed.
+type filledChunk struct {
+	nodes []node
+	last  event.Time
+}
+
+// new returns a fresh node from the arena. The pointer stays valid
+// until the chunk is retired: chunks are never reallocated, only
+// replaced.
 func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 	if len(a.chunk) == cap(a.chunk) {
+		if len(a.chunk) > 0 {
+			a.filled = append(a.filled, filledChunk{a.chunk, a.chunk[len(a.chunk)-1].ev.Time})
+		}
 		a.chunk = make([]node, 0, nodeChunk)
 	}
 	a.chunk = a.chunk[:len(a.chunk)+1]
@@ -288,14 +310,44 @@ func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 	return n
 }
 
-// reset recycles the current chunk for a fresh run. Only safe when no
-// instance references arena nodes anymore (Runner.Reset guarantees
-// this: it drops all instances first). The chunk is zeroed so stale
-// event pointers do not pin the previous input.
-func (a *nodeArena) reset() {
-	for i := range a.chunk {
-		a.chunk[i] = node{}
+// retire zeroes and forgets, oldest first, every filled chunk whose
+// last node is more than within behind now, cutting both its prev links
+// into older chunks and its ev pins on decoded blocks.
+//
+// Invariant (Definition 2's window): it runs only at the end of a step
+// on the event timed now, after every instance has been visited or
+// expired and its match built. At that point every live instance has
+// minT >= now - within — the unfiltered path checks each instance, the
+// filtered path sweeps whenever the oldest instance has lapsed,
+// RejectNew calls expire — and a node is created no earlier than its
+// lineage's minT, so no node older than now - within is reachable from
+// Ω. It must not run mid-step: an instance expiring in the accepting
+// state later in the same loop still walks its buffer in buildMatch.
+func (a *nodeArena) retire(now event.Time, within event.Duration) {
+	n := 0
+	for n < len(a.filled) && event.Duration(now-a.filled[n].last) > within {
+		clear(a.filled[n].nodes)
+		n++
 	}
+	if n > 0 {
+		kept := copy(a.filled, a.filled[n:])
+		clear(a.filled[kept:])
+		a.filled = a.filled[:kept]
+	}
+}
+
+// reset recycles the current chunk for a fresh run and forgets the
+// filled ones. Only safe when no instance references arena nodes
+// anymore (Runner.Reset guarantees this: it drops all instances first).
+// Every chunk is zeroed so stale event pointers do not pin the previous
+// input.
+func (a *nodeArena) reset() {
+	for i := range a.filled {
+		clear(a.filled[i].nodes)
+	}
+	clear(a.filled)
+	a.filled = a.filled[:0]
+	clear(a.chunk)
 	a.chunk = a.chunk[:0]
 }
 
@@ -325,6 +377,10 @@ type Runner struct {
 	aggArena aggArena
 	metrics  Metrics
 	done     bool
+	// clock is the time of the last event stepped (noTime before the
+	// first). Step refuses an earlier event: every window argument in
+	// this file, chunk retirement included, rests on time order.
+	clock event.Time
 
 	// buildScratch is per-variable scratch reused across buildMatch
 	// calls (event counts during the first pass, fill cursors during
@@ -363,7 +419,7 @@ type Runner struct {
 
 // New creates a Runner for the automaton.
 func New(a *automaton.Automaton, opts ...Option) *Runner {
-	r := &Runner{a: a}
+	r := &Runner{a: a, clock: noTime}
 	for _, o := range opts {
 		o(&r.cfg)
 	}
@@ -410,6 +466,7 @@ func (r *Runner) Reset() {
 	}
 	r.metrics = Metrics{}
 	r.done = false
+	r.clock = noTime
 	r.shedding = false
 	r.setErr(nil)
 }
@@ -422,9 +479,10 @@ func (r *Runner) setErr(err error) {
 	r.errMu.Unlock()
 }
 
-// Step consumes the next input event, which must not precede any
-// previously consumed event in time, and returns the matches completed
-// by this step (instances that expired in the accepting state).
+// Step consumes the next input event and returns the matches completed
+// by this step (instances that expired in the accepting state). An
+// event that precedes a previously consumed one in time is refused with
+// an error and leaves the runner unchanged.
 // The returned matches reference e; the pointer must stay valid. The
 // returned slice is reused by the next Step/StepBlock/Flush call —
 // copy the Match values out to retain them (the values themselves
@@ -444,6 +502,23 @@ func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 	if r.done {
 		return matches, fmt.Errorf("engine: Step after Flush")
 	}
+	if e.Time < r.clock {
+		return matches, fmt.Errorf("engine: out-of-order event at time %d after %d", e.Time, r.clock)
+	}
+	r.clock = e.Time
+	matches, err := r.consumeEvent(e, matches)
+	// The step is over: every instance was visited or expired and its
+	// match built, which is the only point at which chunks may retire.
+	if !r.cfg.keepChunks {
+		r.arena.retire(e.Time, r.a.Within)
+	}
+	return matches, err
+}
+
+// consumeEvent is Algorithm 1's loop body for one event: filter, window
+// expiry, overload policy, the fresh start instance and Algorithm 2 for
+// every instance.
+func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) {
 	r.metrics.EventsProcessed++
 	if r.cfg.filter && !r.passesFilter(e) {
 		r.metrics.EventsFiltered++

@@ -240,6 +240,10 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 			inst.buf = nodes[si.Buf]
 		}
 		r.insts[i] = inst
+		if inst.maxT > r.clock {
+			// The stream resumes no earlier than the newest bound event.
+			r.clock = inst.maxT
+		}
 	}
 	switch {
 	case snap.Agg != nil && r.cfg.agg == nil:

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -432,12 +433,17 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		return runner.Step(e)
 	}
 
+	// ckptBuf backs ckpt from one periodic checkpoint to the next: the
+	// previous snapshot is dead the moment a new one is cut, so it is
+	// overwritten in place instead of regrown per checkpoint.
+	var ckptBuf bytes.Buffer
 	saveCheckpoint := func() bool {
-		data, err := runner.SnapshotBytes()
-		if err != nil {
+		ckptBuf.Reset()
+		if err := runner.WriteSnapshot(&ckptBuf); err != nil {
 			s.fail(err)
 			return false
 		}
+		data := ckptBuf.Bytes()
 		if cfg.CheckpointPath != "" {
 			env := encodeCheckpoint(a.Schema, ckptState{
 				srcLast: srcLast,

@@ -134,17 +134,44 @@ func writeError(w http.ResponseWriter, err error) {
 // maxEventLine bounds one NDJSON ingest line (1 MiB).
 const maxEventLine = 1 << 20
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxIngestBody))
-	sc.Buffer(make([]byte, 64*1024), maxEventLine)
-	dec, _ := s.decPool.Get().(*engine.BlockDecoder)
-	if dec == nil {
-		dec = engine.NewBlockDecoder(s.cfg.Schema)
+// ingestScratch is what one POST /events needs besides the batch it
+// produces: the block decoder and the line scanner's buffer (64 KiB,
+// which the runtime would otherwise allocate and zero per request).
+type ingestScratch struct {
+	dec  *engine.BlockDecoder
+	scan []byte
+}
+
+// ingestFreeCap is how many idle ingestScratch values the server keeps:
+// enough for the handful of connections that decode concurrently ahead
+// of the serialized dispatch. A fixed list, not a sync.Pool: a pool is
+// emptied by every other collection, and a server whose live heap is a
+// few MiB collects every few hundred events.
+const ingestFreeCap = 4
+
+func (s *Server) getIngestScratch() *ingestScratch {
+	select {
+	case sc := <-s.ingestFree:
+		return sc
+	default:
+		return &ingestScratch{dec: engine.NewBlockDecoder(s.cfg.Schema), scan: make([]byte, 64*1024)}
 	}
-	defer func() {
-		dec.Reset()
-		s.decPool.Put(dec)
-	}()
+}
+
+func (s *Server) putIngestScratch(sc *ingestScratch) {
+	sc.dec.Reset()
+	select {
+	case s.ingestFree <- sc:
+	default:
+	}
+}
+
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	scratch := s.getIngestScratch()
+	defer s.putIngestScratch(scratch)
+	dec := scratch.dec
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxIngestBody))
+	sc.Buffer(scratch.scan, maxEventLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -174,7 +201,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	n, err := s.Ingest(events)
+	received := len(events)
+	n, err := s.ingestOwned(events) // fresh from Finish and not used again
 	if err != nil {
 		writeError(w, err)
 		return
@@ -184,7 +212,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Under explicit-seq ingest the batch may shrink: events at or
 		// below the node's sequence high-water are duplicate deliveries
 		// from a router retry, dropped idempotently.
-		resp["deduped"] = len(events) - n
+		resp["deduped"] = received - n
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -467,12 +495,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	var since uint64
-	for {
+	for first := true; ; first = false {
 		// The first round (since = 0) pushes the full snapshot; every
 		// later round pushes a delta of the groups folded into since the
-		// version the client last saw.
+		// version the client last saw. A wake-up that changed nothing —
+		// the lazily started pipeline resetting its still empty
+		// aggregator — pushes nothing: ids strictly increase.
 		data, ver, wait := q.agg.Stats(since)
-		if data != nil {
+		if data != nil && (first || ver != since) {
 			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ver, data)
 			if flusher != nil {
 				flusher.Flush()

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -138,7 +139,7 @@ func (s *Server) ApplyReplicated(events []event.Event) (int, error) {
 	if s.wal == nil {
 		return 0, ErrNoWAL
 	}
-	return s.dispatch(events)
+	return s.dispatch(slices.Clone(events)) // the puller reuses its batch slice
 }
 
 // ReplicatedQuery is one entry of the leader's query manifest as

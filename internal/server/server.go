@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,9 +126,8 @@ type Server struct {
 	// stream positions a standalone evaluation would see.
 	ingestMu sync.Mutex
 
-	// decPool recycles NDJSON block decoders across ingest requests
-	// (handleIngest); decoders are reset before being returned.
-	decPool sync.Pool
+	// ingestFree recycles the per-request ingest scratch (handleIngest).
+	ingestFree chan *ingestScratch
 	// maxIngestBody is cluster.MaxIngestBody; tests lower it
 	// (export_test.go).
 	maxIngestBody int64
@@ -227,8 +227,11 @@ type queryState struct {
 	cancel   context.CancelFunc
 
 	log *matchLog
-	sup *resilience.Supervisor // nil in sharded mode
-	shr *engine.ShardedRunner  // nil in supervised mode
+	// sup is the supervised pipeline's handle: nil in sharded mode and
+	// until the pipeline starts. startPipe publishes it from the ingest
+	// goroutine (lazy start) while info reads it from any other.
+	sup atomic.Pointer[resilience.Supervisor]
+	shr *engine.ShardedRunner // nil in supervised mode
 	// agg holds the query's aggregate groups when its text carries an
 	// AGGREGATE clause (nil otherwise); served by /queries/{id}/stats.
 	agg *engine.Aggregator
@@ -346,14 +349,14 @@ func (q *queryState) info() QueryInfo {
 		ReplayLag:   q.replayLag.Load(),
 		Window:      int64(q.auto.Within),
 	}
-	if q.sup != nil {
+	if sup := q.sup.Load(); sup != nil {
 		// Watermark before emitted count: a reader pairing the two to
 		// prove quiescence needs every match at or below the watermark
 		// included in the count (resilience.Supervisor.CompletedThrough).
-		if w, ok := q.sup.CompletedThrough(); ok {
+		if w, ok := sup.CompletedThrough(); ok {
 			info.ProcessedThrough = &w
 		}
-		info.Emitted = q.sup.Emitted()
+		info.Emitted = sup.Emitted()
 	}
 	if q.agg != nil {
 		info.Aggregate = true
@@ -398,6 +401,7 @@ func New(cfg Config) (*Server, error) {
 		autos:        cfg.Automata,
 
 		maxIngestBody: cluster.MaxIngestBody,
+		ingestFree:    make(chan *ingestScratch, ingestFreeCap),
 	}
 	if s.autos == nil {
 		s.autos = NewAutomatonCache(0)
@@ -834,7 +838,7 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 	}
 	q.startPipe = func() {
 		out, sup := resilience.SuperviseBlocks(ctx, auto, opts, q.mailbox, rcfg)
-		q.sup = sup
+		q.sup.Store(sup)
 		go s.collect(q, out)
 	}
 	if s.wal != nil || s.cfg.CheckpointDir != "" {
@@ -866,8 +870,8 @@ func (s *Server) collect(q *queryState, matches <-chan engine.Match) {
 		q.log.append(b)
 		q.matches.Inc()
 	}
-	if q.sup != nil {
-		q.setErr(q.sup.Err())
+	if sup := q.sup.Load(); sup != nil {
+		q.setErr(sup.Err())
 	} else if q.shr != nil {
 		q.setErr(q.shr.Err())
 	}
@@ -1002,8 +1006,15 @@ func (s *Server) lookup(id string) (*queryState, bool) {
 // or carries a reserved sentinel timestamp. A query whose mailbox is
 // full blocks the ingest ("block" admission, the default) or sheds the
 // event ("drop"); a query whose pipeline has terminated sheds. It
-// returns the number of events dispatched.
+// returns the number of events dispatched. The caller keeps its slice:
+// the server works on a copy.
 func (s *Server) Ingest(events []event.Event) (int, error) {
+	return s.ingestOwned(slices.Clone(events))
+}
+
+// ingestOwned is Ingest for a batch the caller gives up, such as one
+// fresh from BlockDecoder.Finish: it becomes the shared block as is.
+func (s *Server) ingestOwned(events []event.Event) (int, error) {
 	if err := s.writeGate(); err != nil {
 		return 0, err
 	}
@@ -1012,7 +1023,9 @@ func (s *Server) Ingest(events []event.Event) (int, error) {
 
 // dispatch validates, persists and fans out a batch — the shared core
 // of Ingest (leader write path) and ApplyReplicated (follower apply
-// path).
+// path). It takes ownership of events: the slice is stamped in place
+// and published to every query as one immutable block, so the caller
+// must neither read nor reuse it afterwards.
 func (s *Server) dispatch(events []event.Event) (int, error) {
 	own := s.cfg.Ownership
 	for i := range events {
@@ -1054,7 +1067,8 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 	// increasing.
 	if own != nil {
 		last := s.lastSeq.Load()
-		kept := make([]event.Event, 0, len(events))
+		received := len(events)
+		kept := events[:0]
 		for i := range events {
 			sq := int64(events[i].Seq)
 			if sq <= last {
@@ -1065,20 +1079,18 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 			}
 			kept = append(kept, events[i])
 		}
-		s.deduped.Add(int64(len(events) - len(kept)))
+		s.deduped.Add(int64(received - len(kept)))
 		if len(kept) == 0 {
 			return 0, nil
 		}
 		events = kept
 	}
 
-	// Decode once, share everywhere: the batch is copied into one
-	// immutable block (callers may retain their slice), the offsets are
-	// stamped into the copy's Seq fields, and every query receives a
-	// reference to — or an index slice over — this one allocation.
-	shared := make([]event.Event, len(events))
-	copy(shared, events)
-
+	// Decode once, share everywhere: the batch becomes one immutable
+	// block, the offsets are stamped into its Seq fields, and every query
+	// receives a reference to — or an index slice over — this one
+	// allocation.
+	//
 	// Durability before fan-out: the batch is appended (and, per the
 	// fsync policy, persisted) before any query sees it, so a crash
 	// can never have delivered an event the restarted server cannot
@@ -1089,32 +1101,32 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 	// stream was routed to it. Under Ownership the sequence numbers
 	// arrived with the events and are persisted verbatim.
 	if s.wal != nil {
-		off, err := s.wal.AppendBatch(shared)
+		off, err := s.wal.AppendBatch(events)
 		if err != nil {
 			return 0, err
 		}
 		if own == nil {
-			for i := range shared {
-				shared[i].Seq = int(off + int64(i))
+			for i := range events {
+				events[i].Seq = int(off + int64(i))
 			}
 		}
 	} else if own == nil {
-		for i := range shared {
-			shared[i].Seq = int(s.ingestSeq) + i
+		for i := range events {
+			events[i].Seq = int(s.ingestSeq) + i
 		}
-		s.ingestSeq += int64(len(shared))
+		s.ingestSeq += int64(len(events))
 	}
 	if own != nil {
-		s.lastSeq.Store(int64(shared[len(shared)-1].Seq))
+		s.lastSeq.Store(int64(events[len(events)-1].Seq))
 	}
 	hi := s.lastTime.Load()
-	for i := range shared {
-		if t := int64(shared[i].Time); t > hi {
+	for i := range events {
+		if t := int64(events[i].Time); t > hi {
 			hi = t
 		}
 	}
 	s.lastTime.Store(hi)
-	s.routeBatch(snap, shared)
+	s.routeBatch(snap, events)
 	s.eventsIngested.Add(int64(len(events)))
 	s.ingestBatches.Inc()
 	return len(events), nil

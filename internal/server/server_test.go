@@ -400,3 +400,31 @@ func TestServerManifestResume(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIngestLeavesCallerSlice: Ingest's contract lets callers retain
+// and reuse their slice, so the sequence numbers dispatch stamps in
+// place must land on the server's copy (only the HTTP handler hands its
+// freshly decoded batch over uncopied).
+func TestIngestLeavesCallerSlice(t *testing.T) {
+	rel := paperdata.Relation()
+	s, err := server.New(server.Config{Schema: rel.Schema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batch := make([]event.Event, rel.Len())
+	for i := range batch {
+		batch[i] = *rel.Event(i)
+		batch[i].Seq = -7
+	}
+	for round := 0; round < 2; round++ {
+		if n, err := s.Ingest(batch); err != nil || n != len(batch) {
+			t.Fatalf("Ingest = %d, %v", n, err)
+		}
+		for i := range batch {
+			if batch[i].Seq != -7 {
+				t.Fatalf("round %d: Ingest stamped the caller's event %d with seq %d", round, i, batch[i].Seq)
+			}
+		}
+	}
+}
