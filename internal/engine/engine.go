@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/automaton"
 	"repro/internal/event"
@@ -282,8 +283,10 @@ const nodeChunk = 128
 type nodeArena struct {
 	chunk []node
 	// filled holds the chunks handed out in full and not yet retired, in
-	// creation order (so last is non-decreasing along it).
+	// creation order (so last is non-decreasing along it); spare is the
+	// last chunk retired, zeroed, which the next new chunk reuses.
 	filled []filledChunk
+	spare  []node
 }
 
 // filledChunk is a full chunk and the event time of its last node,
@@ -302,7 +305,9 @@ func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 		if len(a.chunk) > 0 {
 			a.filled = append(a.filled, filledChunk{a.chunk, a.chunk[len(a.chunk)-1].ev.Time})
 		}
-		a.chunk = make([]node, 0, nodeChunk)
+		if a.chunk, a.spare = a.spare, nil; a.chunk == nil {
+			a.chunk = make([]node, 0, nodeChunk)
+		}
 	}
 	a.chunk = a.chunk[:len(a.chunk)+1]
 	n := &a.chunk[len(a.chunk)-1]
@@ -312,7 +317,8 @@ func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 
 // retire zeroes and forgets, oldest first, every filled chunk whose
 // last node is more than within behind now, cutting both its prev links
-// into older chunks and its ev pins on decoded blocks.
+// into older chunks and its ev pins on decoded blocks. A current chunk
+// whose newest node is that old (a sparse query) is zeroed and reused.
 //
 // Invariant (Definition 2's window): it runs only at the end of a step
 // on the event timed now, after every instance has been visited or
@@ -327,12 +333,17 @@ func (a *nodeArena) retire(now event.Time, within event.Duration) {
 	n := 0
 	for n < len(a.filled) && event.Duration(now-a.filled[n].last) > within {
 		clear(a.filled[n].nodes)
+		a.spare = a.filled[n].nodes[:0]
 		n++
 	}
 	if n > 0 {
 		kept := copy(a.filled, a.filled[n:])
 		clear(a.filled[kept:])
 		a.filled = a.filled[:kept]
+	}
+	if len(a.chunk) > 0 && event.Duration(now-a.chunk[len(a.chunk)-1].ev.Time) > within {
+		clear(a.chunk)
+		a.chunk = a.chunk[:0]
 	}
 }
 
@@ -395,9 +406,11 @@ type Runner struct {
 	// matchEvs and matchBinds are bump arenas for the backing arrays
 	// of emitted matches. Published segments are never reused — the
 	// arenas only amortize allocation count — so matches stay valid
-	// across Reset and arbitrarily long after emission.
+	// across Reset and arbitrarily long after emission. matchFrom is
+	// the stream clock when the current chunks were started.
 	matchEvs   []*event.Event
 	matchBinds []Binding
+	matchFrom  event.Time
 
 	// mismatches exports CondTypeMismatches as the
 	// ses_cond_type_mismatch_total counter when a registry is attached.
@@ -479,25 +492,51 @@ func (r *Runner) setErr(err error) {
 	r.errMu.Unlock()
 }
 
-// Step consumes the next input event and returns the matches completed
-// by this step (instances that expired in the accepting state). An
-// event that precedes a previously consumed one in time is refused with
-// an error and leaves the runner unchanged.
-// The returned matches reference e; the pointer must stay valid. The
-// returned slice is reused by the next Step/StepBlock/Flush call —
-// copy the Match values out to retain them (the values themselves
-// stay valid indefinitely).
+// Step consumes the next input event: it is StepBlock over the
+// one-event block of e (a slice viewing *e, not a copy), so a failing
+// event returns no match. The returned matches reference e; the pointer
+// must stay valid.
 func (r *Runner) Step(e *event.Event) ([]Match, error) {
-	matches, err := r.stepInto(e, r.matchBuf[:0])
-	r.matchBuf = matches[:0]
-	if len(matches) == 0 {
-		return nil, err
-	}
-	return matches, err
+	return r.StepBlock(event.Block{Events: unsafe.Slice(e, 1)})
 }
 
-// stepInto is Step appending its completed matches to matches, so that
-// block-at-a-time callers accumulate one slice across a whole block.
+// StepBlock consumes a batch of time-ordered events one at a time and
+// returns the matches they complete (instances that expired in the
+// accepting state). An event earlier than a previously consumed one is
+// refused with an error and leaves the runner unchanged. On an error it
+// stops, returning only the matches of the events before the failing
+// one. The returned slice is reused by the next Step/StepBlock/Flush
+// call — copy the Match values out to retain them (the values
+// themselves stay valid indefinitely).
+func (r *Runner) StepBlock(blk event.Block) ([]Match, error) {
+	matches := r.takeMatchBuf()
+	var err error
+	for i := 0; i < blk.Len() && err == nil; i++ {
+		matches, err = r.stepInto(blk.At(i), matches)
+	}
+	return r.keepMatchBuf(matches), err
+}
+
+// takeMatchBuf returns the reused match buffer emptied, its matches
+// zeroed: left behind a shorter result, they would pin old match arena
+// chunks through their bindings.
+func (r *Runner) takeMatchBuf() []Match {
+	clear(r.matchBuf)
+	return r.matchBuf[:0]
+}
+
+// keepMatchBuf keeps matches for the next call to reuse and returns
+// them, or nil when there are none.
+func (r *Runner) keepMatchBuf(matches []Match) []Match {
+	r.matchBuf = matches
+	if len(matches) == 0 {
+		return nil
+	}
+	return matches
+}
+
+// stepInto consumes one event, appending its completed matches to
+// matches. On an error it appends nothing.
 func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 	if r.done {
 		return matches, fmt.Errorf("engine: Step after Flush")
@@ -631,6 +670,7 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 	}
 	if len(r.stepMatches) > 0 {
 		matches = append(matches, r.stepMatches...)
+		clear(r.stepMatches)
 		r.stepMatches = r.stepMatches[:0]
 	}
 
@@ -641,7 +681,8 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 			r.evictOldest(len(r.insts) - limit)
 			r.metrics.DegradedSteps++
 		case Fail:
-			return matches, fmt.Errorf("engine: %d simultaneous automaton instances exceed the cap of %d",
+			clear(matches[base:]) // the failing event's matches are not delivered
+			return matches[:base], fmt.Errorf("engine: %d simultaneous automaton instances exceed the cap of %d",
 				len(r.insts), limit)
 			// RejectNew and ShedStartStates may overshoot transiently:
 			// a single admitted event can branch into several instances.
@@ -689,46 +730,11 @@ func (r *Runner) passesFilter(e *event.Event) bool {
 	return r.a.PassesFilter(e)
 }
 
-// StepBlock consumes a batch of time-ordered events and returns the
-// matches completed across the whole block. Before any condition is
-// evaluated the instance set is swept against the block's first
-// selected event, bounding the set to the τ window up front (the
-// per-event expiry check inside the loop handles the rest — sweeping
-// against the block's maximum time would be unsound, because an
-// instance more than τ behind the block's end may still consume its
-// earlier events and reach the accepting state). The returned slice
-// is reused by the next Step/StepBlock/Flush call, like Step's.
-func (r *Runner) StepBlock(blk event.Block) ([]Match, error) {
-	n := blk.Len()
-	if n == 0 {
-		return nil, nil
-	}
-	matches := r.matchBuf[:0]
-	if first := blk.At(0); len(r.insts) > 0 && event.Duration(first.Time-r.insts[0].minT) > r.a.Within {
-		matches = r.expire(first.Time, matches)
-		r.metrics.Matches += int64(len(matches))
-		r.traceMatches(first, matches, 0)
-	}
-	var err error
-	for i := 0; i < n; i++ {
-		matches, err = r.stepInto(blk.At(i), matches)
-		if err != nil {
-			break
-		}
-	}
-	r.matchBuf = matches[:0]
-	if len(matches) == 0 {
-		return nil, err
-	}
-	return matches, err
-}
-
 // expire removes every instance whose window has lapsed as of now,
 // appending those that expire in the accepting state to matches. It is
 // the standalone analogue of the expiry check embedded in Step, used
-// by the filtered-event τ sweep, by StepBlock's up-front sweep, and by
-// the RejectNew overload policy to age the instance set without
-// consuming the event.
+// by the filtered-event τ sweep and by the RejectNew overload policy to
+// age the instance set without consuming the event.
 func (r *Runner) expire(now event.Time, matches []Match) []Match {
 	kept := r.insts[:0]
 	for i := range r.insts {
@@ -992,7 +998,7 @@ func (r *Runner) Flush() []Match {
 		return nil
 	}
 	r.done = true
-	matches := r.matchBuf[:0]
+	matches := r.takeMatchBuf()
 	for i := range r.insts {
 		if int(r.insts[i].state) == r.a.Accept {
 			matches = r.emitAccepted(&r.insts[i], matches)
@@ -1001,11 +1007,7 @@ func (r *Runner) Flush() []Match {
 	r.metrics.Matches += int64(len(matches))
 	r.insts = r.insts[:0]
 	r.traceMatches(nil, matches, 0)
-	r.matchBuf = matches[:0]
-	if len(matches) == 0 {
-		return nil
-	}
-	return matches
+	return r.keepMatchBuf(matches)
 }
 
 // Run executes the automaton over a complete, time-sorted relation and

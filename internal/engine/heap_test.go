@@ -7,7 +7,9 @@ package engine
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chemo"
 	"repro/internal/event"
@@ -139,4 +141,65 @@ func TestHeapFlatAcrossPasses(t *testing.T) {
 			runtime.KeepAlive(r)
 		})
 	}
+}
+
+// TestSparseMatchesPinNoOldBlocks: a query that completes one match
+// every few windows creates two buffer nodes and cuts one match from
+// the match arena per match, so neither its node chunk nor its match
+// arena chunks fill for dozens of windows. What the runner keeps must
+// still be bounded by τ: after the stream, no decoded block whose
+// newest event is more than 2τ behind the clock may stay reachable.
+func TestSparseMatchesPinNoOldBlocks(t *testing.T) {
+	const (
+		within  = 100
+		nblocks = 400
+		period  = 3 * within // one A→B match per period
+	)
+	a := compile(t, seqPattern(t, within), simpleSchema())
+	r := New(a)
+	freed := make([]atomic.Bool, nblocks)
+	last := make([]event.Time, nblocks)
+	tm, matches := event.Time(0), 0
+	for b := 0; b < nblocks; b++ {
+		evs := make([]event.Event, 16)
+		for i := range evs {
+			tm += 2
+			l := "C"
+			switch tm % period {
+			case 2:
+				l = "A"
+			case 10:
+				l = "B"
+			}
+			evs[i] = event.Event{Seq: b*len(evs) + i, Time: tm,
+				Attrs: []event.Value{event.Int(1), event.String(l), event.Float(0)}}
+		}
+		ms, err := r.StepBlock(event.Block{Events: evs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches += len(ms)
+		last[b] = tm
+		runtime.SetFinalizer(&evs[0], func(*event.Event) { freed[b].Store(true) })
+	}
+	if matches < nblocks*16*2/period-2 {
+		t.Fatalf("%d matches, want one per %d ticks", matches, period)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		var pinned []int
+		for b := range last {
+			if event.Duration(tm-last[b]) > 2*within && !freed[b].Load() {
+				pinned = append(pinned, b)
+			}
+		}
+		if len(pinned) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d blocks older than 2τ are still reachable from the runner, the oldest ending at %d (clock %d)",
+				len(pinned), last[pinned[0]], tm)
+		}
+	}
+	runtime.KeepAlive(r)
 }

@@ -73,7 +73,7 @@ func (m Match) String() string {
 // matchEvChunk and matchBindChunk size the bump arenas backing emitted
 // matches. Segments handed out are never reclaimed (published matches
 // own them forever); the chunks only batch what used to be two heap
-// allocations per match into two per ~hundred matches.
+// allocations per match into two per ~hundred matches or per τ.
 const (
 	matchEvChunk   = 512
 	matchBindChunk = 128
@@ -115,8 +115,13 @@ func (r *Runner) allocBinds(n int) []Binding {
 // arena, so steady-state match construction allocates only when an
 // arena chunk runs dry. Callers must treat Binding.Events as
 // immutable — appending to one binding's slice would overwrite its
-// neighbour.
+// neighbour. Chunks started more than τ before the event being consumed
+// are left to their matches: through its current chunks the runner
+// pins the events — and decoded blocks — of the matches cut from them.
 func (r *Runner) buildMatch(inst *instance) Match {
+	if event.Duration(r.clock-r.matchFrom) > r.a.Within {
+		r.matchEvs, r.matchBinds, r.matchFrom = nil, nil, r.clock
+	}
 	nv := len(r.a.Vars)
 	if cap(r.buildScratch) < nv {
 		r.buildScratch = make([]int, nv)

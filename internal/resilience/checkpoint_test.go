@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,6 +154,52 @@ func TestResumeFromV2WithBufferedEvents(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Fatalf("resumed run emitted %d matches, want the 1 completed A→B match: %v", len(got), got)
+	}
+}
+
+// TestResumeSlackZeroStepsBufferedEvents: a slack-0 pipeline has no
+// reorderer, yet a checkpoint written by one that held back its newest
+// events (B@9 here, behind the A@0 it stepped) must lose nothing: the
+// buffered events are stepped first, and the restored watermark time
+// still refuses an event earlier than them.
+func TestResumeSlackZeroStepsBufferedEvents(t *testing.T) {
+	a := testAutomaton(t, 100)
+	r := engine.New(a)
+	if _, err := r.Step(&event.Event{Seq: 0, Time: 0,
+		Attrs: []event.Value{event.Int(1), event.String("A"), event.Float(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "held-back.ckpt")
+	held := event.Event{Seq: 1, Time: 9, Attrs: []event.Value{event.Int(2), event.String("B"), event.Float(0)}}
+	if err := os.WriteFile(ckpt, encodeCheckpoint(testSchema(), ckptState{srcLast: 1, arrival: 2, runner: snap,
+		reorder: engine.ReordererState{Buffered: []event.Event{held}, MaxSeen: 9, Seen: true}}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan event.Block, 1)
+	in <- event.Block{Events: []event.Event{
+		{Seq: 2, Time: 5, Attrs: []event.Value{event.Int(3), event.String("A"), event.Float(0)}},
+		{Seq: 3, Time: 200, Attrs: []event.Value{event.Int(4), event.String("C"), event.Float(0)}},
+	}}
+	close(in)
+	var reasons []error
+	out, s := SuperviseBlocks(context.Background(), a, nil, in, Config{
+		CheckpointPath: ckpt,
+		Resume:         true,
+		DeadLetter:     func(e event.Event, reason error) { reasons = append(reasons, reason) },
+	})
+	got := collect(out)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "{x/e0, y/e1}" {
+		t.Errorf("matches %v, want the A@0→B@9 match completed by the buffered event", got)
+	}
+	if len(reasons) != 1 || !errors.Is(reasons[0], ErrLate) {
+		t.Errorf("dead letters %v, want the A@5 event refused as late", reasons)
 	}
 }
 

@@ -2,13 +2,14 @@ package resilience
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,9 @@ type Config struct {
 	// identical (time, payload) within the window (see
 	// engine.Reorderer).
 	DedupWindow event.Duration
-	// CheckpointEvery is the number of consumed events between
-	// checkpoints; 0 means the default of 256. Smaller values bound the
+	// CheckpointEvery is the number of stepped events between
+	// checkpoints (0 means 256), exact even inside a received block; a
+	// reorderer's release batch is not split. Smaller values bound the
 	// replay work after a crash at the cost of more frequent snapshots.
 	CheckpointEvery int
 	// CheckpointPath, when non-empty, additionally persists every
@@ -68,10 +70,10 @@ type Config struct {
 	// process (too late, schema-invalid) together with the reason,
 	// instead of dropping them silently.
 	DeadLetter func(event.Event, error)
-	// FaultHook, when non-nil, is invoked with every event immediately
-	// before it is stepped, inside the supervised region. Panics it
-	// raises are recovered and trigger restart — the injection point
-	// used by ChaosSource.FaultHook.
+	// FaultHook, when non-nil, is invoked with every event of a block,
+	// read-only, before the block is stepped (or replayed), inside the
+	// supervised region. Panics it raises are recovered and trigger
+	// restart — the injection point used by ChaosSource.FaultHook.
 	FaultHook func(*event.Event)
 	// OnRestart, when non-nil, is notified of every recovery with the
 	// restart ordinal and the causing fault.
@@ -99,13 +101,11 @@ type Config struct {
 // are safe to call at any time; the definitive values are available
 // once the match channel has closed.
 type Supervisor struct {
-	mu          sync.Mutex
-	err         error
-	restarts    int64
-	deadLetters int64
-	checkpoints int64
-	duplicates  int64
-	metrics     engine.Metrics
+	mu      sync.Mutex
+	err     error
+	metrics engine.Metrics
+
+	restarts, deadLetters, checkpoints, duplicates atomic.Int64
 
 	// emitted counts matches delivered downstream (replay-suppressed
 	// re-emissions excluded); completed is the completed-through stream
@@ -129,7 +129,7 @@ func (s *Supervisor) Emitted() int64 { return s.emitted.Load() }
 // window closed strictly before the clock (first + WITHIN < clock)
 // has already been handed downstream, and (2) no future match can
 // close a window below the clock — surviving instances have
-// first + WITHIN >= clock, and any later arrival the reorderer admits
+// first + WITHIN >= clock, and any later arrival the pipeline admits
 // starts at or above it. After end of input it reports math.MaxInt64.
 // ok is false before the first event is stepped.
 //
@@ -155,7 +155,6 @@ type supObs struct {
 	duplicates  *obs.Counter
 	events      *obs.Counter
 	lastCkpt    atomic.Int64 // UnixNano of the last checkpoint, 0 before the first
-	prevDup     int64        // last synced Reorderer.DuplicatesDropped (run goroutine only)
 }
 
 func newSupObs(r *obs.Registry, labels []string) *supObs {
@@ -179,48 +178,23 @@ func newSupObs(r *obs.Registry, labels []string) *supObs {
 	return o
 }
 
-// markCheckpoint records a completed checkpoint. Nil-safe.
-func (o *supObs) markCheckpoint() {
-	if o == nil {
-		return
-	}
-	o.checkpoints.Inc()
-	o.lastCkpt.Store(time.Now().UnixNano())
-}
-
-// syncDuplicates folds the reorderer's cumulative duplicate count into
-// the exported counter. Nil-safe; called only from the run goroutine.
-func (o *supObs) syncDuplicates(total int64) {
-	if o == nil {
-		return
-	}
-	if d := total - o.prevDup; d > 0 {
-		o.duplicates.Add(d)
-		o.prevDup = total
-	}
-}
-
 // Err returns the error that terminated the stream, or nil for a clean
 // end-of-input shutdown.
 func (s *Supervisor) Err() error { s.mu.Lock(); defer s.mu.Unlock(); return s.err }
 
 // Restarts returns the number of recoveries performed.
-func (s *Supervisor) Restarts() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.restarts }
+func (s *Supervisor) Restarts() int64 { return s.restarts.Load() }
 
 // DeadLetters returns the number of events routed to the dead-letter
 // callback.
-func (s *Supervisor) DeadLetters() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.deadLetters }
+func (s *Supervisor) DeadLetters() int64 { return s.deadLetters.Load() }
 
 // Checkpoints returns the number of checkpoints taken.
-func (s *Supervisor) Checkpoints() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.checkpoints }
+func (s *Supervisor) Checkpoints() int64 { return s.checkpoints.Load() }
 
 // DuplicatesDropped returns the number of redelivered events removed
 // by the dedup window.
-func (s *Supervisor) DuplicatesDropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.duplicates
-}
+func (s *Supervisor) DuplicatesDropped() int64 { return s.duplicates.Load() }
 
 // Metrics returns the runner's execution metrics as of the last
 // completed step (final after the match channel closes).
@@ -231,67 +205,69 @@ func (s *Supervisor) fail(err error) { s.mu.Lock(); s.err = err; s.mu.Unlock() }
 // panicError wraps a recovered panic so restart logic can distinguish
 // crashes (recoverable by replay) from deterministic engine errors
 // (not).
-type panicError struct {
-	val   interface{}
-	stack []byte
-}
+type panicError struct{ val interface{} }
 
 func (p panicError) Error() string { return fmt.Sprintf("resilience: pipeline panic: %v", p.val) }
 
 // Supervise runs a resilient streaming evaluation of the automaton
 // over in and returns the match channel plus a Supervisor handle.
 //
-// Incoming events are schema-validated (failures dead-letter), passed
-// through a Reorderer with cfg.Slack (late arrivals dead-letter,
-// in-window redeliveries dedup), and stepped through a Runner built
-// with opts. The runner state is checkpointed every CheckpointEvery
-// events; a panic anywhere in the step path (including FaultHook) is
-// recovered by restoring the last checkpoint, deterministically
-// replaying the events consumed since — suppressing matches already
-// delivered — and resuming, with capped exponential backoff between
-// consecutive recoveries. Deterministic engine errors (e.g. the Fail
-// overload policy tripping) terminate the stream instead, since replay
-// would reproduce them.
-//
-// The match channel closes on end of input (after a final flush),
-// on ctx cancellation, or on a terminal error; consult
+// Each event becomes a one-event block, its Seq renumbered to its
+// position in the stepped stream, and takes the path SuperviseBlocks
+// describes. The runner is checkpointed every CheckpointEvery stepped
+// events; a panic in the step path (FaultHook included) is recovered by
+// restoring the last checkpoint, deterministically replaying the blocks
+// stepped since — suppressing matches already delivered — and retrying,
+// with capped exponential backoff between consecutive recoveries.
+// Deterministic engine errors (e.g. the Fail overload policy tripping)
+// terminate the stream after the matches of the events before the
+// failing one. The match channel closes on end of input (after a final
+// flush), on ctx cancellation, or on a terminal error; consult
 // Supervisor.Err afterwards.
 func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
 	in <-chan event.Event, cfg Config) (<-chan engine.Match, *Supervisor) {
+	return start(ctx, a, opts, in, nil, cfg)
+}
+
+// SuperviseBlocks is Supervise over a channel of shared, immutable
+// event blocks, the serving layer's routed fan-out. One pass over a
+// block runs the schema, sentinel and lateness checks (refusals
+// dead-letter); the block is stepped with Runner.StepBlock, narrowed
+// with Idx only where an event was refused, and held by reference for
+// replay until the next checkpoint: no event is copied. A Reorderer
+// exists only when Slack or DedupWindow is positive; at slack 0 an
+// event is late when earlier than the last one stepped. Matches, dead
+// letters, checkpoints and restarts are those of Supervise.
+//
+// Block mode keeps each event's Seq as stamped by the feeder, its
+// global stream position, so matches are the same whether the query
+// received the full stream or a routed sub-stream of it. Seq must
+// increase strictly across delivered events (stream positions and WAL
+// offsets do); a checkpoint cut inside a block records the Seq of the
+// last event it covers as its watermark.
+func SuperviseBlocks(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	in <-chan event.Block, cfg Config) (<-chan engine.Match, *Supervisor) {
+	return start(ctx, a, opts, nil, in, cfg)
+}
+
+func start(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	inEv <-chan event.Event, inBlk <-chan event.Block, cfg Config) (<-chan engine.Match, *Supervisor) {
 	s := &Supervisor{}
 	s.completed.Store(math.MinInt64)
 	if cfg.Registry != nil {
 		s.o = newSupObs(cfg.Registry, cfg.MetricLabels)
 	}
 	out := make(chan engine.Match)
-	go s.run(ctx, a, opts, in, nil, cfg, out)
+	go s.run(ctx, a, opts, inEv, inBlk, cfg, out)
 	return out, s
 }
 
-// SuperviseBlocks is Supervise over a channel of shared event blocks:
-// each received block's selected events are processed in order, exactly
-// as if they had arrived one by one on a plain event channel. Blocks
-// are treated as immutable — the supervisor copies each event before
-// stamping scratch fields. This is the batched input the serving
-// layer's routed fan-out uses: one channel operation per batch instead
-// of one per event.
-//
-// Unlike Supervise, block mode preserves each event's Seq as stamped
-// by the feeder instead of renumbering with local counters: the feeder
-// numbers events by their global stream position, so matches carry the
-// same sequence numbers whether the query received the full stream or
-// a routed sub-stream of it. Seq must be strictly increasing across
-// delivered events (stream positions and WAL offsets both are).
-func SuperviseBlocks(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	in <-chan event.Block, cfg Config) (<-chan engine.Match, *Supervisor) {
-	s := &Supervisor{}
-	s.completed.Store(math.MinInt64)
-	if cfg.Registry != nil {
-		s.o = newSupObs(cfg.Registry, cfg.MetricLabels)
+// subBlock returns the selected events [lo, hi) of b.
+func subBlock(b event.Block, lo, hi int) event.Block {
+	if b.Idx != nil {
+		return event.Block{Events: b.Events, Idx: b.Idx[lo:hi]}
 	}
-	out := make(chan engine.Match)
-	go s.run(ctx, a, opts, nil, in, cfg, out)
-	return out, s
+	return event.Block{Events: b.Events[lo:hi]}
 }
 
 func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
@@ -358,9 +334,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	}()
 
 	deadLetter := func(e event.Event, reason error) {
-		s.mu.Lock()
-		s.deadLetters++
-		s.mu.Unlock()
+		s.deadLetters.Add(1)
 		if s.o != nil {
 			s.o.deadLetters.Inc()
 		}
@@ -369,46 +343,50 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		}
 	}
 
-	ro := engine.NewReorderer(cfg.Slack)
-	ro.DedupWindow = cfg.DedupWindow
-	ro.Late = func(e event.Event) { deadLetter(e, ErrLate) }
-	defer func() {
-		s.mu.Lock()
-		s.duplicates = ro.DuplicatesDropped
-		s.mu.Unlock()
-	}()
+	// A reorderer exists only for a slack or a dedup window. Without one
+	// an event is late when it is earlier than hw, the time of the last
+	// event stepped (or the watermark time of the resumed checkpoint).
+	var ro *engine.Reorderer
+	if cfg.Slack > 0 || cfg.DedupWindow > 0 {
+		ro = engine.NewReorderer(cfg.Slack)
+		ro.DedupWindow = cfg.DedupWindow
+		ro.Late = func(e event.Event) { deadLetter(e, ErrLate) }
+	}
+	hw := event.MinTime
 
 	// arrival numbers events for the reorderer's stable tie-break;
-	// srcLast tracks the source offset (event.Seq as stamped by the
-	// feeder, e.g. a WAL offset) of the last event received, the
-	// watermark persisted with every on-disk checkpoint.
+	// srcLast is the source offset (event.Seq as stamped by the feeder,
+	// e.g. a WAL offset) of the last event received. pending is what a
+	// resumed reorderer state buffers when this run has no reorderer.
 	arrival, srcLast := 0, int64(-1)
+	var pending []event.Event
 	if resumed != nil {
-		ro.RestoreState(resumed.reorder)
 		arrival, srcLast = int(resumed.arrival), resumed.srcLast
+		if ro != nil {
+			ro.RestoreState(resumed.reorder)
+		} else {
+			if resumed.reorder.Seen {
+				hw = resumed.reorder.MaxSeen
+			}
+			pending = resumed.reorder.Buffered
+		}
 	}
-
-	// maxStepped is the highest event time fed through the runner — the
-	// stream clock published by CompletedThrough. It advances in
-	// feedOne, after the event's matches are delivered, so the clock
-	// never gets ahead of the emissions it vouches for. A resumed run
-	// starts over: the clock climbs again as live events arrive.
-	maxStepped := int64(math.MinInt64)
 
 	// Recovery is possible from the very first event without an eager
 	// initial snapshot: nil ckpt means "the runner's initial state",
 	// which a restart rebuilds with engine.New — identical to restoring
 	// a snapshot taken before any event. A resumed run's baseline is
-	// the checkpoint bytes already read from disk; replay holds
-	// everything consumed since the baseline.
+	// the checkpoint bytes already read from disk. replay holds the
+	// blocks stepped since (stepped events); emittedSince of their
+	// matches are delivered.
 	ckpt := baseline
 	if s.o != nil {
 		// The initial snapshot starts the checkpoint-age clock without
 		// counting toward Checkpoints(), which reports periodic saves.
 		s.o.lastCkpt.Store(time.Now().UnixNano())
 	}
-	var replay []event.Event
-	emittedSince := 0
+	var replay []event.Block
+	stepped, emittedSince := 0, 0
 
 	send := func(m engine.Match) bool {
 		select {
@@ -421,23 +399,31 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		}
 	}
 
-	step := func(e *event.Event) (ms []engine.Match, err error) {
+	// stepBlock runs FaultHook over blk's events and steps blk, turning
+	// a panic into a panicError. An empty block, the end of input,
+	// flushes the runner.
+	stepBlock := func(blk event.Block) (ms []engine.Match, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				err = panicError{val: p, stack: debug.Stack()}
+				err = panicError{val: p}
 			}
 		}()
-		if cfg.FaultHook != nil {
-			cfg.FaultHook(e)
+		if blk.Len() == 0 {
+			return runner.Flush(), nil
 		}
-		return runner.Step(e)
+		if cfg.FaultHook != nil {
+			for i := 0; i < blk.Len(); i++ {
+				cfg.FaultHook(blk.At(i))
+			}
+		}
+		return runner.StepBlock(blk)
 	}
 
 	// ckptBuf backs ckpt from one periodic checkpoint to the next: the
 	// previous snapshot is dead the moment a new one is cut, so it is
 	// overwritten in place instead of regrown per checkpoint.
 	var ckptBuf bytes.Buffer
-	saveCheckpoint := func() bool {
+	saveCheckpoint := func(watermark int64) bool {
 		ckptBuf.Reset()
 		if err := runner.WriteSnapshot(&ckptBuf); err != nil {
 			s.fail(err)
@@ -445,258 +431,258 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		}
 		data := ckptBuf.Bytes()
 		if cfg.CheckpointPath != "" {
-			env := encodeCheckpoint(a.Schema, ckptState{
-				srcLast: srcLast,
+			st := ckptState{
+				srcLast: watermark,
 				arrival: int64(arrival),
-				reorder: ro.Snapshot(),
+				reorder: engine.ReordererState{MaxSeen: hw, Seen: hw != event.MinTime},
 				runner:  data,
-			})
-			if err := writeFileAtomic(cfg.CheckpointPath, env); err != nil {
+			}
+			if ro != nil {
+				st.reorder = ro.Snapshot()
+			}
+			if err := writeFileAtomic(cfg.CheckpointPath, encodeCheckpoint(a.Schema, st)); err != nil {
 				s.fail(err)
 				return false
 			}
 		}
 		ckpt = data
+		clear(replay) // releases the blocks
 		replay = replay[:0]
-		emittedSince = 0
-		s.mu.Lock()
-		s.checkpoints++
-		s.mu.Unlock()
-		s.o.markCheckpoint()
+		stepped, emittedSince = 0, 0
+		s.checkpoints.Add(1)
+		if s.o != nil {
+			s.o.checkpoints.Inc()
+			s.o.lastCkpt.Store(time.Now().UnixNano())
+		}
 		return true
 	}
 
-	// restore recovers from a crash: restore the last checkpoint and
-	// deterministically replay the events consumed since, suppressing
-	// the matches that were already delivered downstream. A crash
-	// during replay consumes another restart and tries again.
-	restore := func(cause error) bool {
-		// Deterministic (jitter-free) capped exponential backoff: a
-		// single supervisor retrying its own runner gains nothing from
-		// desynchronization, and tests rely on the exact delays.
-		bo := NewBackoff(RetryPolicy{Initial: backoff0, Max: maxBackoff})
-		for {
-			s.mu.Lock()
-			s.restarts++
-			attempt := int(s.restarts)
-			s.mu.Unlock()
-			if s.o != nil {
-				s.o.restarts.Inc()
-			}
-			if attempt > maxRestarts {
-				s.fail(fmt.Errorf("resilience: giving up after %d restarts: %w", attempt-1, cause))
-				return false
-			}
-			if cfg.OnRestart != nil {
-				cfg.OnRestart(attempt, cause)
-			}
-			select {
-			case <-time.After(bo.Next()):
-			case <-ctx.Done():
-				s.fail(ctx.Err())
-				return false
-			}
-			if ckpt == nil {
-				// No checkpoint was ever taken: the baseline is the
-				// runner's initial state.
-				runner = engine.New(a, opts...)
-			} else {
-				restored, err := engine.RestoreRunnerBytes(a, ckpt, opts...)
-				if err != nil {
-					s.fail(err)
+	// advance steps replay[from:] and delivers the matches. After a crash
+	// it waits out the backoff, restores the last checkpoint and replays
+	// from the first block, which reproduces the emittedSince matches
+	// already delivered and suppresses them; a crash during replay takes
+	// another restart, with the delay doubling. It returns false when the
+	// stream must terminate (the cause has been recorded). On a
+	// deterministic error the matches of the events before the failing
+	// one are delivered first.
+	advance := func(from int) bool {
+		// Deterministic (jitter-free) backoff: a single supervisor retrying
+		// its own runner gains nothing from desynchronization.
+		var bo *Backoff
+		seen := emittedSince
+		for i := from; i < len(replay); i++ {
+			ms, err := stepBlock(replay[i])
+			if _, crashed := err.(panicError); crashed {
+				attempt := int(s.restarts.Add(1))
+				if s.o != nil {
+					s.o.restarts.Inc()
+				}
+				if attempt > maxRestarts {
+					s.fail(fmt.Errorf("resilience: giving up after %d restarts: %w", attempt-1, err))
 					return false
 				}
-				runner = restored
-			}
-			skip, emitted, crashed := emittedSince, 0, false
-			for i := range replay {
-				ev := replay[i]
-				if !preserveSeq {
-					ev.Seq = int(runner.Metrics().EventsProcessed)
+				if cfg.OnRestart != nil {
+					cfg.OnRestart(attempt, err)
 				}
-				ms, err := step(&ev)
-				if err != nil {
-					var pe panicError
-					if !errors.As(err, &pe) {
+				if bo == nil {
+					bo = NewBackoff(RetryPolicy{Initial: backoff0, Max: maxBackoff})
+				}
+				select {
+				case <-time.After(bo.Next()):
+				case <-ctx.Done():
+					s.fail(ctx.Err())
+					return false
+				}
+				next := engine.New(a, opts...)
+				if ckpt != nil {
+					if next, err = engine.RestoreRunnerBytes(a, ckpt, opts...); err != nil {
 						s.fail(err)
 						return false
 					}
-					cause, crashed = err, true
-					break
 				}
-				for _, m := range ms {
-					if emitted++; emitted > skip && !send(m) {
-						return false
-					}
-				}
-			}
-			if crashed {
+				runner, i, seen = next, -1, 0
 				continue
 			}
-			if emitted > skip {
-				emittedSince = emitted
-			}
-			return true
-		}
-	}
-
-	feedOne := func(e event.Event) bool {
-		for {
-			ev := e
-			if !preserveSeq {
-				ev.Seq = int(runner.Metrics().EventsProcessed)
-			}
-			ms, err := step(&ev)
-			if err != nil {
-				var pe panicError
-				if errors.As(err, &pe) {
-					if !restore(err) {
+			for _, m := range ms {
+				if seen++; seen > emittedSince {
+					if !send(m) {
 						return false
 					}
-					continue // retry e on the restored runner
+					emittedSince = seen
 				}
+			}
+			if err != nil {
 				s.fail(err)
 				return false
 			}
-			for _, m := range ms {
-				emittedSince++
-				if !send(m) {
-					return false
-				}
-			}
-			if s.o != nil {
-				s.o.events.Inc()
-			}
-			if int64(e.Time) > maxStepped {
-				maxStepped = int64(e.Time)
-			}
-			// Checkpoints are deliberately NOT taken here: feedOne runs
-			// inside a reorderer release batch, whose remaining events
-			// are in neither the runner state nor the reorderer buffer —
-			// a checkpoint cut mid-batch would lose them across a
-			// restart. The main loop checkpoints between batches.
-			replay = append(replay, e)
-			return true
 		}
-	}
-
-	finish := func() {
-		for {
-			ms, err := func() (ms []engine.Match, err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = panicError{val: p, stack: debug.Stack()}
-					}
-				}()
-				return runner.Flush(), nil
-			}()
-			if err != nil {
-				if !restore(err) {
-					return
-				}
-				continue
-			}
-			for _, m := range ms {
-				if !send(m) {
-					return
-				}
-			}
-			return
-		}
-	}
-
-	// process consumes one received event: watermark advance, schema and
-	// sentinel checks, reorder push, stepping the released batch and the
-	// between-batches checkpoint. It returns false when the stream must
-	// terminate (the cause has been recorded).
-	process := func(e event.Event) bool {
-		// The watermark advances on every received event, including
-		// ones about to dead-letter: they are deterministically
-		// refused again if replayed, so a resuming feeder need not
-		// re-send them.
-		srcLast = int64(e.Seq)
-		if err := a.Schema.Check(e.Attrs); err != nil {
-			deadLetter(e, fmt.Errorf("%w: %v", ErrSchema, err))
-			return true
-		}
-		if event.SentinelTime(e.Time) {
-			// The reorderer would reject these anyway (through its
-			// Late callback); classifying them here gives the
-			// dead-letter consumer the precise reason.
-			deadLetter(e, ErrSentinelTime)
-			return true
-		}
-		if !preserveSeq {
-			// Arrival order for the reorderer's stable tie-break. In
-			// block mode the preserved Seq is itself strictly increasing
-			// in arrival order, so it serves as the tie-break directly.
-			e.Seq = arrival
-		}
-		arrival++
-		for _, re := range ro.Push(e) {
-			if !feedOne(re) {
-				return false
-			}
-		}
-		// Periodic checkpoints happen here, on the release-batch
-		// boundary, where runner state + reorderer buffer + watermark
-		// together cover every received event exactly once.
-		if len(replay) >= ckptEvery && !saveCheckpoint() {
-			return false
-		}
-		// The released batch is fully stepped and its matches sent:
-		// publish the advanced stream clock (see CompletedThrough).
-		if maxStepped != math.MinInt64 {
-			s.completed.Store(maxStepped)
-		}
-		s.o.syncDuplicates(ro.DuplicatesDropped)
 		return true
 	}
 
-	// eof flushes the reorderer, takes the drain checkpoint and emits
-	// the end-of-input matches, when the input channel closes.
-	eof := func() {
-		for _, re := range ro.Drain() {
-			if !feedOne(re) {
-				return
+	// feed steps an admitted block and cuts the periodic checkpoints:
+	// exactly every ckptEvery stepped events, splitting the block, with
+	// the Seq of the last one as the watermark, in block mode without a
+	// reorderer; otherwise at the end of the block that reaches the
+	// count, with the last event received as the watermark (the
+	// reorderer's checkpointed buffer holds the rest). In event mode blk
+	// is the pipeline's own and its events are numbered by position.
+	exact := preserveSeq && ro == nil
+	feed := func(blk event.Block) bool {
+		if !preserveSeq {
+			base := int(runner.Metrics().EventsProcessed)
+			for i := range blk.Events {
+				blk.Events[i].Seq = base + i
 			}
 		}
-		if len(replay) >= ckptEvery && !saveCheckpoint() {
-			return
+		for lo, n := 0, blk.Len(); lo < n; {
+			hi := n
+			if exact {
+				hi = min(n, lo+ckptEvery-stepped)
+			}
+			sub := subBlock(blk, lo, hi)
+			replay = append(replay, sub)
+			if !advance(len(replay) - 1) {
+				return false
+			}
+			lo = hi
+			stepped += sub.Len()
+			if s.o != nil {
+				s.o.events.Add(int64(sub.Len()))
+			}
+			// The block's matches are out: publish the stream clock (see
+			// CompletedThrough), which a resumed run climbs again from here.
+			last := sub.At(sub.Len() - 1)
+			hw = last.Time
+			s.completed.Store(int64(hw))
+			if stepped < ckptEvery {
+				continue
+			}
+			watermark := srcLast
+			if exact {
+				watermark = int64(last.Seq)
+			}
+			if !saveCheckpoint(watermark) {
+				return false
+			}
 		}
-		if cfg.CheckpointOnDrain && cfg.CheckpointPath != "" && !saveCheckpoint() {
-			return
-		}
-		finish()
-		// End of input: nothing below any horizon can arrive anymore.
-		s.completed.Store(math.MaxInt64)
+		return true
 	}
 
+	// admit runs the schema and sentinel checks on a received event, and
+	// the lateness check against bound, dead-lettering a refused one.
+	admit := func(e *event.Event, bound event.Time) bool {
+		reason := ErrLate
+		if err := a.Schema.Check(e.Attrs); err != nil {
+			reason = fmt.Errorf("%w: %v", ErrSchema, err)
+		} else if event.SentinelTime(e.Time) {
+			reason = ErrSentinelTime
+		} else if e.Time >= bound {
+			return true
+		}
+		deadLetter(*e, reason)
+		return false
+	}
+
+	// receive admits a received block in one pass and feeds what it
+	// admits to the runner, through the reorderer if there is one. The
+	// source watermark advances on every received event, dead-lettered
+	// ones included: they are deterministically refused again if
+	// replayed, so a resuming feeder need not re-send them.
+	receive := func(blk event.Block) bool {
+		n := blk.Len()
+		if ro != nil {
+			for i := 0; i < n; i++ {
+				e := *blk.At(i)
+				srcLast = int64(e.Seq)
+				if !admit(&e, event.MinTime) {
+					continue
+				}
+				if !preserveSeq {
+					// Arrival order for the reorderer's stable tie-break;
+					// a preserved Seq already is in arrival order.
+					e.Seq = arrival
+				}
+				arrival++
+				if !feed(event.Block{Events: slices.Clone(ro.Push(e))}) {
+					return false
+				}
+			}
+			if d := ro.DuplicatesDropped - s.duplicates.Swap(ro.DuplicatesDropped); d > 0 && s.o != nil {
+				s.o.duplicates.Add(d)
+			}
+			return true
+		}
+		var kept []int32 // positions in blk.Events, once an event is refused
+		bound := hw
+		for i := 0; i < n; i++ {
+			e := blk.At(i)
+			srcLast = int64(e.Seq)
+			if admit(e, bound) {
+				bound = e.Time
+				if kept != nil {
+					kept = append(kept, position(blk, i))
+				}
+			} else if kept == nil {
+				kept = make([]int32, 0, n)
+				for j := 0; j < i; j++ {
+					kept = append(kept, position(blk, j))
+				}
+			}
+		}
+		if kept != nil {
+			blk = event.Block{Events: blk.Events, Idx: kept}
+		}
+		return feed(blk)
+	}
+
+	// A checkpoint written with a reorderer may still buffer events; a
+	// run without one steps them first, in the order of their release.
+	slices.SortFunc(pending, func(x, y event.Event) int {
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.Seq, y.Seq))
+	})
+	if !feed(event.Block{Events: pending}) {
+		return
+	}
 	for {
+		var blk event.Block
+		var ok bool
 		select {
 		case <-ctx.Done():
 			s.fail(ctx.Err())
 			return
-		case e, ok := <-inEv:
-			if !ok {
-				eof()
-				return
-			}
-			if !process(e) {
-				return
-			}
-		case blk, ok := <-inBlk:
-			if !ok {
-				eof()
-				return
-			}
-			for i := 0; i < blk.Len(); i++ {
-				if !process(*blk.At(i)) {
-					return
-				}
-			}
+		case e, open := <-inEv:
+			blk, ok = event.Block{Events: []event.Event{e}}, open
+		case blk, ok = <-inBlk:
+		}
+		if !ok {
+			break
+		}
+		if !receive(blk) {
+			return
 		}
 	}
+
+	// End of input: release what the reorderer holds, take the drain
+	// checkpoint and flush.
+	if ro != nil && !feed(event.Block{Events: slices.Clone(ro.Drain())}) {
+		return
+	}
+	if cfg.CheckpointOnDrain && cfg.CheckpointPath != "" && !saveCheckpoint(srcLast) {
+		return
+	}
+	replay = append(replay, event.Block{})
+	if advance(len(replay) - 1) {
+		// Nothing below any horizon can arrive anymore.
+		s.completed.Store(math.MaxInt64)
+	}
+}
+
+// position returns where the i-th selected event of b sits in b.Events.
+func position(b event.Block, i int) int32 {
+	if b.Idx != nil {
+		return b.Idx[i]
+	}
+	return int32(i)
 }
 
 // writeFileAtomic writes data to path via a temp file and rename, so a
