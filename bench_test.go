@@ -331,19 +331,16 @@ func BenchmarkPartitionedParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedExecutor measures the streaming sharded executor end
-// to end (dispatch, per-shard evaluation, watermark merge) on the same
-// workload, across shard counts.
-func BenchmarkShardedExecutor(b *testing.B) {
+// BenchmarkKeyedRunner measures a keyed Runner on the same workload:
+// one pass over the interleaved stream, each event stepped on its
+// patient's sub-runner, with MatchPartitioned's matches as the result.
+func BenchmarkKeyedRunner(b *testing.B) {
 	d := datasets(b, 1)[0]
 	a := compileFor(b, paperdata.QueryQ1(), d.Rel)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.RunSharded(a, d.Rel, "ID", shards, engine.WithFilter(true)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := engine.Run(a, d.Rel, engine.WithFilter(true), engine.WithPartitionKey("ID")); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

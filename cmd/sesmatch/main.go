@@ -132,7 +132,7 @@ func run(o options) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if o.checkpoint != "" && o.partition != "" {
-		return fmt.Errorf("-checkpoint and -partition are mutually exclusive: sharded and partitioned runs cannot snapshot a single evaluator state")
+		return fmt.Errorf("-checkpoint and -partition are mutually exclusive: partitioned evaluation runs one evaluator per partition and has no single state to snapshot")
 	}
 	if o.workers != 0 && o.partition == "" {
 		return fmt.Errorf("-workers requires -partition: only partitioned evaluation parallelizes")

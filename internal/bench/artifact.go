@@ -97,7 +97,7 @@ type artifactCase struct {
 // selection mirrors the experiments whose hot paths the engine
 // optimises: Exp-1 P1 (mutually exclusive sets), Exp-3 P5 with the
 // Section 4.5 filter, the running-example throughput query, the
-// partitioned evaluation sequential vs sharded, and the durable-ingest
+// keyed (per-patient) evaluation of P1, and the durable-ingest
 // paths (WAL append, backfill replay).
 func artifactCases(ds []Dataset) ([]artifactCase, func(), error) {
 	d1 := ds[0]
@@ -187,16 +187,8 @@ func artifactCases(ds []Dataset) ([]artifactCase, func(), error) {
 		d := d
 		cases = append(cases, artifactCase{"Exp3_P5_Filter/" + d.Name, runOn(a5, d, engine.WithFilter(true))})
 	}
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		cases = append(cases, artifactCase{
-			fmt.Sprintf("Sharded_P1/4/%s/shards=%d", d1.Name, shards),
-			func() (int64, int, error) {
-				ms, m, err := engine.RunSharded(a1, d1.Rel, "ID", shards, engine.WithFilter(true))
-				return m.MaxSimultaneousInstances, len(ms), err
-			},
-		})
-	}
+	cases = append(cases, artifactCase{"Keyed_P1/4/" + d1.Name,
+		runOn(a1, d1, engine.WithFilter(true), engine.WithPartitionKey("ID"))})
 	// The serving layer: one shared ingest pass routed to three
 	// registered queries, against the same three queries evaluated as
 	// independent standalone runs (maxΩ is not defined across queries,

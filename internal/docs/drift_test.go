@@ -98,6 +98,14 @@ var driftPins = map[string][]string{
 	},
 }
 
+// driftBans maps a documentation file to names that must not appear in
+// it: surfaces the code no longer ships, which a stale sentence would
+// still advertise.
+var driftBans = map[string][]string{
+	"README.md":          {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
+	"docs/OPERATIONS.md": {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
+}
+
 // TestDocsDriftPins fails when a documented name disappears from the
 // file that is supposed to document it — the cheap tripwire against
 // flag/metric renames silently going stale in the docs.
@@ -113,6 +121,11 @@ func TestDocsDriftPins(t *testing.T) {
 		for _, pin := range pins {
 			if !strings.Contains(text, pin) {
 				t.Errorf("%s: expected to document %q (flag/metric/construct renamed without a docs sweep?)", file, pin)
+			}
+		}
+		for _, ban := range driftBans[file] {
+			if strings.Contains(text, ban) {
+				t.Errorf("%s: still documents %q, which the code no longer ships", file, ban)
 			}
 		}
 	}

@@ -784,19 +784,14 @@ func TestAggregateSnapshotConfigMismatch(t *testing.T) {
 
 // --- executor surface ----------------------------------------------
 
-// TestAggregateRejectedExecutors: the sharded, union and indexed
-// executors refuse an aggregation option instead of folding
-// incorrectly (racing shards, post-hoc maximality filtering, or
-// diverging from the plain runner).
+// TestAggregateRejectedExecutors: the union executor refuses an
+// aggregation option instead of folding incorrectly (its post-hoc
+// maximality filter would drop matches already folded).
 func TestAggregateRejectedExecutors(t *testing.T) {
 	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
 	spec := &pattern.AggSpec{Items: []pattern.AggItem{{Func: pattern.AggCount}}}
 	plan := mustAggPlan(t, a, spec)
 
-	if _, err := NewSharded(a, "ID", 4, WithAggregation(NewAggregator(plan))); err == nil ||
-		!strings.Contains(err.Error(), "sharded") {
-		t.Errorf("NewSharded: err = %v", err)
-	}
 	if _, err := NewUnion([]*automaton.Automaton{a}, WithAggregation(NewAggregator(plan))); err == nil ||
 		!strings.Contains(err.Error(), "union") {
 		t.Errorf("NewUnion: err = %v", err)

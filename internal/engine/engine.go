@@ -155,19 +155,18 @@ func (p OverloadPolicy) String() string {
 
 // config holds the runner options.
 type config struct {
-	filter         bool
-	strategy       Strategy
-	maxInstances   int
-	policy         OverloadPolicy
-	shedLowWater   int
-	trace          func(TraceStep)
-	emitOnAccept   bool
-	shardBuffer    int
-	watermarkEvery int64
-	registry       *obs.Registry
-	metricLabels   []string
-	agg            *Aggregator
-	aggOnly        bool
+	filter       bool
+	strategy     Strategy
+	maxInstances int
+	policy       OverloadPolicy
+	shedLowWater int
+	trace        func(TraceStep)
+	emitOnAccept bool
+	registry     *obs.Registry
+	metricLabels []string
+	agg          *Aggregator
+	aggOnly      bool
+	partitionKey string
 	// interpret evaluates conditions through the generic event.Compare
 	// interpreter instead of the compiled predicates. No option sets it:
 	// the interpreter is the oracle of TestCompiledInterpretedIdentity.
@@ -209,42 +208,28 @@ func WithShedLowWater(n int) Option { return func(c *config) { c.shedLowWater = 
 // event: fired transitions, start-instance spawns, window expiries,
 // overload sheds and match emissions (see TraceKind). With no hook
 // installed the fast path pays a single nil check per site; rendering
-// of buffer strings only happens when a hook is present. Evaluators
-// that fan out (ShardedRunner) invoke the hook from several
-// goroutines — it must be safe for concurrent use there.
+// of buffer strings only happens when a hook is present. A Runner calls
+// the hook from the goroutine stepping it, keyed runners included.
 func WithTrace(f func(TraceStep)) Option { return func(c *config) { c.trace = f } }
 
-// WithMetricsRegistry attaches an obs.Registry into which streaming
-// executors export live operational gauges: ShardedRunner publishes
-// per-shard queue depth, watermark lag, merge-buffer occupancy,
-// instance counts and throughput counters (see the README's metrics
-// table). A plain Runner ignores the registry on its hot path; with a
-// nil registry (the default) no instrumentation runs at all.
+// WithMetricsRegistry attaches an obs.Registry into which a Runner
+// exports ses_cond_type_mismatch_total and, with an Aggregator, the
+// ses_agg_* series (see the README's metrics table). Counting costs one
+// increment per occurrence; with a nil registry (the default) no
+// instrumentation runs at all.
 func WithMetricsRegistry(r *obs.Registry) Option { return func(c *config) { c.registry = r } }
 
 // WithMetricLabels attaches label key/value pairs to every metric
-// series an executor registers via WithMetricsRegistry, e.g.
-// WithMetricLabels("query", "q1") turns ses_sharded_matches_total into
-// ses_sharded_matches_total{query="q1"}. It lets several executors —
-// such as the per-query runners of the serving layer — share one
-// registry without colliding on series names. kv must alternate keys
-// and values; with no labels (the default) series names are unchanged.
+// series a runner registers via WithMetricsRegistry, e.g.
+// WithMetricLabels("query", "q1") turns ses_cond_type_mismatch_total
+// into ses_cond_type_mismatch_total{query="q1"}. It lets several
+// runners — such as the per-query runners of the serving layer — share
+// one registry without colliding on series names. kv must alternate
+// keys and values; with no labels (the default) series names are
+// unchanged.
 func WithMetricLabels(kv ...string) Option {
 	return func(c *config) { c.metricLabels = append(c.metricLabels, kv...) }
 }
-
-// WithShardBuffer sets the capacity of each shard's input channel in
-// the sharded streaming executor (default 128). Smaller buffers bound
-// memory and propagate backpressure sooner; larger buffers absorb
-// skewed bursts.
-func WithShardBuffer(n int) Option { return func(c *config) { c.shardBuffer = n } }
-
-// WithWatermarkEvery sets how many input events the sharded streaming
-// executor processes between watermark broadcasts (default 64).
-// Watermarks bound the reordering delay of the deterministic merge:
-// smaller values lower match emission latency, larger values lower
-// coordination overhead.
-func WithWatermarkEvery(n int64) Option { return func(c *config) { c.watermarkEvery = n } }
 
 // WithEmitOnAccept switches from the paper's MAXIMAL emission (matches
 // surface when an accepting instance expires or at end of input, with
@@ -428,6 +413,11 @@ type Runner struct {
 	// stepMatches collects matches emitted mid-consume under the
 	// WithEmitOnAccept mode; drained by Step.
 	stepMatches []Match
+
+	// keyed holds the per-key sub-runners of a WithPartitionKey runner,
+	// which steps every event on its key's sub-runner instead of itself;
+	// nil on an unkeyed runner.
+	keyed *keyed
 }
 
 // New creates a Runner for the automaton.
@@ -452,6 +442,9 @@ func New(a *automaton.Automaton, opts ...Option) *Runner {
 			r.cfg.agg.attachMetrics(r.cfg.registry, r.cfg.metricLabels)
 		}
 	}
+	if r.cfg.partitionKey != "" {
+		r.keyed = newKeyed(a, r.cfg.partitionKey)
+	}
 	return r
 }
 
@@ -462,8 +455,17 @@ func (r *Runner) Automaton() *automaton.Automaton { return r.a }
 func (r *Runner) Metrics() Metrics { return r.metrics }
 
 // ActiveInstances returns |Ω|, the number of automaton instances
-// currently alive (excluding the per-event fresh start instance).
-func (r *Runner) ActiveInstances() int { return len(r.insts) }
+// currently alive (excluding the per-event fresh start instance),
+// summed over the keys of a keyed runner.
+func (r *Runner) ActiveInstances() int {
+	n := len(r.insts)
+	if r.keyed != nil {
+		for _, s := range r.keyed.subs {
+			n += len(s.insts)
+		}
+	}
+	return n
+}
 
 // Reset discards all instances and metrics, making the runner ready
 // for a new input. Allocated capacity (instance slices, the node
@@ -482,6 +484,9 @@ func (r *Runner) Reset() {
 	r.clock = noTime
 	r.shedding = false
 	r.setErr(nil)
+	if r.keyed != nil {
+		r.keyed.reset()
+	}
 }
 
 // setErr records the error that terminated a stream. It is safe for
@@ -545,6 +550,9 @@ func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 		return matches, fmt.Errorf("engine: out-of-order event at time %d after %d", e.Time, r.clock)
 	}
 	r.clock = e.Time
+	if r.keyed != nil {
+		return r.keyed.step(r, e, matches)
+	}
 	matches, err := r.consumeEvent(e, matches)
 	// The step is over: every instance was visited or expired and its
 	// match built, which is the only point at which chunks may retire.
@@ -991,23 +999,32 @@ func (r *Runner) noteCompareErr(err error, t *automaton.Transition, c *automaton
 // Flush ends the input and returns the matches of all remaining
 // instances that reached the accepting state. Algorithm 1 only emits
 // on expiry; a complete implementation must also emit the accepting
-// instances alive at end of input. The returned slice is reused like
-// Step's.
+// instances alive at end of input. A keyed runner flushes its keys in
+// first-occurrence order. The returned slice is reused like Step's.
 func (r *Runner) Flush() []Match {
 	if r.done {
 		return nil
 	}
+	return r.keepMatchBuf(r.flushInto(r.takeMatchBuf()))
+}
+
+// flushInto ends the input, appending the matches of the accepting
+// instances to matches.
+func (r *Runner) flushInto(matches []Match) []Match {
 	r.done = true
-	matches := r.takeMatchBuf()
+	if r.keyed != nil {
+		return r.keyed.flush(r, matches)
+	}
+	base := len(matches)
 	for i := range r.insts {
 		if int(r.insts[i].state) == r.a.Accept {
 			matches = r.emitAccepted(&r.insts[i], matches)
 		}
 	}
-	r.metrics.Matches += int64(len(matches))
+	r.metrics.Matches += int64(len(matches) - base)
 	r.insts = r.insts[:0]
-	r.traceMatches(nil, matches, 0)
-	return r.keepMatchBuf(matches)
+	r.traceMatches(nil, matches, base)
+	return matches
 }
 
 // Run executes the automaton over a complete, time-sorted relation and

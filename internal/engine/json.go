@@ -200,8 +200,9 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 //     into a single flat value array; each event's attribute slice is
 //     a view into it.
 //
-// The decoder is semantics-identical to the reference path
-// (Server.parseEvent built on encoding/json), including its quirks:
+// The decoder is semantics-identical to the per-line reference decoder
+// built on encoding/json (the server package's tests keep it as
+// parseEvent), including its quirks:
 // case-folded top-level keys, duplicate-key last-wins, "attrs": null
 // resetting previously seen attributes, null attribute values decoding
 // to the declared type's zero value, trailing garbage after the
@@ -216,7 +217,7 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 // and stops accepting lines, and Finish reports the earliest line with
 // any error (scan errors can only occur on later lines than committed
 // value errors), breaking ties within a line in schema field order —
-// exactly the order parseEvent checks fields.
+// exactly the order the reference decoder checks fields.
 
 // maxJSONDepth mirrors encoding/json's nesting limit. Container depth
 // is counted from the top-level object, so an attribute value's

@@ -59,40 +59,45 @@ type Metrics struct {
 // measured |Ω| is the sum of the per-automaton peaks. For aggregating
 // over INDEPENDENT partitions (each its own evaluation, peaks not
 // coincident in any shared timeline) use Merge instead.
-func (m *Metrics) Add(o Metrics) {
-	m.EventsProcessed += o.EventsProcessed
-	m.EventsFiltered += o.EventsFiltered
-	m.StartInstances += o.StartInstances
-	m.InstancesCreated += o.InstancesCreated
-	m.MaxSimultaneousInstances += o.MaxSimultaneousInstances
-	m.TransitionsAttempted += o.TransitionsAttempted
-	m.TransitionsFired += o.TransitionsFired
-	m.InstanceIterations += o.InstanceIterations
-	m.ExpiredInstances += o.ExpiredInstances
-	m.Matches += o.Matches
-	m.InstancesShed += o.InstancesShed
-	m.EventsRejected += o.EventsRejected
-	m.DegradedSteps += o.DegradedSteps
-	m.CondTypeMismatches += o.CondTypeMismatches
+func (m *Metrics) Add(o Metrics) { m.add(o, 1) }
+
+// add accumulates k times o into m.
+func (m *Metrics) add(o Metrics, k int64) {
+	m.EventsProcessed += k * o.EventsProcessed
+	m.EventsFiltered += k * o.EventsFiltered
+	m.StartInstances += k * o.StartInstances
+	m.InstancesCreated += k * o.InstancesCreated
+	m.MaxSimultaneousInstances += k * o.MaxSimultaneousInstances
+	m.TransitionsAttempted += k * o.TransitionsAttempted
+	m.TransitionsFired += k * o.TransitionsFired
+	m.InstanceIterations += k * o.InstanceIterations
+	m.ExpiredInstances += k * o.ExpiredInstances
+	m.Matches += k * o.Matches
+	m.InstancesShed += k * o.InstancesShed
+	m.EventsRejected += k * o.EventsRejected
+	m.DegradedSteps += k * o.DegradedSteps
+	m.CondTypeMismatches += k * o.CondTypeMismatches
+}
+
+// account keeps m, a Merge over independent runs, current while one of
+// them moves from reading before to reading after.
+func (m *Metrics) account(before, after Metrics) {
+	peak := max(m.MaxSimultaneousInstances, after.MaxSimultaneousInstances)
+	m.add(before, -1)
+	m.add(after, 1)
+	m.MaxSimultaneousInstances = peak
 }
 
 // Merge accumulates o into m with max semantics for peak counters:
 // throughput counters (events, instances created, transitions,
 // iterations, matches, degradation interventions) sum, while
 // MaxSimultaneousInstances takes the maximum of the two peaks. This is
-// the correct aggregation for independent partitions or shards
+// the correct aggregation for independent partitions or keys
 // evaluated separately (sequentially or concurrently): no single
 // evaluator ever held the sum of the partitions' peaks, so summing —
 // what Add does for the brute-force automata set that does share one
 // timeline — would overstate the observed |Ω|.
-func (m *Metrics) Merge(o Metrics) {
-	peak := m.MaxSimultaneousInstances
-	if o.MaxSimultaneousInstances > peak {
-		peak = o.MaxSimultaneousInstances
-	}
-	m.Add(o)
-	m.MaxSimultaneousInstances = peak
-}
+func (m *Metrics) Merge(o Metrics) { m.account(Metrics{}, o) }
 
 // String renders the metrics as a compact single-line report.
 func (m Metrics) String() string {

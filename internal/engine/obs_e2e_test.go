@@ -1,16 +1,15 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/event"
 	"repro/internal/obs"
+	"repro/internal/pattern"
 )
 
 // scrape fetches the Prometheus exposition from a running debug
@@ -32,101 +31,45 @@ func scrape(t *testing.T, addr string) string {
 	return string(body)
 }
 
-// TestShardedMetricsEndToEnd runs the sharded executor with a metrics
-// registry served over HTTP and scrapes /metrics both mid-run and
-// after completion: the live per-shard queue depth, watermark and lag
-// gauges must be exposed while the run is in flight, and the final
-// counters must agree with the executor's own metrics.
+// TestShardedMetricsEndToEnd serves a keyed runner's registry over HTTP
+// and scrapes /metrics mid-run and after the flush: every key's
+// sub-runner counts into the runner's one set of series, so the
+// exported counters agree with its merged Metrics and its Aggregator.
 func TestShardedMetricsEndToEnd(t *testing.T) {
-	a, rel := compileSharded(t)
+	a := compile(t, seqPattern(t, 10), simpleSchema())
+	evs := randIdentityEvents(rand.New(rand.NewSource(5)), 400) // drifts L to a float now and then
+	ag := NewAggregator(mustAggPlan(t, a, &pattern.AggSpec{Items: []pattern.AggItem{{Func: pattern.AggCount}}}))
 	reg := obs.NewRegistry()
-	s, err := NewSharded(a, "ID", 2, WithMetricsRegistry(reg), WithWatermarkEvery(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(a, WithPartitionKey("ID"), WithAggregation(ag), WithMetricsRegistry(reg), WithMetricLabels("query", "k"))
 	srv, err := obs.ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	in := make(chan event.Event)
-	out, err := s.Run(context.Background(), in)
-	if err != nil {
+	check := func(when string) {
+		t.Helper()
+		body := scrape(t, srv.Addr)
+		for _, want := range []string{
+			fmt.Sprintf(`ses_cond_type_mismatch_total{query="k"} %d`, r.Metrics().CondTypeMismatches),
+			fmt.Sprintf(`ses_agg_folds_total{query="k"} %d`, ag.Folds()),
+			"ses_go_goroutines", // runtime gauges ride along on the same endpoint
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s /metrics lacks %q", when, want)
+			}
+		}
+	}
+	if _, err := stepLines(r, evs[:len(evs)/2], 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Feed the first half without consuming any matches, then wait for
-	// the dispatch counter to confirm the events are in flight.
-	half := rel.Len() / 2
-	go func() {
-		for i := 0; i < half; i++ {
-			in <- *rel.Event(i)
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, ok := reg.Value("ses_sharded_events_dispatched_total"); ok && v == int64(half) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dispatch counter never reached the fed event count")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	mid := scrape(t, srv.Addr)
-	for _, series := range []string{
-		`ses_shard_queue_depth{shard="0"}`,
-		`ses_shard_queue_depth{shard="1"}`,
-		`ses_shard_active_instances{shard="0"}`,
-		"ses_sharded_input_watermark",
-		"ses_sharded_output_watermark",
-		"ses_sharded_watermark_lag",
-		"ses_sharded_merge_pending",
-		"ses_max_simultaneous_instances",
-		"ses_sharded_shards 2",
-		fmt.Sprintf("ses_sharded_events_dispatched_total %d", half),
-		"ses_go_goroutines", // runtime gauges ride along on the same endpoint
-	} {
-		if !strings.Contains(mid, series) {
-			t.Errorf("mid-run /metrics lacks %q", series)
-		}
-	}
-	if wm, ok := reg.Value("ses_sharded_input_watermark"); !ok || wm != int64(rel.Event(half-1).Time) {
-		t.Errorf("input watermark = %d, want time of last dispatched event %d", wm, rel.Event(half-1).Time)
-	}
-
-	// Finish the stream and drain the matches.
-	go func() {
-		for i := half; i < rel.Len(); i++ {
-			in <- *rel.Event(i)
-		}
-		close(in)
-	}()
-	matches := 0
-	for range out {
-		matches++
-	}
-	if err := s.Err(); err != nil {
+	check("mid-run")
+	if _, err := keyedRun(r, evs[len(evs)/2:], 1); err != nil {
 		t.Fatal(err)
 	}
-
-	final := scrape(t, srv.Addr)
-	if want := fmt.Sprintf("ses_sharded_events_dispatched_total %d", rel.Len()); !strings.Contains(final, want) {
-		t.Errorf("final /metrics lacks %q", want)
-	}
-	if v, ok := reg.Value("ses_sharded_matches_total"); !ok || v != int64(matches) {
-		t.Errorf("matches_total = %d, want %d", v, matches)
-	}
-	if v, ok := reg.Value("ses_max_simultaneous_instances"); !ok || v != s.Metrics().MaxSimultaneousInstances {
-		t.Errorf("max_simultaneous_instances = %d, want %d", v, s.Metrics().MaxSimultaneousInstances)
-	}
-	if v, ok := reg.Value("ses_sharded_merge_pending"); !ok || v != 0 {
-		t.Errorf("merge_pending = %d after completion, want 0", v)
-	}
-	if v, _ := reg.Value("ses_sharded_release_batch_size"); v <= 0 {
-		t.Errorf("release batch histogram recorded %d samples, want > 0", v)
+	check("final")
+	if m := r.Metrics(); m.CondTypeMismatches == 0 || ag.Folds() == 0 || uint64(m.Matches) != ag.Folds() {
+		t.Errorf("test data broken or fold count off: %d mismatches, %d matches, %d folds", m.CondTypeMismatches, m.Matches, ag.Folds())
 	}
 }
 
@@ -135,27 +78,18 @@ func TestShardedMetricsEndToEnd(t *testing.T) {
 // package has its own behavioral tests; this covers the engine-side
 // registry plumbing contract used by SuperviseConfig.Registry.)
 func TestSupervisorRegistryNamesReserved(t *testing.T) {
-	// The supervisor's metric names must not collide with the sharded
-	// executor's when both share one registry.
+	// The supervisor's metric names must not collide with a runner's
+	// when both share one registry.
 	reg := obs.NewRegistry()
-	a, _ := compileSharded(t)
-	s, err := NewSharded(a, "ID", 2, WithMetricsRegistry(reg))
-	if err != nil {
+	a, rel := compileSharded(t)
+	if _, _, err := RunOn(New(a, WithPartitionKey("ID"), WithMetricsRegistry(reg)), rel); err != nil {
 		t.Fatal(err)
-	}
-	in := make(chan event.Event)
-	out, err := s.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(in)
-	for range out {
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "ses_resilience_") {
-		t.Error("sharded executor registered resilience-prefixed series")
+		t.Error("runner registered resilience-prefixed series")
 	}
 }

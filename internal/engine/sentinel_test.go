@@ -1,90 +1,28 @@
 package engine
 
 import (
-	"context"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/event"
 )
 
-// TestShardedRejectsSentinelTimestamps is the regression test for the
-// flushTime aliasing bug: an input event at event.MaxTime used to be
-// indistinguishable from the end-of-input flush sentinel inside the
-// watermark merge (and event.MinTime from the no-progress sentinel),
-// silently corrupting the release order. Dispatch now refuses both.
-func TestShardedRejectsSentinelTimestamps(t *testing.T) {
-	a, _ := compileSharded(t)
-	for _, ts := range []event.Time{event.MaxTime, event.MinTime} {
-		s, err := NewSharded(a, "ID", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make(chan event.Event)
-		out, err := s.Run(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			if ts != event.MinTime {
-				// A normal event first: the rejection must also fire
-				// mid-stream, not only on the first event.
-				in <- event.Event{Time: 1, Attrs: []event.Value{event.Int(1), event.String("A")}}
-			}
-			in <- event.Event{Time: ts, Attrs: []event.Value{event.Int(1), event.String("B")}}
-			close(in)
-		}()
-		for range out {
-		}
-		err = s.Err()
-		if err == nil || !strings.Contains(err.Error(), "reserved") {
-			t.Errorf("time=%d: Err() = %v, want sentinel rejection", ts, err)
-		}
-	}
-}
-
-// TestShardedMaxTimeDoesNotCorruptOrdering verifies the failure mode
-// end to end: with the sentinel rejected, a run whose input contains a
-// MaxTime event terminates with an error instead of emitting a
-// watermark-corrupted (nondeterministic) match stream.
+// TestShardedMaxTimeDoesNotCorruptOrdering: a keyed runner keeps no
+// time sentinel of its own, so even an event at event.MaxTime — which
+// a supervised pipeline dead-letters before any runner sees it — is
+// stepped like any other, and the output is partitioned evaluation's.
 func TestShardedMaxTimeDoesNotCorruptOrdering(t *testing.T) {
 	a, rel := compileSharded(t)
-	s, err := NewSharded(a, "ID", 3)
+	evs := append(rel.Events(), event.Event{Seq: rel.Len(), Time: event.MaxTime,
+		Attrs: []event.Value{event.Int(0), event.String("B")}})
+	got, err := keyedRun(New(a, WithPartitionKey("ID")), evs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan event.Event)
-	out, err := s.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		defer close(in)
-		for i := 0; i < rel.Len(); i++ {
-			in <- *rel.Event(i)
-		}
-		in <- event.Event{Time: event.MaxTime, Attrs: []event.Value{event.Int(0), event.String("B")}}
-	}()
-	var got []Match
-	for m := range out {
-		got = append(got, m)
-	}
-	if err := s.Err(); err == nil {
-		t.Fatal("MaxTime event accepted; flush sentinel aliasing is back")
-	}
-	// Matches released before the poisoned event must still be a prefix
-	// of the deterministic order (the error does not retro-corrupt).
-	want, _, err := RunSharded(a, rel, "ID", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) > len(want) {
-		t.Fatalf("got %d matches, reference run has only %d", len(got), len(want))
-	}
-	for i, m := range got {
-		if m.String() != want[i].String() {
-			t.Errorf("match %d = %s, want %s", i, m, want[i])
-		}
+	want, _, _ := partitionedRun(a, evs, "ID", nil)
+	slices.Sort(got)
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Errorf("keyed %v\npartitioned %v", got, want)
 	}
 }
 

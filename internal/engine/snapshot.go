@@ -14,10 +14,12 @@ import (
 // SnapshotVersion is the current version of the serialized runner
 // state format. Restore rejects snapshots with an unknown version so
 // that format evolution stays explicit. Version 2 adds the aggregation
-// section; snapshots of runners without an aggregator still encode as
-// version 1, byte-identical to the previous format, and version-1
-// snapshots restore onto aggregation-free runners unchanged.
-const SnapshotVersion = 2
+// section and version 3 the per-key sections of a keyed runner
+// (WithPartitionKey). Each runner writes the oldest version that holds
+// its state: an unkeyed runner without an aggregator writes version 1,
+// byte-identical to the first format, and a reader that predates
+// version 3 refuses a keyed snapshot instead of restoring it unkeyed.
+const SnapshotVersion = 3
 
 // The snapshot format is versioned JSON. Events referenced by match
 // buffers are written once and referenced by index; buffer nodes are
@@ -75,17 +77,30 @@ type snapAgg struct {
 	Groups []snapAggGroup `json:"groups"`
 }
 
+// snapKey is one key's section of a keyed snapshot.
+type snapKey struct {
+	Key       string         `json:"key"` // encoded key value
+	Shedding  bool           `json:"shedding"`
+	Metrics   Metrics        `json:"metrics"`
+	Instances []snapInstance `json:"instances"`
+}
+
+// snapshotFile is the snapshot document. A keyed runner's Metrics is
+// the merge over Keys, whose sections are in first-occurrence order and
+// share the Events and Nodes tables; its own Instances are empty.
 type snapshotFile struct {
-	Version     int            `json:"version"`
-	Fingerprint string         `json:"fingerprint"`
-	Strategy    Strategy       `json:"strategy"`
-	Done        bool           `json:"done"`
-	Shedding    bool           `json:"shedding"`
-	Metrics     Metrics        `json:"metrics"`
-	Events      []snapEvent    `json:"events"`
-	Nodes       []snapNode     `json:"nodes"`
-	Instances   []snapInstance `json:"instances"`
-	Agg         *snapAgg       `json:"agg,omitempty"`
+	Version      int            `json:"version"`
+	Fingerprint  string         `json:"fingerprint"`
+	Strategy     Strategy       `json:"strategy"`
+	Done         bool           `json:"done"`
+	Shedding     bool           `json:"shedding"`
+	Metrics      Metrics        `json:"metrics"`
+	Events       []snapEvent    `json:"events"`
+	Nodes        []snapNode     `json:"nodes"`
+	Instances    []snapInstance `json:"instances"`
+	Agg          *snapAgg       `json:"agg,omitempty"`
+	PartitionKey string         `json:"partitionKey,omitempty"`
+	Keys         []snapKey      `json:"keys,omitempty"`
 }
 
 // WriteSnapshot serializes the runner's full execution state — live
@@ -102,7 +117,7 @@ type snapshotFile struct {
 // later events complete.
 func (r *Runner) WriteSnapshot(w io.Writer) error {
 	snap := snapshotFile{
-		Version:     SnapshotVersion,
+		Version:     1,
 		Fingerprint: r.a.Fingerprint(),
 		Strategy:    r.cfg.strategy,
 		Done:        r.done,
@@ -111,8 +126,11 @@ func (r *Runner) WriteSnapshot(w io.Writer) error {
 	}
 	if r.cfg.agg != nil {
 		snap.Agg = r.cfg.agg.snapshotState()
-	} else {
-		snap.Version = 1 // no aggregation section: stay on the v1 format
+		snap.Version = 2
+	}
+	if r.keyed != nil {
+		snap.Version = SnapshotVersion
+		snap.PartitionKey = r.cfg.partitionKey
 	}
 	eventIDs := make(map[*event.Event]int)
 	eventID := func(e *event.Event) int {
@@ -143,16 +161,27 @@ func (r *Runner) WriteSnapshot(w io.Writer) error {
 		nodeIDs[n] = id
 		return id
 	}
-	snap.Instances = make([]snapInstance, len(r.insts))
-	for i := range r.insts {
-		inst := &r.insts[i]
-		snap.Instances[i] = snapInstance{
-			State:       inst.state,
-			CurSet:      inst.curSet,
-			Buf:         nodeID(inst.buf),
-			MinT:        inst.minT,
-			MaxT:        inst.maxT,
-			PrevSetsMax: inst.prevSetsMax,
+	instances := func(insts []instance) []snapInstance {
+		out := make([]snapInstance, len(insts))
+		for i := range insts {
+			inst := &insts[i]
+			out[i] = snapInstance{
+				State:       inst.state,
+				CurSet:      inst.curSet,
+				Buf:         nodeID(inst.buf),
+				MinT:        inst.minT,
+				MaxT:        inst.maxT,
+				PrevSetsMax: inst.prevSetsMax,
+			}
+		}
+		return out
+	}
+	snap.Instances = instances(r.insts)
+	if r.keyed != nil {
+		snap.Keys = make([]snapKey, len(r.keyed.subs))
+		for i, s := range r.keyed.subs {
+			snap.Keys[i] = snapKey{Key: r.keyed.keys[i].Encode(), Shedding: s.shedding,
+				Metrics: s.metrics, Instances: instances(s.insts)}
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -171,17 +200,17 @@ func (r *Runner) SnapshotBytes() ([]byte, error) {
 // RestoreRunner reconstructs a Runner from a snapshot written by
 // WriteSnapshot. The automaton must be structurally identical to the
 // one the snapshot was taken from (checked via fingerprint), and the
-// restored configuration must use the same event selection strategy;
-// all other options (overload policy, filter, ...) may
-// differ from the original run.
+// restored configuration must use the same event selection strategy
+// and partition key (WithPartitionKey, or none); all other options
+// (overload policy, filter, ...) may differ from the original run.
 func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runner, error) {
 	var snap snapshotFile
 	dec := json.NewDecoder(rd)
 	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("engine: decoding snapshot: %w", err)
 	}
-	if snap.Version != 1 && snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("engine: snapshot version %d not supported (want %d)", snap.Version, SnapshotVersion)
+	if snap.Version < 1 || snap.Version > SnapshotVersion {
+		return nil, fmt.Errorf("engine: snapshot version %d not supported (want at most %d)", snap.Version, SnapshotVersion)
 	}
 	if fp := a.Fingerprint(); snap.Fingerprint != fp {
 		return nil, fmt.Errorf("engine: snapshot was taken from a different automaton (fingerprint %s, want %s)",
@@ -190,6 +219,9 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 	r := New(a, opts...)
 	if r.cfg.strategy != snap.Strategy {
 		return nil, fmt.Errorf("engine: snapshot used strategy %s, restore requested %s", snap.Strategy, r.cfg.strategy)
+	}
+	if snap.PartitionKey != r.cfg.partitionKey {
+		return nil, fmt.Errorf("engine: snapshot partition key %q, restore requested %q", snap.PartitionKey, r.cfg.partitionKey)
 	}
 	r.done = snap.Done
 	r.shedding = snap.Shedding
@@ -224,25 +256,28 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 		}
 		nodes[i] = n
 	}
-	r.insts = make([]instance, len(snap.Instances))
-	for i, si := range snap.Instances {
-		if int(si.State) < 0 || int(si.State) >= a.NumStates() || si.Buf < -1 || si.Buf >= len(nodes) {
-			return nil, fmt.Errorf("engine: snapshot instance %d is corrupt", i)
+	if err := r.restoreInstances(snap.Instances, nodes); err != nil {
+		return nil, err
+	}
+	if k := r.keyed; k != nil {
+		if k.err != nil {
+			return nil, k.err
 		}
-		inst := instance{
-			state:       si.State,
-			curSet:      si.CurSet,
-			minT:        si.MinT,
-			maxT:        si.MaxT,
-			prevSetsMax: si.PrevSetsMax,
-		}
-		if si.Buf >= 0 {
-			inst.buf = nodes[si.Buf]
-		}
-		r.insts[i] = inst
-		if inst.maxT > r.clock {
-			// The stream resumes no earlier than the newest bound event.
-			r.clock = inst.maxT
+		typ := schema.Field(k.attr).Type
+		for i, sk := range snap.Keys {
+			key, err := event.ParseValue(typ, sk.Key)
+			if err != nil {
+				return nil, fmt.Errorf("engine: snapshot key %d: %w", i, err)
+			}
+			if _, dup := k.index[key]; dup {
+				return nil, fmt.Errorf("engine: snapshot key %d duplicates key %q", i, sk.Key)
+			}
+			s := k.sub(r, key)
+			s.shedding, s.metrics = sk.Shedding, sk.Metrics
+			if err := s.restoreInstances(sk.Instances, nodes); err != nil {
+				return nil, fmt.Errorf("engine: snapshot key %d: %w", i, err)
+			}
+			r.clock = max(r.clock, s.clock)
 		}
 	}
 	switch {
@@ -257,6 +292,30 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 		r.rebuildAggNodes()
 	}
 	return r, nil
+}
+
+// restoreInstances loads one instance section of a snapshot onto r.
+func (r *Runner) restoreInstances(sis []snapInstance, nodes []*node) error {
+	r.insts = make([]instance, len(sis))
+	for i, si := range sis {
+		if int(si.State) < 0 || int(si.State) >= r.a.NumStates() || si.Buf < -1 || si.Buf >= len(nodes) {
+			return fmt.Errorf("engine: snapshot instance %d is corrupt", i)
+		}
+		inst := instance{
+			state:       si.State,
+			curSet:      si.CurSet,
+			minT:        si.MinT,
+			maxT:        si.MaxT,
+			prevSetsMax: si.PrevSetsMax,
+		}
+		if si.Buf >= 0 {
+			inst.buf = nodes[si.Buf]
+		}
+		r.insts[i] = inst
+		// The stream resumes no earlier than the newest bound event.
+		r.clock = max(r.clock, inst.maxT)
+	}
+	return nil
 }
 
 // snapshotState captures the aggregator's group state for
@@ -340,6 +399,11 @@ func (r *Runner) rebuildAggNodes() {
 			an = r.aggArena.extend(plan, an, chain[j].varIdx, chain[j].ev)
 		}
 		r.insts[i].agg = an
+	}
+	if r.keyed != nil {
+		for _, s := range r.keyed.subs {
+			s.rebuildAggNodes()
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/paperdata"
+	"repro/internal/pattern"
 )
 
 // TestSnapshotRoundTrip: cutting the paper's running example at every
@@ -156,5 +159,37 @@ func TestSnapshotSharesBufferPrefixes(t *testing.T) {
 	}
 	if !bytes.Equal(snap, snap2) {
 		t.Errorf("snapshot is not canonical across a round trip")
+	}
+}
+
+// TestSnapshotUnkeyedBytesPinned pins the bytes of an unkeyed snapshot
+// cut two thirds into the running example, with and without an
+// aggregation section: the version-1 and version-2 formats older
+// readers restore stay exactly as they were before keyed snapshots.
+func TestSnapshotUnkeyedBytesPinned(t *testing.T) {
+	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
+	spec := &pattern.AggSpec{Partition: "ID", Items: []pattern.AggItem{
+		{Func: pattern.AggCount}, {Func: pattern.AggSum, Var: "p", Attr: "V"}}}
+	for _, tc := range []struct {
+		opts []Option
+		want string
+	}{
+		{nil, "e0fd02e4ebb19ecd23c57102dd5e110611fa6476a20c74c834ac00d7b631cbd0"},
+		{[]Option{WithAggregation(NewAggregator(mustAggPlan(t, a, spec)))}, "a1626345365460308cd13181e89acedd04d27d8e54b6a4c42ff0daa45d8556ca"},
+	} {
+		r := New(a, tc.opts...)
+		rel := paperdata.Relation()
+		for i := 0; i < rel.Len()*2/3; i++ {
+			if _, err := r.Step(rel.Event(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := r.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != tc.want {
+			t.Errorf("snapshot sha256 %s, want %s:\n%s", got, tc.want, snap)
+		}
 	}
 }

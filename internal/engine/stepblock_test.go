@@ -70,7 +70,8 @@ func groupPattern() *pattern.Pattern {
 
 // TestStepBlockIsStep: StepBlock is Step over each of the block's
 // events — the same match bytes, the same error and the same Metrics,
-// whatever the block size, filter setting and overload policy. Before
+// whatever the block size, filter setting, overload policy and partition
+// key; a keyed runner's output order thus depends on the stream only. Before
 // StepBlock lost its block-start sweep, InstanceIterations,
 // ExpiredInstances and the overload counters read differently.
 func TestStepBlockIsStep(t *testing.T) {
@@ -125,25 +126,30 @@ func TestStepBlockIsStep(t *testing.T) {
 		for _, filter := range []bool{false, true} {
 			for _, pol := range []OverloadPolicy{Fail, RejectNew, DropOldest, ShedStartStates} {
 				for _, capped := range []bool{false, true} {
-					if !capped && pol != Fail {
-						continue // without a cap the policy never acts
-					}
-					opts := []Option{WithFilter(filter)}
-					if capped {
-						opts = append(opts, WithMaxInstances(in.cap), WithOverloadPolicy(pol))
-					}
-					want, wantErr, wantM := stepped(in.a, in.evs, opts)
-					for _, size := range []int{1, 7, 256} {
-						name := fmt.Sprintf("%s/filter=%v/cap=%v/%s/block=%d", in.name, filter, capped, pol, size)
-						got, gotErr, gotM := blocked(in.a, in.evs, opts, size)
-						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-							t.Fatalf("%s: error %v, Step gave %v", name, gotErr, wantErr)
+					for _, key := range []string{"", "ID"} {
+						if !capped && pol != Fail {
+							continue // without a cap the policy never acts
 						}
-						if string(got) != string(want) {
-							t.Fatalf("%s: match bytes differ from Step's\nStepBlock:\n%s\nStep:\n%s", name, got, want)
+						opts := []Option{WithFilter(filter)}
+						if capped {
+							opts = append(opts, WithMaxInstances(in.cap), WithOverloadPolicy(pol))
 						}
-						if gotM != wantM {
-							t.Fatalf("%s: Metrics differ\nStepBlock: %+v\nStep:      %+v", name, gotM, wantM)
+						if key != "" {
+							opts = append(opts, WithPartitionKey(key))
+						}
+						want, wantErr, wantM := stepped(in.a, in.evs, opts)
+						for _, size := range []int{1, 7, 256} {
+							name := fmt.Sprintf("%s/filter=%v/cap=%v/%s/key=%s/block=%d", in.name, filter, capped, pol, key, size)
+							got, gotErr, gotM := blocked(in.a, in.evs, opts, size)
+							if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+								t.Fatalf("%s: error %v, Step gave %v", name, gotErr, wantErr)
+							}
+							if string(got) != string(want) {
+								t.Fatalf("%s: match bytes differ from Step's\nStepBlock:\n%s\nStep:\n%s", name, got, want)
+							}
+							if gotM != wantM {
+								t.Fatalf("%s: Metrics differ\nStepBlock: %+v\nStep:      %+v", name, gotM, wantM)
+							}
 						}
 					}
 				}

@@ -16,12 +16,12 @@ import (
 type Time int64
 
 // MinTime and MaxTime are the extreme values of the time domain,
-// reserved as internal sentinels: MaxTime marks end-of-stream flushes
-// in the sharded executor and MinTime marks "no time seen yet".
-// Streaming evaluators reject events carrying either timestamp — an
-// event at MaxTime would alias the flush sentinel and silently corrupt
-// watermark ordering, and both values break window arithmetic by
-// overflowing Time ± Duration.
+// reserved as internal sentinels: MaxTime marks end of input (a
+// supervised stream's clock after its final flush) and MinTime marks
+// "no time seen yet". Streaming pipelines refuse events carrying either
+// timestamp — an event at MaxTime would alias the end-of-input clock,
+// and both values break window arithmetic by overflowing Time ±
+// Duration.
 const (
 	MinTime = Time(math.MinInt64)
 	MaxTime = Time(math.MaxInt64)

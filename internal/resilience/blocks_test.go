@@ -218,3 +218,60 @@ func TestSuperviseBlocksIsSupervise(t *testing.T) {
 		}
 	}
 }
+
+// TestSuperviseBlocksKeyedChaos: a keyed runner (engine.WithPartitionKey)
+// on a SuperviseBlocks pipeline recovers from chaos panics striking
+// mid-block — restoring its keyed checkpoint and replaying — with the
+// output of a fault-free run, which is the keyed runner's own.
+func TestSuperviseBlocksKeyedChaos(t *testing.T) {
+	a := testAutomaton(t, 12)
+	opts := []engine.Option{engine.WithPartitionKey("V")}
+	rng := rand.New(rand.NewSource(3))
+	labels := []string{"A", "B", "C"}
+	evs := make([]event.Event, 300)
+	for i := range evs {
+		evs[i] = event.Event{Seq: i, Time: event.Time(100 + i), Attrs: []event.Value{
+			event.Int(int64(i)), event.String(labels[rng.Intn(3)]), event.Float(float64(i % 5))}}
+	}
+	blocks, selected := routeBlocks(rng, evs, 16)
+	run := func(panicAt []int64) pipelineOutcome {
+		return runPipeline(t, Config{CheckpointEvery: 5}, panicAt, func(cfg Config) (<-chan engine.Match, *Supervisor) {
+			in := make(chan event.Block)
+			go func() {
+				defer close(in)
+				for _, b := range blocks {
+					in <- b
+				}
+			}()
+			return SuperviseBlocks(context.Background(), a, opts, in, cfg)
+		})
+	}
+	calm, chaos := run(nil), run([]int64{9, 40, 41, 77, 130})
+
+	r := engine.New(a, opts...)
+	var direct []string
+	for i := range selected {
+		ms, err := r.Step(&selected[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			direct = append(direct, canonicalMatch(m))
+		}
+	}
+	for _, m := range r.Flush() {
+		direct = append(direct, canonicalMatch(m))
+	}
+	if len(direct) == 0 || chaos.restarts == 0 || chaos.err != "" || calm.err != "" {
+		t.Fatalf("the case exercises too little: %d matches, %d restarts, errors %q %q",
+			len(direct), chaos.restarts, chaos.err, calm.err)
+	}
+	for name, o := range map[string]pipelineOutcome{"fault-free": calm, "chaos": chaos} {
+		if g, w := strings.Join(o.matches, "\n"), strings.Join(direct, "\n"); g != w {
+			t.Errorf("%s run: matches differ from the keyed runner's\ngot (%d):\n%s\nwant (%d):\n%s", name, len(o.matches), g, len(direct), w)
+		}
+		if o.metrics != r.Metrics() {
+			t.Errorf("%s run: Metrics %+v, keyed runner %+v", name, o.metrics, r.Metrics())
+		}
+	}
+}

@@ -138,6 +138,11 @@ func (s *Supervisor) Emitted() int64 { return s.emitted.Load() }
 // between the two reads is then included in Emitted, and any match
 // emitted after both reads closes its window at or above the observed
 // clock.
+//
+// For a keyed runner (engine.WithPartitionKey) both guarantees hold
+// only per key, against the time of that key's latest event: a key's
+// expired match is emitted at that key's next event or at the flush,
+// however far the stream clock ran on.
 func (s *Supervisor) CompletedThrough() (int64, bool) {
 	v := s.completed.Load()
 	return v, v != math.MinInt64

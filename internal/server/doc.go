@@ -8,10 +8,10 @@
 // automaton (Definition 3 of the paper); duplicates are rejected by
 // the automaton's structural fingerprint. Ingested events are
 // dispatched once and routed to every query's bounded mailbox, behind
-// which an independent per-query pipeline evaluates the automaton —
-// either a supervised single runner (resilience.Supervise: schema
-// validation, reorder slack, checkpoint/replay crash recovery) or a
-// sharded parallel executor (engine.ShardedRunner) for keyed queries.
+// which an independent per-query pipeline evaluates the automaton: a
+// supervised runner (resilience.SuperviseBlocks: schema validation,
+// reorder slack, checkpoint/replay crash recovery), keyed by an
+// attribute (engine.WithPartitionKey) when the spec names one.
 // Matches are encoded once (engine.MatchJSON) into an in-memory,
 // offset-addressed match log that HTTP clients read as NDJSON or SSE,
 // including live follow.
@@ -25,7 +25,7 @@
 //
 // Shutdown is graceful: Drain stops admission, closes every mailbox,
 // waits for the pipelines to flush their windows (emitting the
-// end-of-input matches of Definition 2), checkpoints supervised
-// runners to the checkpoint directory, and persists the query set as
+// end-of-input matches of Definition 2), checkpoints the runners to
+// the checkpoint directory, and persists the query set as
 // a manifest from which a restarted server resumes.
 package server

@@ -463,3 +463,26 @@ func TestHTTPIngestBodyTooLarge(t *testing.T) {
 		t.Fatalf("body at the cap: query saw %+v, %v; want 3 events", info, err)
 	}
 }
+
+// TestHTTPRejectsShardsField: the keyed pipeline has no worker count, so
+// a registration still naming "shards" is a client error, not a knob
+// silently dropped.
+func TestHTTPRejectsShardsField(t *testing.T) {
+	s, err := server.New(server.Config{Schema: paperdata.Schema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := map[string]any{"id": "k", "query": paperdata.QueryQ1Text, "key": "ID", "shards": 2}
+	resp := postJSON(t, ts.Client(), ts.URL+"/queries", body)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"shards\"`) {
+		t.Errorf("POST /queries with shards = %d %s, want 400 naming the unknown field", resp.StatusCode, msg)
+	}
+	if len(s.Queries()) != 0 {
+		t.Error("the refused registration was registered")
+	}
+}

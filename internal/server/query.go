@@ -41,17 +41,16 @@ type QuerySpec struct {
 	// "drop" sheds the event for this query only (counted in the shed
 	// metric) so one slow query cannot stall the others.
 	Admission string `json:"admission,omitempty"`
-	// Key, when non-empty, runs the query on the sharded parallel
-	// executor partitioned by this attribute instead of the supervised
-	// single runner. Sharded queries do not checkpoint.
+	// Key, when non-empty, partitions the query's runner by this
+	// attribute (engine.WithPartitionKey): every automaton instance is
+	// confined to one key's events, the "for each patient" reading.
+	// A keyed query reports no ProcessedThrough.
 	Key string `json:"key,omitempty"`
-	// Shards is the worker count for sharded mode; 0 means GOMAXPROCS.
-	Shards int `json:"shards,omitempty"`
 	// Slack is the reorder slack in time ticks granted to out-of-order
-	// events (supervised mode; late events dead-letter).
+	// events (late events dead-letter).
 	Slack int64 `json:"slack,omitempty"`
 	// CheckpointEvery overrides the server's checkpoint cadence for
-	// this query (supervised mode, events between snapshots).
+	// this query (events between snapshots).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Materialize opts an AGGREGATE query back into match-log
 	// materialization: matches are enumerated into the log (streamable
@@ -111,9 +110,6 @@ type QueryInfo struct {
 	// (|Q| and |∆| of the paper's Definition 3).
 	States      int `json:"states"`
 	Transitions int `json:"transitions"`
-	// Mode is "supervised" (resilient single runner) or "sharded"
-	// (parallel keyed executor).
-	Mode string `json:"mode"`
 	// Events counts events accepted into the query's mailbox; Shed
 	// counts events dropped for this query by the "drop" admission
 	// policy or because its pipeline had terminated.
@@ -137,8 +133,10 @@ type QueryInfo struct {
 	// counts matches handed to the collector — it leads Matches
 	// (appended to the log) by at most the handoff in flight. Together
 	// they let a cluster router prove a partition can no longer
-	// produce a match sorting at or before a release horizon. Only
-	// supervised pipelines report ProcessedThrough.
+	// produce a match sorting at or before a release horizon. A keyed
+	// query (QuerySpec.Key) omits ProcessedThrough: its runner emits a
+	// key's expired match only at that key's next event, so the clock
+	// bounds no other key's matches.
 	ProcessedThrough *int64 `json:"processed_through,omitempty"`
 	Emitted          int64  `json:"emitted"`
 	// Done reports that the pipeline has terminated (drained, removed
@@ -285,7 +283,7 @@ func (spec *QuerySpec) validate(schema *event.Schema) error {
 	}
 	if spec.Key != "" {
 		if _, ok := schema.Index(spec.Key); !ok {
-			return fmt.Errorf("server: shard key %q is not a schema attribute (%s)", spec.Key, schema)
+			return fmt.Errorf("server: partition key %q is not a schema attribute (%s)", spec.Key, schema)
 		}
 	}
 	if spec.Slack < 0 {

@@ -38,7 +38,9 @@ type routeSnapshot struct {
 	// catchAll receives every event: queries whose automata are
 	// type-agnostic (some variable has no equality condition), queries
 	// with reorder slack (their lateness semantics must see the full
-	// stream).
+	// stream) and keyed queries (a key's expired match surfaces at that
+	// key's next event, routed or not, so skipping events would reorder
+	// the emissions of different keys).
 	catchAll []*queryState
 	// routed are the index-routed queries; a query's position in this
 	// slice is the dense pos the attribute buckets refer to.
@@ -81,7 +83,7 @@ func (s *Server) rebuildRouteLocked() {
 	byAttr := make(map[int]int) // attr -> index into snap.attrs
 	for _, id := range s.order {
 		q := s.queries[id]
-		if s.broadcast || q.route.All || q.spec.Slack > 0 {
+		if s.broadcast || q.route.All || q.spec.Slack > 0 || q.spec.Key != "" {
 			snap.catchAll = append(snap.catchAll, q)
 			continue
 		}

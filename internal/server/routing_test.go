@@ -19,7 +19,7 @@ import (
 // routable queries over different label keys and WITHIN windows (tight
 // windows exercise the τ-prune), a type-agnostic query that must land
 // in the catch-all bucket, a reorder-slack query (catch-all by rule), a
-// sharded query and an identical-automaton duplicate.
+// keyed query and an identical-automaton duplicate.
 func routingQueryPool() []server.QuerySpec {
 	q := func(id, text string, mut func(*server.QuerySpec)) server.QuerySpec {
 		s := server.QuerySpec{ID: id, Query: text}
@@ -56,10 +56,10 @@ WITHIN 72h`, nil),
 PATTERN PERMUTE(c) THEN (d)
 WHERE c.L = 'C' AND d.L = 'D' AND c.ID = d.ID
 WITHIN 96h`, func(s *server.QuerySpec) { s.Slack = int64(3 * time.Hour / time.Second) }),
-		q("pool-sharded", `
+		q("pool-keyed", `
 PATTERN PERMUTE(c) THEN (b)
 WHERE c.L = 'C' AND b.L = 'B' AND c.ID = b.ID
-WITHIN 264h`, func(s *server.QuerySpec) { s.Key = "ID"; s.Shards = 2 }),
+WITHIN 264h`, func(s *server.QuerySpec) { s.Key = "ID" }),
 		// Byte-identical text to pool-cdb: shares its compiled automaton.
 		q("pool-cdb-copy", cdb, nil),
 	}

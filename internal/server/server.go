@@ -61,13 +61,13 @@ type Config struct {
 	// MatchLog is the number of encoded matches retained per query for
 	// the streaming endpoint (default 4096); older matches are evicted.
 	MatchLog int
-	// CheckpointDir, when non-empty, persists supervised runner
+	// CheckpointDir, when non-empty, persists the query runners'
 	// checkpoints as <dir>/<id>.ckpt and the query manifest as
 	// <dir>/queries.json. A server started over an existing directory
 	// re-registers the manifest queries and resumes their checkpoints.
 	CheckpointDir string
 	// CheckpointEvery is the default checkpoint cadence in events for
-	// supervised queries (default 256); QuerySpec.CheckpointEvery
+	// every query (default 256); QuerySpec.CheckpointEvery
 	// overrides it per query.
 	CheckpointEvery int
 	// DrainTimeout caps how long Drain waits for the per-query
@@ -215,7 +215,6 @@ type queryState struct {
 	spec QuerySpec
 	auto *automaton.Automaton
 	fp   string
-	mode string // "supervised" | "sharded"
 
 	mailbox chan event.Block
 	// removed is closed by RemoveQuery so a blocked mailbox send
@@ -227,11 +226,10 @@ type queryState struct {
 	cancel   context.CancelFunc
 
 	log *matchLog
-	// sup is the supervised pipeline's handle: nil in sharded mode and
-	// until the pipeline starts. startPipe publishes it from the ingest
-	// goroutine (lazy start) while info reads it from any other.
+	// sup is the pipeline's handle: nil until the pipeline starts.
+	// startPipe publishes it from the ingest goroutine (lazy start)
+	// while info reads it from any other.
 	sup atomic.Pointer[resilience.Supervisor]
-	shr *engine.ShardedRunner // nil in supervised mode
 	// agg holds the query's aggregate groups when its text carries an
 	// AGGREGATE clause (nil otherwise); served by /queries/{id}/stats.
 	agg *engine.Aggregator
@@ -336,7 +334,6 @@ func (q *queryState) info() QueryInfo {
 		Fingerprint: q.fp,
 		States:      q.auto.NumStates(),
 		Transitions: q.auto.NumTransitions(),
-		Mode:        q.mode,
 		Events:      q.events.Value(),
 		Shed:        q.shed.Value(),
 		Matches:     q.matches.Value(),
@@ -352,8 +349,9 @@ func (q *queryState) info() QueryInfo {
 	if sup := q.sup.Load(); sup != nil {
 		// Watermark before emitted count: a reader pairing the two to
 		// prove quiescence needs every match at or below the watermark
-		// included in the count (resilience.Supervisor.CompletedThrough).
-		if w, ok := sup.CompletedThrough(); ok {
+		// included in the count (resilience.Supervisor.CompletedThrough),
+		// which bounds a keyed query's matches per key only.
+		if w, ok := sup.CompletedThrough(); ok && q.spec.Key == "" {
 			info.ProcessedThrough = &w
 		}
 		info.Emitted = sup.Emitted()
@@ -448,7 +446,7 @@ func New(cfg Config) (*Server, error) {
 			"(Attribute, value) keys in the routing index.",
 			func() int64 { return int64(s.routeSnap().keyCount) })
 		cfg.Registry.GaugeFunc("ses_route_catchall_queries",
-			"Registered queries in the catch-all bucket (type-agnostic or with reorder slack).",
+			"Registered queries in the catch-all bucket (type-agnostic, keyed or with reorder slack).",
 			func() int64 { return int64(len(s.routeSnap().catchAll)) })
 	} else {
 		s.eventsIngested = &obs.Counter{}
@@ -508,24 +506,22 @@ func New(cfg Config) (*Server, error) {
 			}
 			if s.wal != nil {
 				// Replay the query's un-checkpointed suffix from the
-				// server's own log: a supervised query resumes at the
-				// watermark persisted in its checkpoint, everything else
-				// rebuilds from its registration offset.
+				// server's own log: the query resumes at the watermark
+				// persisted in its checkpoint, or without one rebuilds
+				// from its registration offset.
 				reg.catchUp = true
 				reg.replayFrom = reg.registeredAt
-				if spec.Key == "" {
-					ckpt := filepath.Join(cfg.CheckpointDir, spec.ID+".ckpt")
-					if w, ok, err := resilience.CheckpointOffset(ckpt); err != nil {
-						s.Close()
-						return nil, fmt.Errorf("server: restoring query %q: %w", spec.ID, err)
-					} else if ok && s.wal.ExplicitSeq() {
-						// The checkpoint watermark is an explicit sequence
-						// number, not a replay offset: replay the full
-						// registration suffix and filter by sequence.
-						reg.skipBelowSeq = w + 1
-					} else if ok {
-						reg.replayFrom = w + 1
-					}
+				ckpt := filepath.Join(cfg.CheckpointDir, spec.ID+".ckpt")
+				if w, ok, err := resilience.CheckpointOffset(ckpt); err != nil {
+					s.Close()
+					return nil, fmt.Errorf("server: restoring query %q: %w", spec.ID, err)
+				} else if ok && s.wal.ExplicitSeq() {
+					// The checkpoint watermark is an explicit sequence
+					// number, not a replay offset: replay the full
+					// registration suffix and filter by sequence.
+					reg.skipBelowSeq = w + 1
+				} else if ok {
+					reg.replayFrom = w + 1
 				}
 			}
 			if _, err := s.addQuery(spec, reg); err != nil {
@@ -663,9 +659,6 @@ func (s *Server) addQuery(spec QuerySpec, reg registration) (QueryInfo, error) {
 	// all the plan's resolved indices refer to.
 	var plan *engine.AggPlan
 	if aggSpec := auto.Pattern.Agg; aggSpec != nil {
-		if spec.Key != "" {
-			return QueryInfo{}, fmt.Errorf("server: query %q: AGGREGATE is not supported on sharded queries (remove key %q)", spec.ID, spec.Key)
-		}
 		if plan, err = engine.CompileAggregate(auto, aggSpec); err != nil {
 			return QueryInfo{}, err
 		}
@@ -778,7 +771,7 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 	pol, _ := parsePolicy(spec.Policy) // validated in spec.validate
 	opts := []engine.Option{engine.WithFilter(spec.Filter)}
 	if s.cfg.Registry != nil {
-		// Both pipeline modes export the runner-level series (notably
+		// The runner exports its own series (notably
 		// ses_cond_type_mismatch_total); registration is idempotent, so
 		// supervisor restarts rebind the same counters.
 		opts = append(opts,
@@ -800,28 +793,10 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 		q.agg = engine.NewAggregator(plan)
 		opts = append(opts, engine.WithAggregation(q.agg), engine.WithAggregateOnly(!spec.Materialize))
 	}
-
 	if spec.Key != "" {
-		q.mode = "sharded"
-		// Sharded evaluators are built eagerly: their construction can
-		// fail, and registration is where that error belongs.
-		shr, err := engine.NewSharded(auto, spec.Key, spec.Shards, opts...)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		out, err := shr.RunBlocks(ctx, q.mailbox)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		q.shr = shr
-		q.startPipe = func() { go s.collect(q, out) }
-		q.start()
-		return q, nil
+		opts = append(opts, engine.WithPartitionKey(spec.Key))
 	}
 
-	q.mode = "supervised"
 	rcfg := resilience.Config{
 		Slack:           event.Duration(spec.Slack),
 		CheckpointEvery: spec.CheckpointEvery,
@@ -872,8 +847,6 @@ func (s *Server) collect(q *queryState, matches <-chan engine.Match) {
 	}
 	if sup := q.sup.Load(); sup != nil {
 		q.setErr(sup.Err())
-	} else if q.shr != nil {
-		q.setErr(q.shr.Err())
 	}
 }
 
@@ -1202,8 +1175,8 @@ func (s *Server) deliverBlock(q *queryState, blk event.Block) {
 // Drain shuts the server down gracefully: it stops admitting ingest
 // and registrations, closes every query's mailbox so the pipelines
 // consume their backlog, flush their windows (the end-of-input matches
-// of Definition 2) and — for supervised queries with a checkpoint
-// directory — write a final checkpoint, then persists the query
+// of Definition 2) and — with a checkpoint directory — write a final
+// checkpoint, then persists the query
 // manifest. It waits up to Config.DrainTimeout (and ctx) for the
 // pipelines to finish; queries still running after that are cancelled
 // and an error is returned. Drain is idempotent: concurrent and

@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/chemo"
 	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/paperdata"
@@ -134,27 +136,69 @@ func TestServerMultiQueryByteIdentity(t *testing.T) {
 	}
 }
 
+// keyedLines evaluates a query with the library's keyed runner over
+// the whole relation and returns the encoded match lines in emission
+// order — the golden output a keyed served query must reproduce.
+func keyedLines(t *testing.T, query, key string, rel *event.Relation, opts ...ses.Option) []string {
+	t.Helper()
+	q, err := ses.Compile(query, rel.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := q.KeyedRunner(key, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	emit := func(ms []ses.Match) {
+		for _, m := range ms {
+			b, err := ses.MatchJSON(m, rel.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, string(b))
+		}
+	}
+	for i := 0; i < rel.Len(); i++ {
+		ms, err := r.Step(rel.Event(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		emit(ms)
+	}
+	emit(r.Flush())
+	return lines
+}
+
+// TestServerShardedQuery: a keyed query (its runner's state sharded by
+// ID) serves the library keyed runner's match lines byte for byte, in
+// order; their multiset is partitioned evaluation's. It reports no
+// processed_through.
 func TestServerShardedQuery(t *testing.T) {
-	rel := paperdata.Relation()
+	rel := chemo.MustGenerate(chemo.Tiny())
 	s, err := server.New(server.Config{Schema: rel.Schema()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := server.QuerySpec{ID: "q1-sharded", Query: paperdata.QueryQ1Text, Key: "ID", Shards: 2}
+	spec := server.QuerySpec{ID: "q3-keyed", Query: testSpecs[2].Query, Key: "ID"}
 	if _, err := s.AddQuery(spec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Ingest(rel.Events()); err != nil {
 		t.Fatal(err)
 	}
+	if info, err := s.Query(spec.ID); err != nil || info.ProcessedThrough != nil {
+		t.Fatalf("keyed query info = %+v (err %v), want no processed_through", info, err)
+	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got := infoLines(t, s, spec.ID, 0)
+	want := keyedLines(t, spec.Query, "ID", rel)
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("keyed query served %d matches, library keyed runner %d, or they differ", len(got), len(want))
+	}
 
-	// Sharded evaluation partitions by key; its match set equals the
-	// library's partitioned batch evaluation (order differs: the
-	// sharded merge releases by emission time).
 	q, err := ses.Compile(spec.Query, rel.Schema())
 	if err != nil {
 		t.Fatal(err)
@@ -163,22 +207,18 @@ func TestServerShardedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]int)
-	for _, m := range matches {
+	part := make([]string, len(matches))
+	for i, m := range matches {
 		b, err := ses.MatchJSON(m, rel.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[string(b)]++
+		part[i] = string(b)
 	}
-	if len(got) != len(matches) {
-		t.Fatalf("sharded served %d matches, partitioned standalone %d", len(got), len(matches))
-	}
-	for _, line := range got {
-		if want[line] == 0 {
-			t.Errorf("sharded match not in partitioned standalone set: %s", line)
-		}
-		want[line]--
+	sort.Strings(part)
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(part, "\n") {
+		t.Errorf("keyed match multiset differs from MatchPartitioned's (%d vs %d)", len(got), len(part))
 	}
 }
 

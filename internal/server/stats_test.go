@@ -195,19 +195,61 @@ func TestServerStatsMaterialize(t *testing.T) {
 		}
 	}
 
-	// Rejections: materialize without AGGREGATE, AGGREGATE on a
-	// sharded registration.
+	// Rejection: materialize without AGGREGATE.
 	if _, err := s.AddQuery(server.QuerySpec{ID: "m", Query: testSpecs[0].Query, Materialize: true}); err == nil ||
 		!strings.Contains(err.Error(), "materialize") {
 		t.Errorf("materialize without AGGREGATE: err = %v", err)
 	}
-	if _, err := s.AddQuery(server.QuerySpec{ID: "sh", Query: aggQ1Text, Key: "ID", Shards: 2}); err == nil ||
-		!strings.Contains(err.Error(), "sharded") {
-		t.Errorf("AGGREGATE on sharded registration: err = %v", err)
-	}
 	// Stats of a non-existent query errors through the API too.
 	if _, _, _, err := s.Stats("q-none", 0); err == nil {
 		t.Error("Stats of unknown query must error")
+	}
+}
+
+// TestServerKeyedStats: an AGGREGATE query keyed by ID registers, and
+// its stats document is the library keyed runner's fold byte for byte.
+func TestServerKeyedStats(t *testing.T) {
+	rel := chemo.MustGenerate(chemo.Tiny())
+	s, err := server.New(server.Config{Schema: rel.Schema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.AddQuery(server.QuerySpec{ID: "agg", Query: aggQ1Text, Key: "ID"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(rel.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, ver, _, err := s.Stats("agg", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q, err := ses.Compile(aggQ1Text, rel.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := q.NewAggregator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := q.KeyedRunner("ID", ses.WithAggregation(ag), ses.WithAggregateOnly(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rel.Len(); i++ {
+		if _, err := r.Step(rel.Event(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Flush()
+	want, _, _ := ag.Stats(0)
+	if ver == 0 || !bytes.Equal(data, want) {
+		t.Errorf("keyed stats (ver %d) differ from the library keyed runner's:\nserved:  %s\nlibrary: %s", ver, data, want)
 	}
 }
 

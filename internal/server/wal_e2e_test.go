@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/chemo"
 	"repro/internal/event"
 	"repro/internal/obs"
@@ -54,14 +53,14 @@ func TestServerCrashReplayByteIdentity(t *testing.T) {
 		WALDir:        t.TempDir(),
 		WALFsync:      "never", // crash here is process death, not power loss
 	}
-	// A huge checkpoint cadence keeps the supervised queries from ever
-	// persisting state, so the restart replays the full prefix — the
-	// deterministic worst case.
+	// A huge checkpoint cadence keeps the queries from ever persisting
+	// state, so the restart replays the full prefix — the deterministic
+	// worst case.
 	supervised := []server.QuerySpec{
 		{ID: "q1", Query: testSpecs[0].Query, CheckpointEvery: 1 << 30},
 		{ID: "q2", Query: testSpecs[1].Query, Filter: true, CheckpointEvery: 1 << 30},
 	}
-	sharded := server.QuerySpec{ID: "q3-sharded", Query: testSpecs[2].Query, Key: "ID", Shards: 2}
+	keyed := server.QuerySpec{ID: "q3-keyed", Query: testSpecs[2].Query, Key: "ID", CheckpointEvery: 1 << 30}
 
 	s1, err := server.New(cfg)
 	if err != nil {
@@ -72,7 +71,7 @@ func TestServerCrashReplayByteIdentity(t *testing.T) {
 			t.Fatalf("AddQuery(%s): %v", spec.ID, err)
 		}
 	}
-	if _, err := s1.AddQuery(sharded); err != nil {
+	if _, err := s1.AddQuery(keyed); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.Ingest(rel.Events()[:half]); err != nil {
@@ -96,7 +95,7 @@ func TestServerCrashReplayByteIdentity(t *testing.T) {
 	for _, spec := range supervised {
 		waitLive(t, s2, spec.ID)
 	}
-	waitLive(t, s2, sharded.ID)
+	waitLive(t, s2, keyed.ID)
 	if err := s2.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -116,43 +115,33 @@ func TestServerCrashReplayByteIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Sharded queries rebuild statelessly from their registration
-	// offset; their match multiset equals the partitioned standalone run.
-	q, err := ses.Compile(sharded.Query, rel.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, _, err := q.MatchPartitioned(rel, "ID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]int)
-	for _, m := range matches {
-		b, err := ses.MatchJSON(m, rel.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[string(b)]++
-	}
-	got := infoLines(t, s2, sharded.ID, 0)
-	if len(got) != len(matches) {
-		t.Fatalf("sharded query: served %d matches after crash replay, partitioned standalone %d", len(got), len(matches))
-	}
-	for _, line := range got {
-		if want[line] == 0 {
-			t.Errorf("sharded match not in partitioned standalone set: %s", line)
-		}
-		want[line]--
+	want := keyedLines(t, keyed.Query, "ID", rel)
+	got := infoLines(t, s2, keyed.ID, 0)
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("keyed query: served %d matches after crash replay, library keyed runner %d, or they differ", len(got), len(want))
 	}
 }
 
-// TestServerCrashReplayFromCheckpoint crashes a server after a
-// supervised query has persisted a v2 checkpoint. The restart resumes
-// the runner at the checkpoint watermark and replays only the WAL
-// suffix: the pre-crash log is a prefix of the standalone match list,
-// the post-restart log is a suffix, and together they cover it.
+// TestServerCrashReplayFromCheckpoint crashes a server after a query
+// has persisted a v2 checkpoint, once unkeyed and once keyed by ID. The
+// restart resumes the runner at the checkpoint watermark and replays
+// only the WAL suffix: the pre-crash log is a prefix of the standalone
+// match list (the library keyed runner's for the keyed query), the
+// post-restart log is a suffix, and together they cover it.
 func TestServerCrashReplayFromCheckpoint(t *testing.T) {
 	rel := chemo.MustGenerate(chemo.Tiny())
+	for _, key := range []string{"", "ID"} {
+		spec := server.QuerySpec{ID: "q1", Query: testSpecs[0].Query, CheckpointEvery: 16, Key: key}
+		want := standaloneMatches(t, spec, rel)
+		if key != "" {
+			want = keyedLines(t, spec.Query, key, rel)
+		}
+		crashReplayFromCheckpoint(t, rel, spec, want)
+	}
+}
+
+func crashReplayFromCheckpoint(t *testing.T, rel *event.Relation, spec server.QuerySpec, want []string) {
+	t.Helper()
 	half := rel.Len() / 2
 	cfg := server.Config{
 		Schema:        rel.Schema(),
@@ -160,8 +149,6 @@ func TestServerCrashReplayFromCheckpoint(t *testing.T) {
 		WALDir:        t.TempDir(),
 		WALFsync:      "never",
 	}
-	spec := server.QuerySpec{ID: "q1", Query: testSpecs[0].Query, CheckpointEvery: 16}
-	want := standaloneMatches(t, spec, rel)
 	if len(want) == 0 {
 		t.Fatal("standalone produced no matches; test is vacuous")
 	}
@@ -235,7 +222,7 @@ func TestServerCrashReplayFromCheckpoint(t *testing.T) {
 	}
 	for i, line := range postCrash {
 		if line != want[off+i] {
-			t.Fatalf("post-restart log is not a standalone suffix at %d:\nserved:     %s\nstandalone: %s", i, line, want[off+i])
+			t.Fatalf("key %q: post-restart log is not a standalone suffix at %d:\nserved:     %s\nstandalone: %s", spec.Key, i, line, want[off+i])
 		}
 	}
 	if len(preCrash)+len(postCrash) < len(want) {
@@ -476,5 +463,36 @@ func TestServerManifestRestoresBackfillFlag(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("match %d:\nserved:     %s\nstandalone: %s", i, got[i], want[i])
 		}
+	}
+}
+
+// TestServerManifestRestoresShardedSpec: a manifest whose keyed spec
+// still carries the removed "shards" worker count restores the query
+// keyed by its "key", and it serves the library keyed runner's matches.
+func TestServerManifestRestoresShardedSpec(t *testing.T) {
+	rel := chemo.MustGenerate(chemo.Tiny())
+	cfg := server.Config{Schema: rel.Schema(), CheckpointDir: t.TempDir()}
+	manifest := `{"queries":[{"id":"k","query":` + jsonString(testSpecs[2].Query) + `,"key":"ID","shards":2}]}`
+	if err := os.WriteFile(cfg.CheckpointDir+"/queries.json", []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(rel.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := keyedLines(t, testSpecs[2].Query, "ID", rel)
+	got := infoLines(t, s, "k", 0)
+	unkeyed := standaloneMatches(t, testSpecs[2], rel)
+	if strings.Join(want, "\n") == strings.Join(unkeyed, "\n") {
+		t.Fatal("keyed and unkeyed evaluation agree on this stream; the test cannot tell them apart")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("restored query served %d matches, library keyed runner %d, or they differ", len(got), len(want))
 	}
 }

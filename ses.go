@@ -220,12 +220,10 @@ var (
 	WithOverloadPolicy = engine.WithOverloadPolicy
 	// WithShedLowWater sets the resume threshold of ShedStartStates.
 	WithShedLowWater = engine.WithShedLowWater
-	// WithShardBuffer sets the per-shard input channel capacity of
-	// ShardedRunner (backpressure bound).
-	WithShardBuffer = engine.WithShardBuffer
-	// WithWatermarkEvery sets how many events the ShardedRunner
-	// dispatcher admits between watermark broadcasts.
-	WithWatermarkEvery = engine.WithWatermarkEvery
+	// WithPartitionKey keys a Runner by an attribute, as
+	// Query.KeyedRunner does; pass it to RestoreRunner or Supervise to
+	// restore or supervise a keyed runner.
+	WithPartitionKey = engine.WithPartitionKey
 )
 
 // Event selection strategies.
@@ -338,9 +336,9 @@ var (
 	// MetricsHandler returns an http.Handler serving a registry in the
 	// Prometheus text format, for embedding into an existing server.
 	MetricsHandler = obs.Handler
-	// WithMetricsRegistry attaches a registry into which streaming
-	// evaluators (ShardedRunner, Supervise via SuperviseConfig.Registry)
-	// export live gauges and counters.
+	// WithMetricsRegistry attaches a registry into which a Runner
+	// exports its counters (Supervise takes SuperviseConfig.Registry
+	// for the supervisor's own).
 	WithMetricsRegistry = engine.WithMetricsRegistry
 	// WithMetricLabels attaches label key/value pairs to every metric
 	// series an evaluator registers, so several evaluators can share
@@ -356,7 +354,7 @@ var (
 type (
 	// Server fans one ingested event stream out to a registry of
 	// concurrently running SES queries, each evaluated by its own
-	// supervised or sharded pipeline behind a bounded mailbox, with
+	// supervised pipeline behind a bounded mailbox, with
 	// matches streamed over HTTP as NDJSON or SSE.
 	Server = server.Server
 	// ServerConfig parameterizes NewServer.
@@ -385,7 +383,7 @@ var (
 // instance-lifecycle event of a run as one JSON object per line to w
 // (the `sesmatch -trace out.jsonl` format), plus a function reporting
 // the first write error once evaluation is done. The hook is safe for
-// concurrent use under sharded execution. Queries with optional
+// concurrent use under MatchPartitionedParallel. Queries with optional
 // variables are rejected: their variant automata would render
 // ambiguous state labels.
 func (q *Query) TraceJSON(w io.Writer) (Option, func() error, error) {
@@ -753,23 +751,23 @@ func (q *Query) matchPartitioned(rel *Relation, attr string, workers int, opts .
 	return engine.MergeByStart(results), agg, nil
 }
 
-// ShardedRunner is the streaming parallel executor: events are
-// hash-partitioned by a key attribute onto per-shard evaluators and
-// completed matches are merged back into one deterministic stream.
-type ShardedRunner = engine.ShardedRunner
-
-// ShardedRunner creates a streaming parallel executor for a
-// single-variant query: incoming events are hash-partitioned by the
-// key attribute onto `shards` single-goroutine evaluators (0 means
-// GOMAXPROCS), with bounded channels for backpressure and
-// a watermark-driven merge producing a deterministic output order
-// independent of the shard count. Semantics per key are exactly
-// MatchPartitioned's. Queries with optional variables are not supported.
-func (q *Query) ShardedRunner(keyAttr string, shards int, opts ...Option) (*ShardedRunner, error) {
+// KeyedRunner creates an incremental evaluator for a single-variant
+// query whose state is partitioned by the key attribute: every
+// automaton instance is confined to the events of one key, so the
+// matches are MatchPartitioned's, found on a stream. They come out in
+// step order — same-timestamp matches of different keys in arrival
+// order — and Flush ends the keys in first-occurrence order. The
+// runner checkpoints, restores (with WithPartitionKey) and supervises
+// like any other. Errors on an unknown attribute and on queries with
+// optional variables.
+func (q *Query) KeyedRunner(keyAttr string, opts ...Option) (*Runner, error) {
 	if len(q.autos) != 1 {
-		return nil, fmt.Errorf("ses: ShardedRunner does not support optional variables (%d variants)", len(q.autos))
+		return nil, fmt.Errorf("ses: KeyedRunner does not support optional variables (%d variants)", len(q.autos))
 	}
-	return engine.NewSharded(q.autos[0], keyAttr, shards, opts...)
+	if _, ok := q.autos[0].Schema.Index(keyAttr); !ok {
+		return nil, fmt.Errorf("ses: no attribute %q in schema (%s)", keyAttr, q.autos[0].Schema)
+	}
+	return engine.New(q.autos[0], append(opts[:len(opts):len(opts)], engine.WithPartitionKey(keyAttr))...), nil
 }
 
 // CSV persistence.

@@ -1,8 +1,10 @@
 package ses_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -362,16 +364,17 @@ func TestMatchPartitionedParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedRunnerExposed drives the streaming sharded executor
-// through the public API and checks it reproduces MatchPartitioned.
-func TestShardedRunnerExposed(t *testing.T) {
+// TestKeyedRunnerExposed drives a keyed Runner through the public API:
+// streamed, it reproduces MatchPartitioned's matches, and a checkpoint
+// taken mid-stream restores with WithPartitionKey and finishes the run.
+func TestKeyedRunnerExposed(t *testing.T) {
 	rel, schema := buildChemoRelation(t)
 	q := ses.MustCompile(q1Text, schema)
 	want, _, err := q.MatchPartitioned(rel, "ID", ses.WithFilter(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := q.ShardedRunner("ID", 3, ses.WithFilter(true))
+	r, err := q.KeyedRunner("ID", ses.WithFilter(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,29 +385,63 @@ func TestShardedRunnerExposed(t *testing.T) {
 			in <- *rel.Event(i)
 		}
 	}()
-	out, err := s.Run(context.Background(), in)
+	var got []ses.Match
+	for m := range r.Stream(context.Background(), in) {
+		got = append(got, m)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(ms []ses.Match) []string {
+		var out []string
+		for _, m := range ms {
+			b, err := ses.MatchJSON(m, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		sort.Strings(out)
+		return out
+	}
+	if g, w := lines(got), lines(want); len(w) == 0 || strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("keyed runner emitted %d matches, MatchPartitioned %d, or they differ", len(g), len(w))
+	}
+
+	half, _ := q.KeyedRunner("ID")
+	var resumed []ses.Match
+	for i := 0; i < rel.Len()/2; i++ {
+		ms, err := half.Step(rel.Event(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed = append(resumed, ms...)
+	}
+	var ckpt bytes.Buffer
+	if err := half.WriteSnapshot(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := q.RestoreRunner(&ckpt, ses.WithPartitionKey("ID"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]int{}
-	n := 0
-	for m := range out {
-		got[m.String()]++
-		n++
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(want) {
-		t.Fatalf("sharded runner emitted %d matches, MatchPartitioned %d", n, len(want))
-	}
-	for _, m := range want {
-		if got[m.String()] == 0 {
-			t.Errorf("missing match %s", m)
+	for i := rel.Len() / 2; i < rel.Len(); i++ {
+		ms, err := rest.Step(rel.Event(i))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resumed = append(resumed, ms...)
+	}
+	resumed = append(resumed, rest.Flush()...)
+	if g, w := lines(resumed), lines(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("restored keyed runner: %d matches, MatchPartitioned %d, or they differ", len(g), len(w))
+	}
+
+	if _, err := q.KeyedRunner("NOPE"); err == nil {
+		t.Error("KeyedRunner should reject an unknown attribute")
 	}
 	opt := ses.MustCompile("PATTERN (a, o?) WHERE a.L = 'C' WITHIN 1h", schema)
-	if _, err := opt.ShardedRunner("ID", 2); err == nil {
-		t.Error("ShardedRunner should reject optional variables")
+	if _, err := opt.KeyedRunner("ID"); err == nil {
+		t.Error("KeyedRunner should reject optional variables")
 	}
 }
