@@ -17,7 +17,6 @@
 package ses_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -307,27 +306,22 @@ func BenchmarkThroughputQ1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel partitioned execution.
+// Partitioned execution.
 
-// BenchmarkPartitionedParallel measures MatchPartitionedParallel on
-// the running-example query over the small D1, partitioned by patient,
-// across worker-pool sizes. The output is byte-identical at every
-// size; on a multi-core machine the wall clock drops with workers
-// until the partition count or core count binds.
-func BenchmarkPartitionedParallel(b *testing.B) {
+// BenchmarkMatchPartitioned measures MatchPartitioned on the
+// running-example query over the small D1, partitioned by patient: one
+// keyed pass over the relation plus the sort by start time.
+func BenchmarkMatchPartitioned(b *testing.B) {
 	d := datasets(b, 1)[0]
 	q, err := ses.Compile(q1Text, d.Rel.Schema())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := q.MatchPartitionedParallel(d.Rel, "ID", w, ses.WithFilter(true)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := q.MatchPartitioned(d.Rel, "ID", ses.WithFilter(true)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

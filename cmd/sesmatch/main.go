@@ -16,7 +16,6 @@
 //	-dot FILE              write the compiled automaton as Graphviz DOT
 //	-sort                  sort the input by time instead of failing
 //	-partition A           evaluate per partition of attribute A
-//	-workers N             parallel workers for -partition (0 = GOMAXPROCS)
 //	-limit N               print at most N matches (0 = all)
 //	-json                  print matches as JSON, one object per line
 //	-checkpoint FILE       periodically snapshot the evaluation state
@@ -71,7 +70,6 @@ type options struct {
 	dotFile         string
 	sortInput       bool
 	partition       string
-	workers         int
 	limit           int
 	verbose         bool
 	asJSON          bool
@@ -94,7 +92,6 @@ func main() {
 	flag.StringVar(&o.dotFile, "dot", "", "write the compiled automaton as Graphviz DOT to this file")
 	flag.BoolVar(&o.sortInput, "sort", false, "sort the input by time instead of failing on disorder")
 	flag.StringVar(&o.partition, "partition", "", "evaluate per partition of this attribute (the paper's \"for each patient\")")
-	flag.IntVar(&o.workers, "workers", 0, "parallel workers for -partition (0 = GOMAXPROCS; output is identical to sequential)")
 	flag.IntVar(&o.limit, "limit", 0, "print at most N matches (0 = all)")
 	flag.BoolVar(&o.verbose, "verbose", false, "print the bound events of every match")
 	flag.BoolVar(&o.asJSON, "json", false, "print matches as JSON, one object per line")
@@ -132,13 +129,7 @@ func run(o options) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if o.checkpoint != "" && o.partition != "" {
-		return fmt.Errorf("-checkpoint and -partition are mutually exclusive: partitioned evaluation runs one evaluator per partition and has no single state to snapshot")
-	}
-	if o.workers != 0 && o.partition == "" {
-		return fmt.Errorf("-workers requires -partition: only partitioned evaluation parallelizes")
-	}
-	if o.workers != 0 && (o.checkpoint != "" || o.resume) {
-		return fmt.Errorf("-workers is incompatible with -checkpoint/-resume")
+		return fmt.Errorf("-checkpoint and -partition are mutually exclusive: a checkpointed run emits matches in step order, a partitioned run orders them by start time")
 	}
 
 	rel, err := ses.LoadCSVFile(o.args[0], ses.ReadOptions{Sort: o.sortInput})
@@ -212,7 +203,7 @@ func run(o options) error {
 	case o.checkpoint != "":
 		matches, m, err = runCheckpointed(q, rel, o, opts)
 	case o.partition != "":
-		matches, m, err = q.MatchPartitionedParallel(rel, o.partition, o.workers, opts...)
+		matches, m, err = q.MatchPartitioned(rel, o.partition, opts...)
 	default:
 		matches, m, err = q.Match(rel, opts...)
 	}

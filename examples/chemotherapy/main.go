@@ -50,7 +50,7 @@ func main() {
 	// another patient, killing the per-patient match. Partitioning by
 	// the entity attribute — what the paper's "for each patient"
 	// implies — avoids that.)
-	parts, err := rel.Partition("ID")
+	matches, metrics, err := q.MatchPartitioned(rel, "ID", ses.WithFilter(true))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,22 +59,14 @@ func main() {
 	// suffix substitutions share their blood count event with a longer
 	// match; counting distinct blood counts yields the cycles.
 	cycles := map[int64]map[int]bool{}
-	var metrics ses.Metrics
-	for key, part := range parts {
-		matches, m, err := q.Match(part, ses.WithFilter(true))
-		if err != nil {
-			log.Fatal(err)
-		}
-		metrics.Add(m)
-		pid := key.Int64()
-		for _, match := range matches {
-			for _, b := range match.Bindings {
-				if b.Var == "b" {
-					if cycles[pid] == nil {
-						cycles[pid] = map[int]bool{}
-					}
-					cycles[pid][b.Events[0].Seq] = true
+	for _, match := range matches {
+		for _, b := range match.Bindings {
+			if b.Var == "b" {
+				pid := b.Events[0].Attrs[0].Int64() // ID is the first attribute
+				if cycles[pid] == nil {
+					cycles[pid] = map[int]bool{}
 				}
+				cycles[pid][b.Events[0].Seq] = true
 			}
 		}
 	}

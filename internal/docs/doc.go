@@ -3,6 +3,7 @@
 // the code. The package has no runtime code — it exists so `go test
 // ./internal/docs/` can be used as a CI job that fails when an
 // intra-repository markdown link points at a missing file or section,
-// or when an exported identifier in a documented package lacks a doc
-// comment.
+// when an exported identifier in a documented package lacks a doc
+// comment, or when the documentation names a ses.X, Query.X or
+// Runner.X the code does not declare.
 package docs

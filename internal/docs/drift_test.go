@@ -1,8 +1,13 @@
 package docs
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -129,4 +134,92 @@ func TestDocsDriftPins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// apiRef matches a reference to the library's API in prose: an
+// exported name qualified by the package (ses.X) or a method of the
+// Query or Runner type (Query.X, Runner.X).
+var apiRef = regexp.MustCompile(`\b(ses|Query|Runner)\.([A-Z][A-Za-z0-9_]*)`)
+
+// TestDocsNameTheAPI fails when README.md, DESIGN.md or a file under
+// docs/ names a ses.X, Query.X or Runner.X that the code does not
+// declare: ses.X must be an exported top-level name of the root
+// package, Query.X a method declared there, and Runner.X a method of
+// internal/engine's Runner. The historical records (EXPERIMENTS.md,
+// CHANGES.md, ROADMAP.md) may name what was removed and are not read.
+func TestDocsNameTheAPI(t *testing.T) {
+	root := repoRoot(t)
+	names, queryMethods := declared(t, root, ".", "Query")
+	_, runnerMethods := declared(t, root, "internal/engine", "Runner")
+	known := map[string]map[string]bool{"ses": names, "Query": queryMethods, "Runner": runnerMethods}
+
+	files, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md"))
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, file)
+		for _, m := range apiRef.FindAllStringSubmatch(string(data), -1) {
+			if !known[m[1]][m[2]] {
+				t.Errorf("%s: names %s, which the code does not declare", rel, m[0])
+			}
+		}
+	}
+}
+
+// declared parses the non-test files of the package in dir and returns
+// its exported top-level names and the exported methods of the named
+// receiver type.
+func declared(t *testing.T, root, dir, recv string) (names, methods map[string]bool) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	names, methods = map[string]bool{}, map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+					} else if recvName(d.Recv.List[0].Type) == recv {
+						methods[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names, methods
+}
+
+// recvName returns the type name of a method receiver, *T or T.
+func recvName(typ ast.Expr) string {
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -1036,9 +1036,9 @@ func Run(a *automaton.Automaton, rel *event.Relation, opts ...Option) ([]Match, 
 }
 
 // RunOn evaluates the relation on an existing runner, resetting it
-// first. Reusing one runner across many inputs (e.g. the partitions of
-// a partitioned evaluation) retains its instance slices and node arena
-// and thus avoids re-paying their allocations per input.
+// first. Reusing one runner across many inputs (e.g. the iterations of
+// a benchmark) retains its instance slices and node arena and thus
+// avoids re-paying their allocations per input.
 func RunOn(r *Runner, rel *event.Relation) ([]Match, Metrics, error) {
 	if !rel.Sorted() {
 		return nil, Metrics{}, fmt.Errorf("engine: relation is not sorted by time")

@@ -10,9 +10,9 @@ import (
 // WithPartitionKey makes the Runner keyed: its state is partitioned by
 // the named attribute, one sub-runner per key value, so every automaton
 // instance is confined to the events of one key — the "for each
-// patient" reading of the paper's Q1, on a live stream. The matches are
-// the multiset Query.MatchPartitioned finds, and Metrics is
-// Metrics.Merge over the keys.
+// patient" reading of the paper's Q1, on a live stream. Metrics is
+// Metrics.Merge over the keys. Query.MatchPartitioned is one pass of a
+// keyed runner over a relation, its matches sorted by start time.
 //
 // A keyed runner checks time order once over the whole stream and emits
 // in step order: the matches an event completes on its key come out

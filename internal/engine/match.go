@@ -307,99 +307,6 @@ func dropSubsets(matches []Match, idxs []int, drop []bool) bool {
 	return any
 }
 
-// MergeByStart merges per-partition match lists, each already ordered
-// by start time, into one list ordered by start time. The merge is
-// stable across lists: on equal start times, matches from
-// earlier-indexed lists come first, and each list's internal order is
-// preserved — so the result is exactly what a stable sort by start
-// time over the concatenation of the lists would produce, in O(n log
-// k) without re-sorting.
-func MergeByStart(lists [][]Match) []Match {
-	nonEmpty, total := 0, 0
-	last := -1
-	for i, l := range lists {
-		if len(l) > 0 {
-			nonEmpty++
-			total += len(l)
-			last = i
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return nil
-	case 1:
-		return lists[last]
-	}
-	// Binary min-heap over the head of each non-empty list, keyed by
-	// (head start time, list index) — the list index tiebreak is what
-	// makes the merge stable across lists.
-	type head struct {
-		list int
-		pos  int
-	}
-	heap := make([]head, 0, nonEmpty)
-	less := func(a, b head) bool {
-		ta, tb := lists[a.list][a.pos].First, lists[b.list][b.pos].First
-		if ta != tb {
-			return ta < tb
-		}
-		return a.list < b.list
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < len(heap) && less(heap[l], heap[s]) {
-				s = l
-			}
-			if r < len(heap) && less(heap[r], heap[s]) {
-				s = r
-			}
-			if s == i {
-				return
-			}
-			heap[i], heap[s] = heap[s], heap[i]
-			i = s
-		}
-	}
-	for i, l := range lists {
-		if len(l) > 0 {
-			heap = append(heap, head{list: i})
-			up(len(heap) - 1)
-		}
-	}
-	out := make([]Match, 0, total)
-	for len(heap) > 0 {
-		h := heap[0]
-		out = append(out, lists[h.list][h.pos])
-		if h.pos+1 < len(lists[h.list]) {
-			heap[0].pos++
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
-	}
-	return out
-}
-
-// SortByStart stably sorts matches by start time in place, preserving
-// the relative order of equal-start matches (the emission order of the
-// evaluator that produced them).
-func SortByStart(matches []Match) {
-	sort.SliceStable(matches, func(i, j int) bool { return matches[i].First < matches[j].First })
-}
-
 // bufferString renders a buffer chain like the paper's Figure 6,
 // oldest binding first.
 func (r *Runner) bufferString(buf *node) string {

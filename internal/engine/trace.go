@@ -35,10 +35,9 @@ type TraceRecord struct {
 }
 
 // TraceJSONWriter renders TraceSteps as JSON lines. Its hook is safe
-// for concurrent use (required under parallel partitioned matching,
-// where every worker traces); records from concurrent workers
-// interleave at line granularity. Errors of the underlying writer are sticky and
-// reported by Err.
+// for concurrent use: runners on different goroutines may share it,
+// and their records interleave at line granularity. Errors of the
+// underlying writer are sticky and reported by Err.
 type TraceJSONWriter struct {
 	a *automaton.Automaton
 

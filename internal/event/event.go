@@ -236,38 +236,6 @@ func (r *Relation) Partition(attr string) (map[Value]*Relation, error) {
 	return out, nil
 }
 
-// PartitionOrdered splits the relation like Partition but returns the
-// partitions as a slice ordered by each key's first occurrence in the
-// relation — the deterministic order partitioned evaluation wants —
-// along with the parallel slice of keys. For a time-sorted relation
-// this equals ordering by first event position, with no key sort.
-func (r *Relation) PartitionOrdered(attr string) ([]Value, []*Relation, error) {
-	idx, ok := r.schema.Index(attr)
-	if !ok {
-		return nil, nil, fmt.Errorf("event: no attribute %q in schema (%s)", attr, r.schema)
-	}
-	where := make(map[Value]int)
-	var keys []Value
-	var parts []*Relation
-	for i := range r.events {
-		key := r.events[i].Attrs[idx]
-		pi, seen := where[key]
-		if !seen {
-			pi = len(parts)
-			where[key] = pi
-			keys = append(keys, key)
-			p := NewRelation(r.schema)
-			parts = append(parts, p)
-		}
-		p := parts[pi]
-		e := r.events[i]
-		e.Attrs = append([]Value(nil), r.events[i].Attrs...)
-		p.events = append(p.events, e)
-		p.sorted = p.sorted && r.sorted
-	}
-	return keys, parts, nil
-}
-
 // Merge combines time-sorted relations over a common schema into one
 // sorted relation (k-way merge, stable across inputs in argument
 // order: on ties, events from earlier arguments come first). Events

@@ -361,50 +361,3 @@ func TestMergePropertySortedAndComplete(t *testing.T) {
 		}
 	}
 }
-
-// TestPartitionOrdered verifies the ordered variant returns the same
-// partitions as Partition, in first-occurrence order of their keys.
-func TestPartitionOrdered(t *testing.T) {
-	r := NewRelation(testSchema(t))
-	r.MustAppend(1, Int(7), String("a"), Float(0))
-	r.MustAppend(2, Int(3), String("b"), Float(0))
-	r.MustAppend(3, Int(7), String("c"), Float(0))
-	r.MustAppend(4, Int(1), String("d"), Float(0))
-	r.MustAppend(5, Int(3), String("e"), Float(0))
-
-	keys, parts, err := r.PartitionOrdered("ID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := []Value{Int(7), Int(3), Int(1)}
-	if len(keys) != len(wantKeys) || len(parts) != len(wantKeys) {
-		t.Fatalf("got %d keys, %d parts, want %d", len(keys), len(parts), len(wantKeys))
-	}
-	for i, k := range wantKeys {
-		if keys[i] != k {
-			t.Errorf("keys[%d] = %v, want %v (first-occurrence order)", i, keys[i], k)
-		}
-	}
-	byKey, err := r.Partition("ID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		want := byKey[k]
-		if parts[i].Len() != want.Len() {
-			t.Errorf("partition %v has %d events, want %d", k, parts[i].Len(), want.Len())
-			continue
-		}
-		for j := 0; j < want.Len(); j++ {
-			if parts[i].Event(j).Seq != want.Event(j).Seq {
-				t.Errorf("partition %v event %d: seq %d, want %d", k, j, parts[i].Event(j).Seq, want.Event(j).Seq)
-			}
-		}
-		if !parts[i].Sorted() {
-			t.Errorf("partition %v not marked sorted", k)
-		}
-	}
-	if _, _, err := r.PartitionOrdered("NOPE"); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-}

@@ -6,7 +6,7 @@
 // The package is deliberately free of third-party dependencies so the
 // engine can link it unconditionally; all instrumentation in hot paths
 // is behind nil checks, and metric reads/writes are single atomic
-// operations, safe for concurrent use from shard workers.
+// operations, safe for concurrent use.
 //
 // # Naming
 //

@@ -33,12 +33,12 @@
 package ses
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/automaton"
 	"repro/internal/engine"
@@ -383,8 +383,8 @@ var (
 // instance-lifecycle event of a run as one JSON object per line to w
 // (the `sesmatch -trace out.jsonl` format), plus a function reporting
 // the first write error once evaluation is done. The hook is safe for
-// concurrent use under MatchPartitionedParallel. Queries with optional
-// variables are rejected: their variant automata would render
+// concurrent use by runners on different goroutines. Queries with
+// optional variables are rejected: their variant automata would render
 // ambiguous state labels.
 func (q *Query) TraceJSON(w io.Writer) (Option, func() error, error) {
 	if len(q.autos) != 1 {
@@ -648,115 +648,74 @@ func (q *Query) Aggregate(rel *Relation, opts ...Option) ([]byte, Metrics, error
 // OTHER entities, killing the per-entity match. Partitioned evaluation
 // confines every instance to one entity.
 //
-// Matches keep the original relation's event sequence numbers and are
-// returned ordered by start time; metrics are aggregated over the
-// partitions with Metrics merge semantics (throughput counters sum,
-// the instance peak is the per-partition maximum). Partitions are
-// evaluated one after another; MatchPartitionedParallel evaluates them
-// concurrently with a byte-identical result.
+// A single-variant query runs as one pass of a KeyedRunner over the
+// relation; a query with optional variables runs Match on each
+// partition. Matches keep the original relation's event sequence
+// numbers and are returned ordered by start time, equal starts of
+// different keys in the order the keys first occur in the relation;
+// metrics are aggregated over the partitions with Metrics merge
+// semantics (throughput counters sum, the instance peak is the
+// per-partition maximum).
 func (q *Query) MatchPartitioned(rel *Relation, attr string, opts ...Option) ([]Match, Metrics, error) {
-	return q.matchPartitioned(rel, attr, 1, opts...)
-}
-
-// MatchPartitionedParallel is MatchPartitioned with an explicit worker
-// count: partitions are evaluated concurrently on a pool of `workers`
-// goroutines (0 means GOMAXPROCS), each reusing one evaluator across
-// the partitions it handles. Matches, their order, and the aggregated
-// metrics are identical to MatchPartitioned's: per-partition results
-// are stably sorted by start time and k-way merged in partition order,
-// which reproduces the sequential output exactly.
-func (q *Query) MatchPartitionedParallel(rel *Relation, attr string, workers int, opts ...Option) ([]Match, Metrics, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return q.matchPartitioned(rel, attr, workers, opts...)
-}
-
-func (q *Query) matchPartitioned(rel *Relation, attr string, workers int, opts ...Option) ([]Match, Metrics, error) {
-	_, parts, err := rel.PartitionOrdered(attr)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	results := make([][]Match, len(parts))
-	metrics := make([]Metrics, len(parts))
-	errs := make([]error, len(parts))
-
-	// evalRange evaluates a set of partitions delivered over idx,
-	// reusing one runner for all of them when the query is
-	// single-variant (the common case; multi-variant queries fall back
-	// to a fresh union evaluation per partition).
-	evalRange := func(idx <-chan int) {
-		var r *engine.Runner
-		if len(q.autos) == 1 {
-			r = engine.New(q.autos[0], opts...)
+	var matches []Match
+	var m Metrics
+	if len(q.autos) == 1 {
+		r, err := q.KeyedRunner(attr, opts...)
+		if err != nil {
+			return nil, Metrics{}, err
 		}
-		for i := range idx {
-			var ms []Match
-			var m Metrics
-			var err error
-			if r != nil {
-				ms, m, err = engine.RunOn(r, parts[i])
-			} else {
-				ms, m, err = q.Match(parts[i], opts...)
-			}
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			engine.SortByStart(ms)
-			results[i] = ms
-			metrics[i] = m
+		if matches, m, err = engine.RunOn(r, rel); err != nil {
+			return nil, m, err
 		}
-	}
-
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	idx := make(chan int)
-	if workers <= 1 {
-		go func() {
-			for i := range parts {
-				idx <- i
-			}
-			close(idx)
-		}()
-		evalRange(idx)
 	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				evalRange(idx)
-			}()
+		// A union of variant automata has no keyed form: evaluate each
+		// partition on its own.
+		parts, err := rel.Partition(attr)
+		if err != nil {
+			return nil, Metrics{}, err
 		}
-		for i := range parts {
-			idx <- i
+		for _, part := range parts {
+			ms, pm, err := q.Match(part, opts...)
+			if err != nil {
+				return nil, m, err
+			}
+			matches = append(matches, ms...)
+			m.Merge(pm)
 		}
-		close(idx)
-		wg.Wait()
 	}
+	sortByStartThenKey(matches, rel, attr)
+	return matches, m, nil
+}
 
-	var agg Metrics
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, agg, errs[i]
+// sortByStartThenKey stably sorts matches by start time, breaking ties
+// by the first-occurrence position of each match's attr value in rel.
+// Each key's matches keep their evaluation order among themselves.
+func sortByStartThenKey(matches []Match, rel *Relation, attr string) {
+	idx, _ := rel.Schema().Index(attr)
+	rank := make(map[Value]int)
+	for i := 0; i < rel.Len(); i++ {
+		k := rel.Event(i).Attrs[idx]
+		if _, seen := rank[k]; !seen {
+			rank[k] = len(rank)
 		}
-		agg.Merge(metrics[i])
 	}
-	// Stable k-way merge of the per-partition sorted lists in partition
-	// order ≡ a stable sort by start time over their concatenation: the
-	// exact order the sequential path historically returned, without
-	// re-sorting the combined result.
-	return engine.MergeByStart(results), agg, nil
+	// Every binding of a match holds at least one event, all of one key.
+	keyRank := func(m Match) int { return rank[m.Bindings[0].Events[0].Attrs[idx]] }
+	slices.SortStableFunc(matches, func(a, b Match) int {
+		if a.First != b.First {
+			return cmp.Compare(a.First, b.First)
+		}
+		return keyRank(a) - keyRank(b)
+	})
 }
 
 // KeyedRunner creates an incremental evaluator for a single-variant
 // query whose state is partitioned by the key attribute: every
-// automaton instance is confined to the events of one key, so the
-// matches are MatchPartitioned's, found on a stream. They come out in
-// step order — same-timestamp matches of different keys in arrival
-// order — and Flush ends the keys in first-occurrence order. The
+// automaton instance is confined to the events of one key. Matches
+// come out in step order — same-timestamp matches of different keys in
+// arrival order — and Flush ends the keys in first-occurrence order;
+// MatchPartitioned runs one over a relation and sorts the matches by
+// start time. The
 // runner checkpoints, restores (with WithPartitionKey) and supervises
 // like any other. Errors on an unknown attribute and on queries with
 // optional variables.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -322,45 +323,181 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestMatchPartitionedParallelDeterministic is the parallel-execution
-// property test: on generated chemotherapy datasets, partitioned
-// evaluation with 1, 2, 4 and 8 workers returns a byte-identical match
-// sequence and identical aggregated metrics to the sequential path.
-func TestMatchPartitionedParallelDeterministic(t *testing.T) {
-	rels, err := chemo.Datasets(chemo.Tiny(), 2)
+// renderMatches prints matches one per line with their start and end
+// times, the byte form the partitioned-evaluation identity tests
+// compare.
+func renderMatches(ms []ses.Match) string {
+	var b strings.Builder
+	for _, m := range ms {
+		fmt.Fprintf(&b, "%s @[%d,%d]\n", m.String(), m.First, m.Last)
+	}
+	return b.String()
+}
+
+// perPartitionMatch is the reference MatchPartitioned must reproduce:
+// Match on every partition of attr, the partitions' metrics merged,
+// and the matches stably sorted by start time with equal starts in the
+// first-occurrence order of their keys.
+func perPartitionMatch(t *testing.T, q *ses.Query, rel *ses.Relation, attr string, opts ...ses.Option) ([]ses.Match, ses.Metrics) {
+	t.Helper()
+	parts, err := rel.Partition(attr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(ms []ses.Match) string {
-		var b strings.Builder
-		for _, m := range ms {
-			fmt.Fprintf(&b, "%s @[%d,%d]\n", m.String(), m.First, m.Last)
+	idx, _ := rel.Schema().Index(attr)
+	first := map[ses.Value]int{}
+	for i := 0; i < rel.Len(); i++ {
+		k := rel.Event(i).Attrs[idx]
+		if _, seen := first[k]; !seen {
+			first[k] = len(first)
 		}
-		return b.String()
 	}
-	for di, rel := range rels {
-		q := ses.MustCompile(q1Text, rel.Schema())
-		seq, seqM, err := q.MatchPartitioned(rel, "ID", ses.WithFilter(true))
+	type ranked struct {
+		key int
+		m   ses.Match
+	}
+	var all []ranked
+	var metrics ses.Metrics
+	for k, part := range parts {
+		ms, m, err := q.Match(part, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq) == 0 {
-			t.Fatalf("D%d: no sequential matches; dataset too small for the property test", di+1)
+		metrics.Merge(m)
+		for _, match := range ms {
+			all = append(all, ranked{first[k], match})
 		}
-		want := render(seq)
-		for _, workers := range []int{1, 2, 4, 8} {
-			par, parM, err := q.MatchPartitionedParallel(rel, "ID", workers, ses.WithFilter(true))
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].m.First != all[j].m.First {
+			return all[i].m.First < all[j].m.First
+		}
+		return all[i].key < all[j].key
+	})
+	out := make([]ses.Match, len(all))
+	for i, r := range all {
+		out[i] = r.m
+	}
+	return out, metrics
+}
+
+// crossKeyTieRelation holds two keys whose (a, b+) matches start at
+// the same time. Key 1 occurs first, but key 2's next event lands more
+// than τ after its match began, before key 1's does, so a keyed runner
+// emits key 2's match first.
+func crossKeyTieRelation(t *testing.T) (*ses.Relation, *ses.Query) {
+	t.Helper()
+	schema := ses.MustSchema(
+		ses.Field{Name: "ID", Type: ses.TypeInt},
+		ses.Field{Name: "L", Type: ses.TypeString},
+	)
+	rel := ses.NewRelation(schema)
+	for _, e := range []struct {
+		t  ses.Time
+		id int64
+		l  string
+	}{
+		{1, 1, "A"}, {1, 2, "A"}, {2, 1, "B"}, {2, 2, "B"}, {20, 2, "X"}, {30, 1, "X"},
+	} {
+		rel.MustAppend(e.t, ses.Int(e.id), ses.String(e.l))
+	}
+	q := ses.MustCompile("PATTERN (a, b+) WHERE a.L = 'A' AND b.L = 'B' WITHIN 10s", schema)
+	return rel, q
+}
+
+// TestMatchPartitionedIsPerPartitionMatch checks that MatchPartitioned
+// returns exactly the per-partition reference, byte for byte and with
+// equal metrics, for the running example over the chemo datasets (ties
+// across keys in D2..D5), an optional-variable query, and a hand-built
+// cross-key tie.
+func TestMatchPartitionedIsPerPartitionMatch(t *testing.T) {
+	type tc struct {
+		name string
+		q    *ses.Query
+		rel  *ses.Relation
+	}
+	var cases []tc
+	tiny, err := chemo.Datasets(chemo.Tiny(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := chemo.Datasets(chemo.Small(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := ses.MustCompile(q1Text, tiny[0].Schema())
+	cases = append(cases, tc{"tiny/D1", q1, tiny[0]})
+	for i, rel := range small {
+		cases = append(cases, tc{fmt.Sprintf("small/D%d", i+1), q1, rel})
+	}
+	opt := ses.MustCompile(`
+PATTERN PERMUTE(c, p+, d) THEN (b, o?)
+WHERE c.L = 'C' AND d.L = 'D' AND p.L = 'P' AND b.L = 'B' AND o.L = 'V'
+WITHIN 264h`, tiny[0].Schema())
+	for i, rel := range small[:3] {
+		cases = append(cases, tc{fmt.Sprintf("optional/small/D%d", i+1), opt, rel})
+	}
+	tieRel, tieQ := crossKeyTieRelation(t)
+	cases = append(cases, tc{"cross-key-tie", tieQ, tieRel})
+
+	for _, c := range cases {
+		for _, filter := range []bool{true, false} {
+			name := fmt.Sprintf("%s/filter=%v", c.name, filter)
+			got, gotM, err := c.q.MatchPartitioned(c.rel, "ID", ses.WithFilter(filter))
 			if err != nil {
-				t.Fatalf("D%d workers=%d: %v", di+1, workers, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if got := render(par); got != want {
-				t.Errorf("D%d workers=%d: parallel output differs from sequential:\n--- got ---\n%s--- want ---\n%s",
-					di+1, workers, got, want)
+			want, wantM := perPartitionMatch(t, c.q, c.rel, "ID", ses.WithFilter(filter))
+			if len(want) == 0 {
+				t.Fatalf("%s: no matches; the case checks nothing", name)
 			}
-			if parM != seqM {
-				t.Errorf("D%d workers=%d: metrics differ: parallel %+v, sequential %+v", di+1, workers, parM, seqM)
+			if g, w := renderMatches(got), renderMatches(want); g != w {
+				t.Errorf("%s: output differs from the per-partition reference:\n--- got ---\n%s--- want ---\n%s", name, g, w)
+			}
+			if gotM != wantM {
+				t.Errorf("%s: metrics differ: got %+v, want %+v", name, gotM, wantM)
 			}
 		}
+	}
+}
+
+// TestMatchPartitionedCrossKeyTieOrder pins the tiebreak: matches of
+// different keys with one start time come out in the first-occurrence
+// order of their keys, not in the keyed runner's step order.
+func TestMatchPartitionedCrossKeyTieOrder(t *testing.T) {
+	rel, q := crossKeyTieRelation(t)
+	keys := func(ms []ses.Match) []int64 {
+		var out []int64
+		for _, m := range ms {
+			if m.First != 1 {
+				t.Fatalf("match %s starts at %d, want 1", m, m.First)
+			}
+			out = append(out, m.Bindings[0].Events[0].Attrs[0].Int64())
+		}
+		return out
+	}
+	got, _, err := q.MatchPartitioned(rel, "ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := keys(got); !slices.Equal(k, []int64{1, 2}) {
+		t.Errorf("MatchPartitioned key order = %v, want [1 2]", k)
+	}
+	r, err := q.KeyedRunner("ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []ses.Match
+	for i := 0; i < rel.Len(); i++ {
+		ms, err := r.Step(rel.Event(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, ms...)
+	}
+	raw = append(raw, r.Flush()...)
+	if k := keys(raw); !slices.Equal(k, []int64{2, 1}) {
+		t.Errorf("keyed runner step order = %v, want [2 1]", k)
 	}
 }
 
