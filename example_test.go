@@ -96,19 +96,26 @@ func ExampleQuery_Runner() {
 	// {a/e0, b/e1}
 }
 
-// ExampleRunner_Stream evaluates a channel of events; matches surface
+// ExampleQuery_Supervise evaluates a channel of events; matches surface
 // as instances complete.
-func ExampleRunner_Stream() {
+func ExampleQuery_Supervise() {
 	schema := exampleSchema()
 	q := ses.MustCompile(`PATTERN (a) THEN (b)
 		WHERE a.L = 'A' AND b.L = 'B' WITHIN 10s`, schema)
-	r := q.Runner()
 	in := make(chan ses.Event, 4)
 	in <- ses.Event{Time: 0, Attrs: []ses.Value{ses.Int(1), ses.String("A")}}
 	in <- ses.Event{Time: 1, Attrs: []ses.Value{ses.Int(1), ses.String("B")}}
 	close(in)
-	for m := range r.Stream(context.Background(), in) {
+	out, sup, err := q.Supervise(context.Background(), in, ses.SuperviseConfig{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for m := range out {
 		fmt.Println(m)
+	}
+	if err := sup.Err(); err != nil {
+		fmt.Println(err)
 	}
 	// Output:
 	// {a/e0, b/e1}

@@ -12,9 +12,10 @@
 //
 //	PATTERN PERMUTE(stock+, put, call) THEN (report) WITHIN 15m
 //
-// joined on the account. Events are fed through a channel and matches
-// are consumed as they surface (the detector reports a strategy as
-// soon as its instance window closes).
+// joined on the account. The whole tape is fed through one supervised
+// channel keyed by account, and matches are consumed as they surface
+// (the detector reports a strategy as soon as its risk report lands).
+// Legs print with their positions in the tape.
 //
 // Run with:
 //
@@ -48,22 +49,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The detector runs per account (the pattern joins on Acct, and
-	// partitioned evaluation keeps the p+ leg from being force-fed
-	// another account's fills under skip-till-next-match).
+	// One stream keyed by account (the pattern joins on Acct, and keying
+	// keeps the p+ leg from being force-fed another account's fills under
+	// skip-till-next-match). Emit-on-accept: the desk wants the alert the
+	// moment the risk report lands, not when the detection window closes.
 	accounts := []string{"ACC-7", "ACC-9"}
-	runners := map[string]*ses.Runner{}
-	inputs := map[string]chan ses.Event{}
-	outputs := map[string]<-chan ses.Match{}
-	ctx := context.Background()
-	for _, acct := range accounts {
-		// Emit-on-accept: the desk wants the alert the moment the risk
-		// report lands, not when the detection window closes.
-		r := q.Runner(ses.WithFilter(true), ses.WithEmitOnAccept(true))
-		in := make(chan ses.Event, 16)
-		runners[acct] = r
-		inputs[acct] = in
-		outputs[acct] = r.Stream(ctx, in)
+	in := make(chan ses.Event, 16)
+	out, sup, err := q.Supervise(context.Background(), in, ses.SuperviseConfig{},
+		ses.WithPartitionKey("Acct"), ses.WithFilter(true), ses.WithEmitOnAccept(true))
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Simulated tape: ACC-7 assembles a collar with three partial
@@ -91,35 +86,34 @@ func main() {
 	go func() {
 		for _, rec := range tape {
 			t += ses.Time(10 + rng.Intn(30)) // seconds between prints
-			inputs[rec.acct] <- ses.Event{Time: t, Attrs: []ses.Value{
+			in <- ses.Event{Time: t, Attrs: []ses.Value{
 				ses.String(rec.acct), ses.String(rec.kind), ses.Int(rec.qty),
 			}}
 		}
-		for _, acct := range accounts {
-			close(inputs[acct])
-		}
+		close(in)
 	}()
 
 	fmt.Println("collar detector running ...")
-	for _, acct := range accounts {
-		n := 0
-		for m := range outputs[acct] {
-			n++
-			var fills int64
-			for _, b := range m.Bindings {
-				if b.Var == "stock" {
-					for _, e := range b.Events {
-						fills += e.Attrs[2].Int64()
-					}
+	found := map[string]int{}
+	for m := range out {
+		acct := m.Bindings[0].Events[0].Attrs[0].Str()
+		found[acct]++
+		var fills int64
+		for _, b := range m.Bindings {
+			if b.Var == "stock" {
+				for _, e := range b.Events {
+					fills += e.Attrs[2].Int64()
 				}
 			}
-			fmt.Printf("  %s: collar assembled in %ds — %d stock fill(s) totalling %d shares, legs %s\n",
-				acct, m.Last-m.First, len(m.Bindings[0].Events), fills, m)
 		}
-		if err := runners[acct].Err(); err != nil {
-			log.Fatal(err)
-		}
-		if n == 0 {
+		fmt.Printf("  %s: collar assembled in %ds — %d stock fill(s) totalling %d shares, legs %s\n",
+			acct, m.Last-m.First, len(m.Bindings[0].Events), fills, m)
+	}
+	if err := sup.Err(); err != nil {
+		log.Fatal(err)
+	}
+	for _, acct := range accounts {
+		if found[acct] == 0 {
 			fmt.Printf("  %s: no complete collar (as expected for the incomplete leg set)\n", acct)
 		}
 	}

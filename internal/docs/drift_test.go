@@ -107,8 +107,9 @@ var driftPins = map[string][]string{
 // it: surfaces the code no longer ships, which a stale sentence would
 // still advertise.
 var driftBans = map[string][]string{
-	"README.md":          {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
-	"docs/OPERATIONS.md": {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
+	"README.md":              {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "StreamReordered", ".Stream(", "ChaosSource"},
+	"docs/OPERATIONS.md":     {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
+	"docs/QUERY_LANGUAGE.md": {"StreamReordered", ".Stream(", "ChaosSource"},
 }
 
 // TestDocsDriftPins fails when a documented name disappears from the

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"repro/internal/automaton"
@@ -405,11 +404,6 @@ type Runner struct {
 	// runner suppresses fresh start instances.
 	shedding bool
 
-	// err records abnormal stream termination. It is guarded by errMu
-	// because Stream's goroutine writes it while callers may poll Err.
-	errMu sync.Mutex
-	err   error
-
 	// stepMatches collects matches emitted mid-consume under the
 	// WithEmitOnAccept mode; drained by Step.
 	stepMatches []Match
@@ -483,18 +477,9 @@ func (r *Runner) Reset() {
 	r.done = false
 	r.clock = noTime
 	r.shedding = false
-	r.setErr(nil)
 	if r.keyed != nil {
 		r.keyed.reset()
 	}
-}
-
-// setErr records the error that terminated a stream. It is safe for
-// concurrent use with Err.
-func (r *Runner) setErr(err error) {
-	r.errMu.Lock()
-	r.err = err
-	r.errMu.Unlock()
 }
 
 // Step consumes the next input event: it is StepBlock over the

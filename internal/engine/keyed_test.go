@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/event"
@@ -382,75 +380,6 @@ func TestShardedUnknownKey(t *testing.T) {
 	}
 	if _, err := RestoreRunnerBytes(a, snap, WithPartitionKey("NOPE")); err == nil {
 		t.Error("restore onto an unknown key attribute accepted")
-	}
-}
-
-// TestShardedOutOfOrderInput: time order is checked over the whole
-// stream, not per key, and a refused event leaves the runner unchanged.
-func TestShardedOutOfOrderInput(t *testing.T) {
-	a, _ := compileSharded(t)
-	r := New(a, WithPartitionKey("ID"))
-	ev := func(tm event.Time, id int64, l string) *event.Event {
-		return &event.Event{Time: tm, Attrs: []event.Value{event.Int(id), event.String(l)}}
-	}
-	if _, err := r.Step(ev(10, 1, "A")); err != nil {
-		t.Fatal(err)
-	}
-	before := r.Metrics()
-	if _, err := r.Step(ev(5, 2, "A")); err == nil || !strings.Contains(err.Error(), "out-of-order") {
-		t.Errorf("Step err = %v, want out-of-order", err)
-	}
-	if r.Metrics() != before || len(r.keyed.subs) != 1 {
-		t.Error("the refused event changed the runner")
-	}
-
-	in := make(chan event.Event, 2)
-	in <- *ev(10, 1, "A")
-	in <- *ev(5, 2, "B")
-	close(in)
-	s := New(a, WithPartitionKey("ID"))
-	for range s.Stream(context.Background(), in) {
-	}
-	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "out-of-order") {
-		t.Errorf("Err() = %v, want out-of-order error", err)
-	}
-}
-
-// TestShardedCancellation: a cancelled context ends a keyed Stream; the
-// output channel closes and Err reports the cause.
-func TestShardedCancellation(t *testing.T) {
-	a, rel := compileSharded(t)
-	r := New(a, WithPartitionKey("ID"))
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan event.Event)
-	go func() {
-		// Feed until the stream stops reading; never close, so only
-		// cancellation can end the run.
-		for i := 0; ; i++ {
-			e := *rel.Event(i % rel.Len())
-			e.Time = event.Time(i)
-			select {
-			case in <- e:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	out := r.Stream(ctx, in)
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		for range out {
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("output channel did not close after cancellation")
-	}
-	if r.Err() == nil {
-		t.Error("Err() = nil after cancellation")
 	}
 }
 

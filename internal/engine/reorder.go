@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -242,17 +241,4 @@ func (h eventHeap) init() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
-}
-
-// StreamReordered evaluates the runner over a channel of possibly
-// out-of-order events: arrivals are buffered by a Reorderer with the
-// given slack, released in timestamp order into the runner, and
-// matches stream out as usual. Events later than the slack are counted
-// and reported through the returned late counter after the output
-// channel closes.
-func (r *Runner) StreamReordered(ctx context.Context, in <-chan event.Event, slack event.Duration) (<-chan Match, *int64) {
-	late := new(int64)
-	ro := NewReorderer(slack)
-	ro.Late = func(event.Event) { *late++ }
-	return stream(ctx, in, ro, []*Runner{r}), late
 }

@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/event"
-	"repro/internal/paperdata"
 )
 
 func mkEvent(tt event.Time, l string) event.Event {
@@ -91,47 +89,6 @@ func TestReordererRandomisedSortedOutput(t *testing.T) {
 		if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i].Time < out[j].Time }) {
 			t.Fatalf("trial %d: output not sorted", trial)
 		}
-	}
-}
-
-// TestStreamReorderedMatchesBatch: shuffling the Figure 1 relation
-// within a generous slack and streaming it through StreamReordered
-// yields the same matches as batch evaluation of the sorted relation.
-func TestStreamReorderedMatchesBatch(t *testing.T) {
-	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
-	rel := paperdata.Relation()
-	batch, _, err := Run(a, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Swap a few adjacent events to simulate disorder.
-	events := append([]event.Event(nil), rel.Events()...)
-	events[2], events[3] = events[3], events[2]
-	events[6], events[7] = events[7], events[6]
-	events[10], events[11] = events[11], events[10]
-
-	r := New(a)
-	in := make(chan event.Event)
-	out, late := r.StreamReordered(context.Background(), in, 7*24*event.Hour)
-	go func() {
-		for _, e := range events {
-			in <- e
-		}
-		close(in)
-	}()
-	var streamed []Match
-	for m := range out {
-		streamed = append(streamed, m)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if *late != 0 {
-		t.Errorf("late = %d", *late)
-	}
-	if !sameMatchSet(batch, streamed) {
-		t.Errorf("reordered stream %v != batch %v", matchStrings(streamed), matchStrings(batch))
 	}
 }
 

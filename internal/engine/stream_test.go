@@ -1,101 +1,111 @@
-package engine
+package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/automaton"
+	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/paperdata"
+	"repro/internal/resilience"
 )
 
-// TestStreamMatchesRun: channel evaluation produces exactly the
-// matches of batch evaluation on the running example.
+// The library's one channel API is the supervised pipeline
+// (resilience.Supervise); the tests below hold it to the runner's
+// Step/Flush semantics.
+
+// sendAll sends evs on a fresh channel and closes it.
+func sendAll(evs []event.Event) <-chan event.Event {
+	in := make(chan event.Event)
+	go func() {
+		defer close(in)
+		for _, e := range evs {
+			in <- e
+		}
+	}()
+	return in
+}
+
+// TestStreamMatchesRun: supervised channel evaluation produces exactly
+// the matches of batch evaluation on the running example.
 func TestStreamMatchesRun(t *testing.T) {
-	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
+	a := engine.CompileForTest(t, paperdata.QueryQ1(), paperdata.Schema())
 	relation := paperdata.Relation()
 
-	batch, _, err := Run(a, relation)
+	batch, _, err := engine.Run(a, relation)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := New(a)
-	in := make(chan event.Event)
-	out := r.Stream(context.Background(), in)
-	go func() {
-		for i := 0; i < relation.Len(); i++ {
-			in <- *relation.Event(i)
-		}
-		close(in)
-	}()
-	var streamed []Match
+	out, sup := resilience.Supervise(context.Background(), a, nil, sendAll(relation.Events()), resilience.Config{})
+	var streamed []engine.Match
 	for m := range out {
 		streamed = append(streamed, m)
 	}
-	if err := r.Err(); err != nil {
+	if err := sup.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !sameMatchSet(batch, streamed) {
-		t.Errorf("stream %v != batch %v", matchStrings(streamed), matchStrings(batch))
+	if !engine.SameMatchSetForTest(batch, streamed) {
+		t.Errorf("stream %v != batch %v", engine.MatchStringsForTest(streamed), engine.MatchStringsForTest(batch))
 	}
 }
 
-// streamWrapper starts one of the three public faces of the shared
-// stream loop over the two-step pattern x.L='A' then y.L='B'.
+// streamWrapper is one supervision configuration over the two-step
+// pattern x.L='A' then y.L='B', named after the channel driver whose
+// cases it runs so that the subtest names stay stable.
 type streamWrapper struct {
 	name string
-	// reorders: the wrapper absorbs disorder within a slack of 5
-	// instead of failing on it.
+	// reorders: the configuration absorbs disorder within a slack of 5
+	// instead of dead-lettering every event earlier than the last one.
 	reorders bool
-	// start returns the match channel plus accessors for the terminal
-	// error and the late-event count. prestep events are consumed via
-	// Step before the stream starts.
-	start func(t *testing.T, ctx context.Context, in <-chan event.Event, prestep []event.Event) (out <-chan Match, errf func() error, late func() int64)
+	cfg      resilience.Config
 }
 
-func streamWrappers(within event.Duration) []streamWrapper {
-	noLate := func() int64 { return 0 }
-	stepAll := func(t *testing.T, step func(*event.Event) ([]Match, error), evs []event.Event) {
-		for i := range evs {
-			if _, err := step(&evs[i]); err != nil {
+var streamWrappers = []streamWrapper{
+	{name: "Runner.Stream"},
+	{name: "Runner.StreamReordered", reorders: true, cfg: resilience.Config{Slack: 5}},
+	{name: "Union.Stream", cfg: resilience.Config{MaxRestarts: -1}},
+}
+
+// start supervises the two-step pattern over in. prestep events are
+// stepped by hand first and the run resumes from the runner's snapshot,
+// the way a runner stepped outside a channel joins one.
+func (w streamWrapper) start(t *testing.T, ctx context.Context, within event.Duration, in <-chan event.Event, prestep []event.Event) (<-chan engine.Match, *resilience.Supervisor) {
+	a := engine.CompileForTest(t, engine.SeqPatternForTest(t, within), engine.SimpleSchemaForTest())
+	cfg := w.cfg
+	if len(prestep) > 0 {
+		r := engine.New(a)
+		for i := range prestep {
+			if _, err := r.Step(&prestep[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		snap, err := r.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CheckpointPath, cfg.Resume = filepath.Join(t.TempDir(), "ckpt"), true
+		if err := os.WriteFile(cfg.CheckpointPath, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return []streamWrapper{
-		{name: "Runner.Stream", start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
-			r := New(compile(t, seqPattern(t, within), simpleSchema()))
-			stepAll(t, r.Step, pre)
-			return r.Stream(ctx, in), r.Err, noLate
-		}},
-		{name: "Runner.StreamReordered", reorders: true, start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
-			r := New(compile(t, seqPattern(t, within), simpleSchema()))
-			stepAll(t, r.Step, pre)
-			out, late := r.StreamReordered(ctx, in, 5)
-			return out, r.Err, func() int64 { return *late }
-		}},
-		{name: "Union.Stream", start: func(t *testing.T, ctx context.Context, in <-chan event.Event, pre []event.Event) (<-chan Match, func() error, func() int64) {
-			u, err := NewUnion([]*automaton.Automaton{compile(t, seqPattern(t, within), simpleSchema())})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stepAll(t, u.Step, pre)
-			return u.Stream(ctx, in), u.Err, noLate
-		}},
-	}
+	return resilience.Supervise(ctx, a, nil, in, cfg)
 }
 
-// TestStreamLoop drives the one stream loop through each of its three
-// wrappers: flush at end of input, emission before end of input,
-// sequence numbering after direct Steps, disorder (an error for the
-// in-order wrappers, absorbed or counted late by the reordering one),
-// cancellation while blocked emitting a step's or the flush's match,
-// and Err after the output closed.
+// TestStreamLoop drives the supervised stream loop through each
+// configuration: flush at end of input, emission before end of input,
+// sequence numbering after a resume from hand-stepped events, disorder
+// (dead-lettered as late, or absorbed within the slack), cancellation
+// while blocked emitting a step's or the flush's match, and Err after
+// the output closed.
 func TestStreamLoop(t *testing.T) {
+	mkEvent := engine.EventForTest
 	cases := []struct {
 		name    string
 		within  event.Duration
@@ -113,7 +123,7 @@ func TestStreamLoop(t *testing.T) {
 		// want / wantErr / wantLate are indexed by streamWrapper.reorders.
 		want     map[bool][]string
 		wantErr  map[bool]string
-		wantLate int64
+		wantLate map[bool]int64
 	}{
 		{
 			name: "flush at EOF", within: 100, closed: true,
@@ -136,11 +146,12 @@ func TestStreamLoop(t *testing.T) {
 			want:  map[bool][]string{false: {"{x/e0, y/e1}"}, true: {"{x/e0, y/e1}"}},
 		},
 		{
+			// In order, C@6 and B@1 are late behind A@10; within a slack
+			// of 5 only B@1 is.
 			name: "disorder", within: 100, closed: true,
 			input:    []event.Event{mkEvent(10, "A"), mkEvent(6, "C"), mkEvent(1, "B"), mkEvent(12, "B")},
-			want:     map[bool][]string{false: nil, true: {"{x/e1, y/e2}"}},
-			wantErr:  map[bool]string{false: "out-of-order event at time 6 after 10"},
-			wantLate: 1, // B@1 is more than the slack behind A@10
+			want:     map[bool][]string{false: {"{x/e0, y/e1}"}, true: {"{x/e1, y/e2}"}},
+			wantLate: map[bool]int64{false: 2, true: 1},
 		},
 		{
 			// In order the match surfaces at A@1000, leaving A@2000 queued.
@@ -155,8 +166,7 @@ func TestStreamLoop(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, w := range streamWrappers(tc.within) {
-			tc, w := tc, w
+		for _, w := range streamWrappers {
 			t.Run(tc.name+"/"+w.name, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -167,7 +177,7 @@ func TestStreamLoop(t *testing.T) {
 				if tc.closed {
 					close(in)
 				}
-				out, errf, late := w.start(t, ctx, in, tc.prestep)
+				out, sup := w.start(t, ctx, tc.within, in, tc.prestep)
 
 				var got []string
 				switch {
@@ -204,48 +214,154 @@ func TestStreamLoop(t *testing.T) {
 				if want := tc.want[w.reorders]; fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("matches = %v, want %v", got, want)
 				}
-				err, wantErr := errf(), tc.wantErr[w.reorders]
+				err, wantErr := sup.Err(), tc.wantErr[w.reorders]
 				if (err == nil) != (wantErr == "") || (err != nil && !strings.Contains(err.Error(), wantErr)) {
 					t.Errorf("Err() = %v, want %q", err, wantErr)
 				}
-				if w.reorders && late() != tc.wantLate {
-					t.Errorf("late = %d, want %d", late(), tc.wantLate)
+				if late := sup.DeadLetters(); late != tc.wantLate[w.reorders] {
+					t.Errorf("dead letters = %d, want %d", late, tc.wantLate[w.reorders])
 				}
 			})
 		}
 	}
 }
 
-// TestStreamErrConcurrentPoll: Err must be safe to call at any time,
-// including while the stream goroutine is live and may be writing the
-// error (the seed had a data race here; run with -race).
+// TestStreamErrConcurrentPoll: Supervisor.Err must be safe to call at
+// any time, including while the pipeline goroutine is live and may be
+// writing the error (run with -race).
 func TestStreamErrConcurrentPoll(t *testing.T) {
-	a := compile(t, seqPattern(t, 100), simpleSchema())
-	r := New(a)
+	a := engine.CompileForTest(t, engine.SeqPatternForTest(t, 100), engine.SimpleSchemaForTest())
 	in := make(chan event.Event)
-	out := r.Stream(context.Background(), in)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out, sup := resilience.Supervise(ctx, a, nil, in, resilience.Config{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for {
+		for range out {
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		_ = sup.Err() // concurrent with the pipeline goroutine
+		if i == 50 {
+			in <- engine.EventForTest(5, "A")
+			cancel() // sets Err
+		}
+	}
+	<-done
+	if !errors.Is(sup.Err(), context.Canceled) {
+		t.Errorf("Err() = %v after cancellation, want context.Canceled", sup.Err())
+	}
+}
+
+// TestStreamReorderedMatchesBatch: shuffling the Figure 1 relation
+// within a generous slack and supervising it with that Slack yields the
+// same matches as batch evaluation of the sorted relation, with no dead
+// letter.
+func TestStreamReorderedMatchesBatch(t *testing.T) {
+	a := engine.CompileForTest(t, paperdata.QueryQ1(), paperdata.Schema())
+	rel := paperdata.Relation()
+	batch, _, err := engine.Run(a, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Swap a few adjacent events to simulate disorder.
+	events := append([]event.Event(nil), rel.Events()...)
+	events[2], events[3] = events[3], events[2]
+	events[6], events[7] = events[7], events[6]
+	events[10], events[11] = events[11], events[10]
+
+	out, sup := resilience.Supervise(context.Background(), a, nil, sendAll(events),
+		resilience.Config{Slack: 7 * 24 * event.Hour})
+	var streamed []engine.Match
+	for m := range out {
+		streamed = append(streamed, m)
+	}
+	if err := sup.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if late := sup.DeadLetters(); late != 0 {
+		t.Errorf("dead letters = %d", late)
+	}
+	if !engine.SameMatchSetForTest(batch, streamed) {
+		t.Errorf("reordered stream %v != batch %v", engine.MatchStringsForTest(streamed), engine.MatchStringsForTest(batch))
+	}
+}
+
+// TestShardedOutOfOrderInput: time order is checked over the whole
+// stream, not per key. Step refuses an earlier event of another key
+// and leaves the runner unchanged; keyed supervision dead-letters it
+// as late and ends the stream cleanly.
+func TestShardedOutOfOrderInput(t *testing.T) {
+	a, _ := engine.CompileShardedForTest(t)
+	r := engine.New(a, engine.WithPartitionKey("ID"))
+	ev := func(tm event.Time, id int64, l string) event.Event {
+		return event.Event{Time: tm, Attrs: []event.Value{event.Int(id), event.String(l)}}
+	}
+	first := ev(10, 1, "A")
+	if _, err := r.Step(&first); err != nil {
+		t.Fatal(err)
+	}
+	before, err := r.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlier := ev(5, 2, "A")
+	if _, err := r.Step(&earlier); err == nil || !strings.Contains(err.Error(), "out-of-order") {
+		t.Errorf("Step err = %v, want out-of-order", err)
+	}
+	if after, _ := r.SnapshotBytes(); string(after) != string(before) {
+		t.Error("the refused event changed the runner")
+	}
+
+	var reasons []error
+	out, sup := resilience.Supervise(context.Background(), a, []engine.Option{engine.WithPartitionKey("ID")},
+		sendAll([]event.Event{ev(10, 1, "A"), ev(5, 2, "B")}),
+		resilience.Config{DeadLetter: func(_ event.Event, reason error) { reasons = append(reasons, reason) }})
+	for range out {
+	}
+	if err := sup.Err(); err != nil {
+		t.Errorf("Err() = %v, want a clean end", err)
+	}
+	if len(reasons) != 1 || !errors.Is(reasons[0], resilience.ErrLate) {
+		t.Errorf("dead letters = %v, want one ErrLate", reasons)
+	}
+}
+
+// TestShardedCancellation: a cancelled context ends a keyed supervised
+// stream; the output channel closes and Err reports the cause.
+func TestShardedCancellation(t *testing.T) {
+	a, rel := engine.CompileShardedForTest(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	in := make(chan event.Event)
+	go func() {
+		// Feed until the stream stops reading; never close, so only
+		// cancellation can end the run.
+		for i := 0; ; i++ {
+			e := *rel.Event(i % rel.Len())
+			e.Time = event.Time(i)
 			select {
-			case <-done:
-			default:
-			}
-			if _, ok := <-out; !ok {
+			case in <- e:
+			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	for i := 0; i < 100; i++ {
-		_ = r.Err() // concurrent with the stream goroutine
-		if i == 50 {
-			in <- event.Event{Time: 5, Attrs: []event.Value{event.Int(1), event.String("A"), event.Float(0)}}
-			in <- event.Event{Time: 1, Attrs: []event.Value{event.Int(1), event.String("B"), event.Float(0)}} // out of order: sets err
+	out, sup := resilience.Supervise(ctx, a, []engine.Option{engine.WithPartitionKey("ID")}, in, resilience.Config{})
+	cancel()
+	done := make(chan struct{})
+	go func() {
+		for range out {
 		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("output channel did not close after cancellation")
 	}
-	<-done
-	if r.Err() == nil {
-		t.Errorf("out-of-order input should have set Err")
+	if sup.Err() == nil {
+		t.Error("Err() = nil after cancellation")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/automaton"
@@ -14,8 +13,10 @@ import (
 // (pattern.ExpandOptionals). Every variant binds a distinct set of
 // variables, so variant results never collide; the MAXIMAL preference
 // for binding optional variables is enforced by FilterMaximal over the
-// combined result (RunUnion does this; streaming consumers apply it
-// themselves if they need it).
+// combined result (RunUnion does this). A union is driven by Step and
+// Flush; it has no channel API. A caller stepping it applies
+// FilterMaximal itself if it needs the preference, which cannot be
+// applied on an unbounded stream.
 type Union struct {
 	runners []*Runner
 }
@@ -89,19 +90,6 @@ func (u *Union) Reset() {
 		r.Reset()
 	}
 }
-
-// Stream evaluates the union over a channel of events, like
-// Runner.Stream. Matches are emitted as variants complete them; the
-// cross-variant maximality preference cannot be applied on an
-// unbounded stream, so consumers needing it collect and call
-// FilterMaximal per window.
-func (u *Union) Stream(ctx context.Context, in <-chan event.Event) <-chan Match {
-	return stream(ctx, in, nil, u.runners)
-}
-
-// Err returns the error that terminated a Stream, if any. Like
-// Runner.Err it is safe to call at any time.
-func (u *Union) Err() error { return u.runners[0].Err() }
 
 // RunUnion executes all automata over a complete relation, combines
 // the variants' matches and applies the MAXIMAL preference for

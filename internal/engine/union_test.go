@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/automaton"
@@ -116,32 +115,27 @@ func TestUnionValidation(t *testing.T) {
 	}
 }
 
+// TestUnionStream: stepped event by event and flushed, a union emits
+// both variants' matches (no cross-variant maximality on a stream); the
+// consumer's FilterMaximal restores batch semantics.
 func TestUnionStream(t *testing.T) {
 	autos := optionalAutomata(t)
 	u, err := NewUnion(autos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan event.Event, 8)
-	mk := func(tt event.Time, l string) event.Event {
-		return event.Event{Time: tt, Attrs: []event.Value{
-			event.Int(1), event.String(l), event.Float(0),
-		}}
-	}
-	in <- mk(0, "A")
-	in <- mk(1, "O")
-	in <- mk(2, "Z")
-	close(in)
-	out := u.Stream(context.Background(), in)
 	var got []Match
-	for m := range out {
-		got = append(got, m)
+	for i, l := range []string{"A", "O", "Z"} {
+		e := mkEvent(event.Time(i), l)
+		e.Seq = i
+		ms, err := u.Step(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ms...)
 	}
-	if err := u.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// The stream emits both variants' matches (no cross-variant
-	// maximality on streams); the superset one must be present.
+	got = append(got, u.Flush()...)
+	// The superset match must be present.
 	found := false
 	for _, m := range got {
 		if m.String() == "{a/e0, o/e1, z/e2}" {
@@ -151,7 +145,6 @@ func TestUnionStream(t *testing.T) {
 	if !found || len(got) != 2 {
 		t.Errorf("stream matches = %v", matchStrings(got))
 	}
-	// FilterMaximal applied by the consumer restores batch semantics.
 	if fm := FilterMaximal(got); len(fm) != 1 {
 		t.Errorf("FilterMaximal(stream) = %v", matchStrings(fm))
 	}

@@ -116,7 +116,7 @@ func runPipeline(t *testing.T, cfg Config, panicAt []int64,
 	if len(panicAt) > 0 {
 		never := make(chan event.Event)
 		close(never)
-		cfg.FaultHook = NewChaosSource(never, ChaosConfig{PanicAfter: panicAt}).FaultHook
+		cfg.faultHook = NewChaosSource(never, ChaosConfig{PanicAfter: panicAt}).FaultHook
 	}
 	out, s := run(cfg)
 	for m := range out {
@@ -272,6 +272,69 @@ func TestSuperviseBlocksKeyedChaos(t *testing.T) {
 		}
 		if o.metrics != r.Metrics() {
 			t.Errorf("%s run: Metrics %+v, keyed runner %+v", name, o.metrics, r.Metrics())
+		}
+	}
+}
+
+// TestUnrecoverableRunCutsNoCheckpoint: with recovery off and no
+// checkpoint path, SuperviseBlocks and Supervise cut no checkpoint
+// however small the cadence, yet deliver the matches and dead letters
+// of a checkpointing run; a panic then ends the stream.
+func TestUnrecoverableRunCutsNoCheckpoint(t *testing.T) {
+	a := testAutomaton(t, 12)
+	rng := rand.New(rand.NewSource(5))
+	blocks, selected := routeBlocks(rng, refusalStream(rng, 300, 300, [2]int{}), 16)
+	supervise := func(cfg Config) (<-chan engine.Match, *Supervisor) {
+		in := make(chan event.Event)
+		go func() {
+			defer close(in)
+			for _, e := range selected {
+				in <- e
+			}
+		}()
+		return Supervise(context.Background(), a, nil, in, cfg)
+	}
+	superviseBlocks := func(cfg Config) (<-chan engine.Match, *Supervisor) {
+		in := make(chan event.Block)
+		go func() {
+			defer close(in)
+			for _, b := range blocks {
+				in <- b
+			}
+		}()
+		return SuperviseBlocks(context.Background(), a, nil, in, cfg)
+	}
+	want := runPipeline(t, Config{CheckpointEvery: 5}, nil, supervise)
+	if len(want.matches) == 0 || len(want.deadLetters) == 0 || want.checkpoints == 0 {
+		t.Fatalf("the case exercises too little: %d matches, %d dead letters, %d checkpoints",
+			len(want.matches), len(want.deadLetters), want.checkpoints)
+	}
+	for name, run := range map[string]func(Config) (<-chan engine.Match, *Supervisor){
+		"Supervise": supervise, "SuperviseBlocks": superviseBlocks,
+	} {
+		var got pipelineOutcome
+		out, s := run(Config{MaxRestarts: -1, CheckpointEvery: 5, DeadLetter: func(e event.Event, reason error) {
+			got.deadLetters = append(got.deadLetters, fmt.Sprintf("%v:%v", e.Attrs[0], reason))
+		}})
+		for m := range out {
+			got.matches = append(got.matches, canonicalMatch(m))
+		}
+		if err := s.Err(); err != nil || s.Checkpoints() != 0 {
+			t.Errorf("%s: err %v, %d checkpoints, want none", name, err, s.Checkpoints())
+		}
+		if strings.Join(got.matches, "\n") != strings.Join(want.matches, "\n") ||
+			fmt.Sprint(got.deadLetters) != fmt.Sprint(want.deadLetters) || s.Metrics() != want.metrics {
+			t.Errorf("%s: %d matches and %d dead letters differ from the checkpointing run's %d and %d",
+				name, len(got.matches), len(got.deadLetters), len(want.matches), len(want.deadLetters))
+		}
+
+		never := make(chan event.Event)
+		close(never)
+		out, s = run(Config{MaxRestarts: -1, faultHook: NewChaosSource(never, ChaosConfig{PanicAfter: []int64{40}}).FaultHook})
+		for range out {
+		}
+		if err := s.Err(); err == nil || !strings.Contains(err.Error(), "giving up after 0 restarts") {
+			t.Errorf("%s: a panic without recovery ended with %v", name, err)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestTortureChaosWithinSlack(t *testing.T) {
 		CheckpointEvery: 16,
 		CheckpointPath:  ckpt,
 		MaxRestarts:     10,
-		FaultHook:       chaos.FaultHook,
+		faultHook:       chaos.FaultHook,
 	})
 	got := collect(out)
 
@@ -223,7 +223,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 	out, s := Supervise(context.Background(), a, nil, chaos.Events(), Config{
 		MaxRestarts: 2,
 		Backoff:     1, // keep the test fast
-		FaultHook:   chaos.FaultHook,
+		faultHook:   chaos.FaultHook,
 		OnRestart:   func(attempt int, cause error) { restarts++ },
 	})
 	collect(out)
@@ -357,7 +357,7 @@ func TestSupervisorRegistry(t *testing.T) {
 		DedupWindow:     5,
 		CheckpointEvery: 8,
 		Backoff:         1,
-		FaultHook:       chaos.FaultHook,
+		faultHook:       chaos.FaultHook,
 		Registry:        reg,
 	})
 	collect(out)

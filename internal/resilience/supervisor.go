@@ -1,3 +1,7 @@
+// Package resilience supervises runner pipelines over imperfect
+// streams: panic recovery, checkpoint-based restart with capped
+// exponential backoff, and dead-letter routing for late and malformed
+// events.
 package resilience
 
 import (
@@ -50,6 +54,7 @@ type Config struct {
 	// checkpoints (0 means 256), exact even inside a received block; a
 	// reorderer's release batch is not split. Smaller values bound the
 	// replay work after a crash at the cost of more frequent snapshots.
+	// A run without recovery or CheckpointPath cuts no checkpoint.
 	CheckpointEvery int
 	// CheckpointPath, when non-empty, additionally persists every
 	// checkpoint to this file (written atomically via rename), so a
@@ -60,7 +65,9 @@ type Config struct {
 	// feeding only events not yet consumed by the checkpointed run.
 	Resume bool
 	// MaxRestarts caps recoveries over the stream's lifetime; 0 means
-	// the default of 3, negative disables recovery entirely.
+	// the default of 3, negative disables recovery entirely; with no
+	// CheckpointPath either, the run then keeps no checkpoint or replay
+	// block and costs about what a Step loop does.
 	MaxRestarts int
 	// Backoff is the initial restart delay, doubling per consecutive
 	// restart up to MaxBackoff (defaults 10ms and 2s).
@@ -70,14 +77,14 @@ type Config struct {
 	// process (too late, schema-invalid) together with the reason,
 	// instead of dropping them silently.
 	DeadLetter func(event.Event, error)
-	// FaultHook, when non-nil, is invoked with every event of a block,
-	// read-only, before the block is stepped (or replayed), inside the
-	// supervised region. Panics it raises are recovered and trigger
-	// restart — the injection point used by ChaosSource.FaultHook.
-	FaultHook func(*event.Event)
 	// OnRestart, when non-nil, is notified of every recovery with the
 	// restart ordinal and the causing fault.
 	OnRestart func(attempt int, cause error)
+	// faultHook, when non-nil, is invoked with every event of a block,
+	// read-only, before the block is stepped (or replayed), inside the
+	// supervised region. Panics it raises are recovered and trigger
+	// restart: the tests' fault-injection point.
+	faultHook func(*event.Event)
 	// Registry, when non-nil, receives live supervision metrics:
 	// restart, dead-letter, checkpoint, duplicate and event counters
 	// plus a checkpoint-age gauge (see newSupObs for the series names).
@@ -220,10 +227,12 @@ func (p panicError) Error() string { return fmt.Sprintf("resilience: pipeline pa
 // Each event becomes a one-event block, its Seq renumbered to its
 // position in the stepped stream, and takes the path SuperviseBlocks
 // describes. The runner is checkpointed every CheckpointEvery stepped
-// events; a panic in the step path (FaultHook included) is recovered by
-// restoring the last checkpoint, deterministically replaying the blocks
-// stepped since — suppressing matches already delivered — and retrying,
-// with capped exponential backoff between consecutive recoveries.
+// events; a panic in the step path is recovered by restoring the last
+// checkpoint, deterministically replaying the blocks stepped since —
+// suppressing matches already delivered — and retrying, with capped
+// exponential backoff between consecutive recoveries. A run with
+// recovery off (MaxRestarts < 0) and no CheckpointPath cuts no
+// checkpoint and keeps no block for replay.
 // Deterministic engine errors (e.g. the Fail overload policy tripping)
 // terminate the stream after the matches of the events before the
 // failing one. The match channel closes on end of input (after a final
@@ -302,6 +311,9 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	if ckptEvery <= 0 {
 		ckptEvery = 256
 	}
+	// A run that can neither restart nor persist a checkpoint has no use
+	// for one: it cuts none and keeps no block for replay.
+	checkpointing := cfg.MaxRestarts >= 0 || cfg.CheckpointPath != ""
 
 	runner := engine.New(a, opts...)
 	var resumed *ckptState
@@ -404,7 +416,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		}
 	}
 
-	// stepBlock runs FaultHook over blk's events and steps blk, turning
+	// stepBlock runs faultHook over blk's events and steps blk, turning
 	// a panic into a panicError. An empty block, the end of input,
 	// flushes the runner.
 	stepBlock := func(blk event.Block) (ms []engine.Match, err error) {
@@ -416,12 +428,20 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		if blk.Len() == 0 {
 			return runner.Flush(), nil
 		}
-		if cfg.FaultHook != nil {
+		if cfg.faultHook != nil {
 			for i := 0; i < blk.Len(); i++ {
-				cfg.FaultHook(blk.At(i))
+				cfg.faultHook(blk.At(i))
 			}
 		}
 		return runner.StepBlock(blk)
+	}
+
+	// forget drops the blocks stepped since the last checkpoint, which no
+	// restart replays anymore.
+	forget := func() {
+		clear(replay) // releases the blocks
+		replay = replay[:0]
+		stepped, emittedSince = 0, 0
 	}
 
 	// ckptBuf backs ckpt from one periodic checkpoint to the next: the
@@ -451,9 +471,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 			}
 		}
 		ckpt = data
-		clear(replay) // releases the blocks
-		replay = replay[:0]
-		stepped, emittedSince = 0, 0
+		forget()
 		s.checkpoints.Add(1)
 		if s.o != nil {
 			s.o.checkpoints.Inc()
@@ -524,14 +542,15 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		return true
 	}
 
-	// feed steps an admitted block and cuts the periodic checkpoints:
-	// exactly every ckptEvery stepped events, splitting the block, with
-	// the Seq of the last one as the watermark, in block mode without a
-	// reorderer; otherwise at the end of the block that reaches the
-	// count, with the last event received as the watermark (the
-	// reorderer's checkpointed buffer holds the rest). In event mode blk
-	// is the pipeline's own and its events are numbered by position.
-	exact := preserveSeq && ro == nil
+	// feed steps an admitted block and, when checkpointing, cuts the
+	// periodic checkpoints: exactly every ckptEvery stepped events,
+	// splitting the block, with the Seq of the last one as the
+	// watermark, in block mode without a reorderer; otherwise at the end
+	// of the block that reaches the count, with the last event received
+	// as the watermark (the reorderer's checkpointed buffer holds the
+	// rest). In event mode blk is the pipeline's own and its events are
+	// numbered by position.
+	exact := preserveSeq && ro == nil && checkpointing
 	feed := func(blk event.Block) bool {
 		if !preserveSeq {
 			base := int(runner.Metrics().EventsProcessed)
@@ -559,6 +578,10 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 			last := sub.At(sub.Len() - 1)
 			hw = last.Time
 			s.completed.Store(int64(hw))
+			if !checkpointing {
+				forget()
+				continue
+			}
 			if stepped < ckptEvery {
 				continue
 			}

@@ -281,8 +281,8 @@ type queryState struct {
 	shed    *obs.Counter
 	matches *obs.Counter
 
-	errMu sync.Mutex
-	err   error
+	termMu sync.Mutex
+	err    error
 }
 
 // start launches the pipeline goroutines; the first caller wins, and
@@ -302,20 +302,20 @@ func (q *queryState) retire() {
 	})
 }
 
-func (q *queryState) setErr(err error) {
+func (q *queryState) recordErr(err error) {
 	if err == nil {
 		return
 	}
-	q.errMu.Lock()
+	q.termMu.Lock()
 	if q.err == nil {
 		q.err = err
 	}
-	q.errMu.Unlock()
+	q.termMu.Unlock()
 }
 
 func (q *queryState) terminalErr() error {
-	q.errMu.Lock()
-	defer q.errMu.Unlock()
+	q.termMu.Lock()
+	defer q.termMu.Unlock()
 	return q.err
 }
 
@@ -839,14 +839,14 @@ func (s *Server) collect(q *queryState, matches <-chan engine.Match) {
 	for m := range matches {
 		b, err := engine.MatchJSON(m, s.cfg.Schema)
 		if err != nil {
-			q.setErr(err)
+			q.recordErr(err)
 			continue
 		}
 		q.log.append(b)
 		q.matches.Inc()
 	}
 	if sup := q.sup.Load(); sup != nil {
-		q.setErr(sup.Err())
+		q.recordErr(sup.Err())
 	}
 }
 

@@ -75,7 +75,7 @@ func (s *Server) catchUp(q *queryState, from, skipSeq int64) {
 					break
 				}
 				if err != nil {
-					q.setErr(fmt.Errorf("server: catch-up for query %q: %w", q.spec.ID, err))
+					q.recordErr(fmt.Errorf("server: catch-up for query %q: %w", q.spec.ID, err))
 					q.catchingUp.Store(false)
 					s.ingestMu.Unlock()
 					return
@@ -105,12 +105,12 @@ func (s *Server) catchUp(q *queryState, from, skipSeq int64) {
 				}
 			}
 			first := s.wal.FirstOffset()
-			q.setErr(fmt.Errorf("server: catch-up for query %q: offsets %d-%d reclaimed by retention; resuming at %d",
+			q.recordErr(fmt.Errorf("server: catch-up for query %q: offsets %d-%d reclaimed by retention; resuming at %d",
 				q.spec.ID, r.Offset(), first-1, first))
 			r.Close()
 			r = s.wal.NewReader(first)
 		default:
-			q.setErr(fmt.Errorf("server: catch-up for query %q: %w", q.spec.ID, err))
+			q.recordErr(fmt.Errorf("server: catch-up for query %q: %w", q.spec.ID, err))
 			q.catchingUp.Store(false)
 			return
 		}

@@ -28,8 +28,8 @@
 //	matches, metrics, err := q.Match(rel)
 //
 // Patterns can equally be assembled programmatically with NewPattern,
-// and event streams can be evaluated incrementally with Query.Stream
-// or a Runner.
+// and event streams can be evaluated incrementally with a Runner or,
+// over a channel, with Query.Supervise.
 package ses
 
 import (
@@ -115,9 +115,9 @@ func NewRelation(schema *Schema) *Relation { return event.NewRelation(schema) }
 func Merge(rels ...*Relation) (*Relation, error) { return event.Merge(rels...) }
 
 // Reorderer absorbs bounded out-of-order arrival in event streams,
-// releasing events in timestamp order within a lateness slack. See
-// also Runner.StreamReordered for direct streaming evaluation over
-// disordered input.
+// releasing events in timestamp order within a lateness slack.
+// Query.Supervise runs one when SuperviseConfig.Slack is positive and
+// dead-letters the events beyond it.
 type Reorderer = engine.Reorderer
 
 // NewReorderer creates a Reorderer with the given lateness bound.
@@ -193,7 +193,8 @@ type (
 	Binding = engine.Binding
 	// Metrics are execution counters (instances, iterations, ...).
 	Metrics = engine.Metrics
-	// Runner evaluates an automaton incrementally (Step/Flush/Stream).
+	// Runner evaluates an automaton incrementally (Step/Flush); a
+	// channel of events runs through Query.Supervise.
 	Runner = engine.Runner
 	// Option configures evaluation.
 	Option = engine.Option
@@ -273,24 +274,16 @@ const (
 // Runner.WriteSnapshot and accepted by RestoreRunner.
 const SnapshotVersion = engine.SnapshotVersion
 
-// Resilience re-exports: supervised streams and fault injection. See
-// package internal/resilience for full documentation.
+// Resilience re-exports: supervised streams. See package
+// internal/resilience for full documentation.
 type (
 	// SuperviseConfig parameterizes Query.Supervise.
 	SuperviseConfig = resilience.Config
 	// StreamSupervisor reports the health of a supervised stream.
 	StreamSupervisor = resilience.Supervisor
-	// ChaosConfig parameterizes NewChaosSource.
-	ChaosConfig = resilience.ChaosConfig
-	// ChaosSource injects stream imperfections for torture testing.
-	ChaosSource = resilience.ChaosSource
-	// ChaosStats counts injected faults.
-	ChaosStats = resilience.ChaosStats
 )
 
 var (
-	// NewChaosSource wraps an event channel with fault injection.
-	NewChaosSource = resilience.NewChaosSource
 	// ErrLate is the dead-letter reason for events beyond the slack.
 	ErrLate = resilience.ErrLate
 	// ErrSchema is the dead-letter reason for schema-invalid events.
@@ -546,9 +539,9 @@ func (q *Query) Match(rel *Relation, opts ...Option) ([]Match, Metrics, error) {
 }
 
 // Runner creates an incremental evaluator for a single-variant query.
-// Feed events in time order with Step, finish with Flush, or attach a
-// channel with Stream. For queries with optional variables use
-// UnionRunner instead; Runner panics on them.
+// Feed events in time order with Step and finish with Flush; to
+// evaluate a channel of events use Supervise. For queries with optional
+// variables use UnionRunner instead; Runner panics on them.
 func (q *Query) Runner(opts ...Option) *Runner {
 	if len(q.autos) != 1 {
 		panic("ses: Runner on a query with optional variables; use UnionRunner")
@@ -568,15 +561,15 @@ func (q *Query) RestoreRunner(rd io.Reader, opts ...Option) (*Runner, error) {
 	return engine.RestoreRunner(q.autos[0], rd, opts...)
 }
 
-// Supervise runs a resilient streaming evaluation of a single-variant
-// query: events are schema-validated, reordered within
-// cfg.Slack, deduplicated within cfg.DedupWindow, and evaluated by a
-// runner (built with opts) that is checkpointed periodically and
-// restarted from its last checkpoint — with capped exponential backoff
-// and deterministic replay — when the pipeline panics. Late and
-// malformed events go to cfg.DeadLetter instead of being dropped
-// silently. See SuperviseConfig for the knobs and StreamSupervisor for
-// the health counters.
+// Supervise is the library's one channel API, for single-variant
+// queries: events are schema-validated, reordered within cfg.Slack,
+// deduplicated within cfg.DedupWindow, and evaluated by a runner built
+// with opts (WithPartitionKey keys it) that is checkpointed
+// periodically and restarted from its last checkpoint — with capped
+// exponential backoff and deterministic replay — when the pipeline
+// panics. Late and malformed events go to cfg.DeadLetter instead of
+// ending the stream. See SuperviseConfig for the knobs and
+// StreamSupervisor for the health counters.
 func (q *Query) Supervise(ctx context.Context, in <-chan Event, cfg SuperviseConfig, opts ...Option) (<-chan Match, *StreamSupervisor, error) {
 	if len(q.autos) != 1 {
 		return nil, nil, fmt.Errorf("ses: Supervise does not support optional variables (%d variants)", len(q.autos))
@@ -590,9 +583,10 @@ func (q *Query) Supervise(ctx context.Context, in <-chan Event, cfg SuperviseCon
 type UnionRunner = engine.Union
 
 // UnionRunner creates an incremental evaluator covering all variants
-// of the query. Note that the cross-variant MAXIMAL preference cannot
-// be applied incrementally; batch evaluation (Match) applies it, and
-// stream consumers may apply FilterMaximal per collected window.
+// of the query, driven by Step and Flush (there is no channel API for
+// optional variables). The cross-variant MAXIMAL preference cannot be
+// applied incrementally; Match applies it, and a caller stepping the
+// union may apply FilterMaximal per collected window.
 func (q *Query) UnionRunner(opts ...Option) (*UnionRunner, error) {
 	return engine.NewUnion(q.autos, opts...)
 }

@@ -502,8 +502,9 @@ func TestMatchPartitionedCrossKeyTieOrder(t *testing.T) {
 }
 
 // TestKeyedRunnerExposed drives a keyed Runner through the public API:
-// streamed, it reproduces MatchPartitioned's matches, and a checkpoint
-// taken mid-stream restores with WithPartitionKey and finishes the run.
+// supervised with WithPartitionKey, it reproduces MatchPartitioned's
+// matches, and a checkpoint taken mid-stream restores with
+// WithPartitionKey and finishes the run.
 func TestKeyedRunnerExposed(t *testing.T) {
 	rel, schema := buildChemoRelation(t)
 	q := ses.MustCompile(q1Text, schema)
@@ -511,22 +512,16 @@ func TestKeyedRunnerExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := q.KeyedRunner("ID", ses.WithFilter(true))
+	out, sup, err := q.Supervise(context.Background(), feed(rel), ses.SuperviseConfig{},
+		ses.WithPartitionKey("ID"), ses.WithFilter(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan ses.Event)
-	go func() {
-		defer close(in)
-		for i := 0; i < rel.Len(); i++ {
-			in <- *rel.Event(i)
-		}
-	}()
 	var got []ses.Match
-	for m := range r.Stream(context.Background(), in) {
+	for m := range out {
 		got = append(got, m)
 	}
-	if err := r.Err(); err != nil {
+	if err := sup.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := func(ms []ses.Match) []string {
