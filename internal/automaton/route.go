@@ -7,14 +7,10 @@ import (
 
 // RouteKey is one (attribute, constant) equality some variable of the
 // automaton requires of any event it binds: only events whose
-// attribute Attr equals Val can ever bind that variable. Start marks
-// keys of first-set variables — the only variables whose binding can
-// create a new automaton instance, which is what makes per-query
-// WITHIN pruning sound (see RouteSet).
+// attribute Attr equals Val can ever bind that variable.
 type RouteKey struct {
-	Attr  int
-	Val   event.Value
-	Start bool
+	Attr int
+	Val  event.Value
 }
 
 // RouteSet is the routing summary of an automaton: the set of
@@ -38,10 +34,7 @@ type RouteSet struct {
 // failing any of them cannot bind the variable, so routing on one
 // admits a superset). Kleene group variables contribute keys like
 // singletons — the equality applies to every event the group binds.
-// Duplicate (attr, value) pairs are merged; a key is a start key when
-// any contributing variable belongs to the first event set pattern,
-// since instances are only created by transitions out of the start
-// state, which bind first-set variables exclusively.
+// Duplicate (attr, value) pairs are merged.
 // The result is computed once and shared: callers must treat the
 // returned RouteSet as read-only.
 func (a *Automaton) RouteKeys() RouteSet {
@@ -51,11 +44,7 @@ func (a *Automaton) RouteKeys() RouteSet {
 
 // routeKeySet derives the routing summary; see RouteKeys.
 func (a *Automaton) routeKeySet() RouteSet {
-	type keyID struct {
-		attr int
-		val  event.Value
-	}
-	seen := make(map[keyID]int, len(a.Vars))
+	seen := make(map[RouteKey]bool, len(a.Vars))
 	var rs RouteSet
 	for i := range a.Vars {
 		v := &a.Vars[i]
@@ -71,13 +60,11 @@ func (a *Automaton) routeKeySet() RouteSet {
 			// skipping is sound for this automaton.
 			return RouteSet{All: true}
 		}
-		id := keyID{attr: key.Attr, val: key.Const}
-		if at, ok := seen[id]; ok {
-			rs.Keys[at].Start = rs.Keys[at].Start || v.Set == 0
-			continue
+		k := RouteKey{Attr: key.Attr, Val: key.Const}
+		if !seen[k] {
+			seen[k] = true
+			rs.Keys = append(rs.Keys, k)
 		}
-		seen[id] = len(rs.Keys)
-		rs.Keys = append(rs.Keys, RouteKey{Attr: key.Attr, Val: key.Const, Start: v.Set == 0})
 	}
 	return rs
 }

@@ -91,9 +91,7 @@ func (r *Router) doPartition(ctx context.Context, rp *routePartition, method, pa
 		}
 		rsp, err := r.client.Do(req)
 		if err != nil {
-			if len(rp.nodes) == 2 {
-				rp.active.CompareAndSwap(act, 1-act)
-			}
+			rp.failover(act)
 			return err
 		}
 		if rsp.StatusCode == http.StatusServiceUnavailable {
@@ -104,9 +102,7 @@ func (r *Router) doPartition(ctx context.Context, rp *routePartition, method, pa
 				State string `json:"state"`
 			}
 			_ = json.Unmarshal(raw, &e)
-			if len(rp.nodes) == 2 {
-				rp.active.CompareAndSwap(act, 1-act)
-			}
+			rp.failover(act)
 			return &routedError{status: rsp.StatusCode, state: e.State, msg: e.Error}
 		}
 		resp = rsp
@@ -284,9 +280,7 @@ func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition,
 			err = fmt.Errorf("cluster: partition %d matches: %s: %s", rp.ID, resp.Status, raw)
 		}
 		if err != nil {
-			if len(rp.nodes) == 2 {
-				rp.active.CompareAndSwap(act, 1-act)
-			}
+			rp.failover(act)
 			attempts++
 			if r.retry.MaxAttempts > 0 && attempts >= r.retry.MaxAttempts {
 				done <- err

@@ -76,6 +76,17 @@ type routePartition struct {
 	active atomic.Int32
 
 	nodes []*nodeState
+	// failovers is ses_router_failovers_total, shared by every
+	// partition (nil without a registry).
+	failovers *obs.Counter
+}
+
+// failover moves writes from node act to its peer. Concurrent callers
+// that saw the same act switch once: only the swap that wins counts.
+func (rp *routePartition) failover(act int32) {
+	if len(rp.nodes) == 2 && rp.active.CompareAndSwap(act, 1-act) && rp.failovers != nil {
+		rp.failovers.Inc()
+	}
 }
 
 // nodeState is the prober's view of one node.
@@ -200,10 +211,13 @@ func (r *Router) attachMetrics(reg *obs.Registry) {
 		"sub-batch deliveries retried after a node refused or failed")
 	r.mergedOut = reg.Counter("ses_router_matches_merged_total",
 		"match lines released by the deterministic merge")
+	failovers := reg.Counter("ses_router_failovers_total",
+		"partition writes switched from one node to its peer")
 	reg.GaugeFunc("ses_router_next_seq",
 		"next global sequence number the router will assign",
 		func() int64 { return r.nextSeq.Load() })
 	for _, rp := range r.parts {
+		rp.failovers = failovers
 		for _, ns := range rp.nodes {
 			ns := ns
 			reg.GaugeFunc(obs.SeriesName("ses_router_node_up", "node", ns.url),
@@ -372,7 +386,7 @@ func (r *Router) runHealth(rp *routePartition) {
 				rp.nodes[other].role.Load() == "leader" &&
 				rp.nodes[other].epoch.Load() >= rp.nodes[act].epoch.Load() &&
 				(!rp.nodes[act].up.Load() || rp.nodes[act].role.Load() != "leader") {
-				rp.active.CompareAndSwap(act, other)
+				rp.failover(act)
 			}
 		}
 	}
@@ -481,9 +495,7 @@ func (r *Router) deliver(rp *routePartition, sb *subBatch) error {
 			case re.status == http.StatusServiceUnavailable:
 				// follower / fenced / draining: flip to the peer (it may
 				// need a promotion beat first; the backoff covers that).
-				if len(rp.nodes) == 2 {
-					rp.active.CompareAndSwap(act, 1-act)
-				}
+				rp.failover(act)
 				return err
 			case re.status == http.StatusMisdirectedRequest:
 				// 421 means this node owns a different slice than the
@@ -496,9 +508,7 @@ func (r *Router) deliver(rp *routePartition, sb *subBatch) error {
 			return err
 		}
 		// Transport error: the node may be gone; try the peer next.
-		if len(rp.nodes) == 2 {
-			rp.active.CompareAndSwap(act, 1-act)
-		}
+		rp.failover(act)
 		return err
 	})
 	return err

@@ -68,6 +68,7 @@ var driftPins = map[string][]string{
 		"ses_cond_type_mismatch_total",
 		"ses_route_events_routed_total",
 		"ses_route_events_skipped_total",
+		"ses_server_late_events_total",
 		"ses_server_query_shed_total",
 		"ses_wal_appends_total",
 		"ses_replica_lag",
@@ -86,6 +87,7 @@ var driftPins = map[string][]string{
 		"ses_router_batches_total",
 		"ses_router_events_total",
 		"ses_router_partition_retries_total",
+		"ses_router_failovers_total",
 		"ses_router_matches_merged_total",
 		"ses_router_next_seq",
 		"ses_router_node_up",
@@ -107,9 +109,10 @@ var driftPins = map[string][]string{
 // it: surfaces the code no longer ships, which a stale sentence would
 // still advertise.
 var driftBans = map[string][]string{
-	"README.md":              {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "StreamReordered", ".Stream(", "ChaosSource"},
-	"docs/OPERATIONS.md":     {"Sharded", "ses_sharded_", "`shards`", `"shards"`},
-	"docs/QUERY_LANGUAGE.md": {"StreamReordered", ".Stream(", "ChaosSource"},
+	"README.md":              {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune"},
+	"docs/OPERATIONS.md":     {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "`WITHIN` prune", "DisableTauPrune"},
+	"docs/QUERY_LANGUAGE.md": {"StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune"},
+	"DESIGN.md":              {"`WITHIN` prune", "DisableTauPrune"},
 }
 
 // TestDocsDriftPins fails when a documented name disappears from the

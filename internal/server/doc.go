@@ -7,7 +7,9 @@
 // registered query compiles its text into a pattern and a SES
 // automaton (Definition 3 of the paper); duplicates are rejected by
 // the automaton's structural fingerprint. Ingested events are
-// dispatched once and routed to every query's bounded mailbox, behind
+// dispatched once and routed to every query's bounded mailbox (an
+// event earlier than the stream high-water reaches only the queries
+// with reorder slack), behind
 // which an independent per-query pipeline evaluates the automaton: a
 // supervised runner (resilience.SuperviseBlocks: schema validation,
 // reorder slack, checkpoint/replay crash recovery), keyed by an

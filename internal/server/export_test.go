@@ -1,15 +1,5 @@
 package server
 
-// DisableTauPruneForTest keeps the routing WITHIN prune permanently
-// off. The prune-identity property tests compare a normal server
-// against one configured this way: both apply key-based routing, so
-// any divergence is the prune's doing.
-func (s *Server) DisableTauPruneForTest() {
-	s.ingestMu.Lock()
-	s.noTauPrune = true
-	s.ingestMu.Unlock()
-}
-
 // BroadcastForTest turns the routing index off: every event is
 // delivered to every query, the pre-index full fan-out. The routing
 // identity tests compare a normal server against one configured this

@@ -47,7 +47,9 @@ type QuerySpec struct {
 	// A keyed query reports no ProcessedThrough.
 	Key string `json:"key,omitempty"`
 	// Slack is the reorder slack in time ticks granted to out-of-order
-	// events (late events dead-letter).
+	// events (late events dead-letter). At 0, the default, the query
+	// never receives an event earlier than the stream high-water: the
+	// server withholds it at dispatch.
 	Slack int64 `json:"slack,omitempty"`
 	// CheckpointEvery overrides the server's checkpoint cadence for
 	// this query (events between snapshots).

@@ -1,30 +1,13 @@
 package server
 
-import (
-	"math"
+import "repro/internal/event"
 
-	"repro/internal/event"
-)
-
-// noLastStart is the routeLastStart sentinel before any start-capable
-// event has been routed to a query: τ-pruning is disabled until then
-// (instances created by WAL replay are invisible to the router, so
-// "no start seen" must mean "deliver", never "skip").
-const noLastStart = math.MinInt64
-
-// routeTarget is one entry of a (attribute, value) routing bucket: the
-// dense index of the routed query plus whether the key binds a
-// first-set variable (an event matching it can create new instances).
-type routeTarget struct {
-	pos   int32
-	start bool
-}
-
-// routeAttrIndex groups the routing keys of one event attribute: the
-// targets of every equality constant registered queries require on it.
+// routeAttrIndex groups the routing keys of one event attribute: for
+// every equality constant registered queries require on it, the dense
+// positions of those queries.
 type routeAttrIndex struct {
 	attr    int
-	byValue map[event.Value][]routeTarget
+	byValue map[event.Value][]int32
 }
 
 // routeSnapshot is the immutable registry-level routing index consulted
@@ -35,10 +18,11 @@ type routeAttrIndex struct {
 // loaded, and delivery to a just-removed query is shed through the
 // query's closed removed channel exactly as before.
 type routeSnapshot struct {
-	// catchAll receives every event: queries whose automata are
+	// catchAll receives every event that is not late, and a query with
+	// reorder slack every event: queries whose automata are
 	// type-agnostic (some variable has no equality condition), queries
-	// with reorder slack (their lateness semantics must see the full
-	// stream) and keyed queries (a key's expired match surfaces at that
+	// with reorder slack (their reorderer must see the late events too)
+	// and keyed queries (a key's expired match surfaces at that
 	// key's next event, routed or not, so skipping events would reorder
 	// the emissions of different keys).
 	catchAll []*queryState
@@ -49,12 +33,6 @@ type routeSnapshot struct {
 	// keyCount is the total number of (attribute, value) keys, the
 	// ses_route_index_size gauge.
 	keyCount int
-	// maxWithin is the largest WITHIN window among the routed queries
-	// (0 when none has one). It bounds how long an out-of-order event
-	// can influence any routed query's instance set, which is how far
-	// the stream must advance past a disorder observation before the
-	// τ-prune re-arms.
-	maxWithin event.Duration
 }
 
 // routeSnap returns the current routing snapshot, rebuilding it first
@@ -89,9 +67,6 @@ func (s *Server) rebuildRouteLocked() {
 		}
 		pos := int32(len(snap.routed))
 		snap.routed = append(snap.routed, q)
-		if q.auto.Within > snap.maxWithin {
-			snap.maxWithin = q.auto.Within
-		}
 		for _, k := range q.route.Keys {
 			ai, ok := byAttr[k.Attr]
 			if !ok {
@@ -99,14 +74,14 @@ func (s *Server) rebuildRouteLocked() {
 				byAttr[k.Attr] = ai
 				snap.attrs = append(snap.attrs, routeAttrIndex{
 					attr:    k.Attr,
-					byValue: make(map[event.Value][]routeTarget),
+					byValue: make(map[event.Value][]int32),
 				})
 			}
 			tg := snap.attrs[ai].byValue
 			if _, seen := tg[k.Val]; !seen {
 				snap.keyCount++
 			}
-			tg[k.Val] = append(tg[k.Val], routeTarget{pos: pos, start: k.Start})
+			tg[k.Val] = append(tg[k.Val], pos)
 		}
 	}
 	s.route.Store(snap)
@@ -120,16 +95,13 @@ type routeScratch struct {
 	// idx accumulates, per routed query, the batch positions of the
 	// events routed to it.
 	idx [][]int32
-	// mark and startMark carry the per-event dedup epoch: mark[pos]
-	// equal to the current epoch means the query was already matched by
-	// an earlier key of the same event.
-	mark      []uint64
-	startMark []uint64
-	// touched lists the routed positions matched by the current event;
-	// active lists the positions with a non-empty sub-batch.
-	touched []int32
-	active  []int32
-	epoch   uint64
+	// mark carries the per-event dedup epoch: mark[pos] equal to the
+	// current epoch means the query was already matched by an earlier
+	// key of the same event.
+	mark []uint64
+	// active lists the routed positions with a non-empty sub-batch.
+	active []int32
+	epoch  uint64
 }
 
 // resize adapts the scratch to a snapshot's routed query count.
@@ -139,18 +111,26 @@ func (sc *routeScratch) resize(n int) {
 	}
 	sc.idx = make([][]int32, n)
 	sc.mark = make([]uint64, n)
-	sc.startMark = make([]uint64, n)
 	sc.epoch = 0
 }
 
-// routeBatch computes per-query sub-batches of the shared event slice
-// and delivers them: catch-all queries receive the full block, routed
-// queries receive an index slice selecting the events that match one
-// of their keys and survive the WITHIN prune. Runs under s.ingestMu.
-func (s *Server) routeBatch(snap *routeSnapshot, shared []event.Event) {
+// routeBatch delivers the shared event slice. inOrder selects the
+// events that are not late (nil when none is): catch-all queries with
+// reorder slack receive the full block, every other catch-all query
+// the in-order block, and routed queries an index slice selecting the
+// in-order events that match one of their keys. Runs under s.ingestMu.
+func (s *Server) routeBatch(snap *routeSnapshot, shared []event.Event, inOrder []int32) {
 	full := event.Block{Events: shared}
+	ordered := full
+	if inOrder != nil {
+		ordered.Idx = inOrder
+	}
 	for _, q := range snap.catchAll {
-		s.deliverBlock(q, full)
+		if q.spec.Slack > 0 {
+			s.deliverBlock(q, full)
+		} else if ordered.Len() > 0 {
+			s.deliverBlock(q, ordered)
+		}
 	}
 	if len(snap.routed) == 0 {
 		return
@@ -159,83 +139,27 @@ func (s *Server) routeBatch(snap *routeSnapshot, shared []event.Event) {
 	sc.resize(len(snap.routed))
 	sc.active = sc.active[:0]
 	delivered := 0
-	for i := range shared {
+	for k := 0; k < ordered.Len(); k++ {
+		// An event matching no key of a query can never bind any of its
+		// variables; on the in-order stream skipping it changes nothing.
+		i := int32(k)
+		if inOrder != nil {
+			i = inOrder[k]
+		}
 		e := &shared[i]
-		// Track global stream monotonicity. The τ-prune can never drop a
-		// match: routeLastStart only ratchets upward, so it bounds every
-		// live instance's start time in any arrival order, and a pruned
-		// event therefore lies more than WITHIN past every instance — it
-		// can neither bind nor (matching no start key) spawn; delivering
-		// it could only trigger the lazy expiry the engine performs at
-		// the next delivered event or at flush anyway. What disorder CAN
-		// do is make that deferral visible: a straggler reaching back
-		// past a prune decision finds instances the prune left unswept
-		// and may complete one the prune-free stream would have expired
-		// — an extra or extended match, never a missing one (pinned by
-		// TestRoutingPruneReachBackAnomaly). To keep that divergence
-		// bounded the prune suspends at the first out-of-order event and
-		// re-arms only once the stream high-water has advanced more than
-		// the largest routed WITHIN past the last disorder observation:
-		// by then every instance a straggler could have started or
-		// extended has expired, and prune decisions are again exactly
-		// the lazy-expiry skips they are on an ordered stream. Key-based
-		// skipping stays on throughout — an event matching no key of a
-		// query can never bind any of its variables, regardless of
-		// order.
-		if int64(e.Time) < s.routeMaxTime {
-			s.tauPrune = false
-			s.routeDisorderMax = s.routeMaxTime
-		} else {
-			s.routeMaxTime = int64(e.Time)
-			if !s.tauPrune && snap.maxWithin > 0 &&
-				event.Duration(s.routeMaxTime-s.routeDisorderMax) > snap.maxWithin {
-				s.tauPrune = true
-			}
-		}
 		sc.epoch++
-		sc.touched = sc.touched[:0]
 		for ai := range snap.attrs {
-			targets := snap.attrs[ai].byValue[e.Attrs[snap.attrs[ai].attr]]
-			for _, t := range targets {
-				if sc.mark[t.pos] != sc.epoch {
-					sc.mark[t.pos] = sc.epoch
-					sc.touched = append(sc.touched, t.pos)
-				}
-				if t.start && sc.startMark[t.pos] != sc.epoch {
-					sc.startMark[t.pos] = sc.epoch
-				}
-			}
-		}
-		for _, pos := range sc.touched {
-			q := snap.routed[pos]
-			if sc.startMark[pos] == sc.epoch {
-				// The event can bind a first-set variable: it may start a
-				// new instance, so it must be delivered, and it advances
-				// the query's newest-possible instance start time. The
-				// bound only ratchets upward: a late out-of-order start
-				// must not regress it below an instance that already
-				// exists, or the prune would drop that instance's
-				// extensions once it re-arms.
-				if t := int64(e.Time); t > q.routeLastStart.Load() {
-					q.routeLastStart.Store(t)
-				}
-			} else if s.tauPrune && !s.noTauPrune && q.auto.Within > 0 {
-				// The event can only extend existing instances. Every
-				// live instance started at or before routeLastStart, so
-				// when the event lies more than WITHIN past it, no
-				// instance can absorb it — the step would only perform
-				// expiry the engine does lazily anyway (same soundness
-				// class as the paper's Section 4.5 filter).
-				ls := q.routeLastStart.Load()
-				if ls != noLastStart && event.Duration(int64(e.Time)-ls) > q.auto.Within {
+			for _, pos := range snap.attrs[ai].byValue[e.Attrs[snap.attrs[ai].attr]] {
+				if sc.mark[pos] == sc.epoch {
 					continue
 				}
+				sc.mark[pos] = sc.epoch
+				if len(sc.idx[pos]) == 0 {
+					sc.active = append(sc.active, pos)
+				}
+				sc.idx[pos] = append(sc.idx[pos], i)
+				delivered++
 			}
-			if len(sc.idx[pos]) == 0 {
-				sc.active = append(sc.active, pos)
-			}
-			sc.idx[pos] = append(sc.idx[pos], int32(i))
-			delivered++
 		}
 	}
 	for _, pos := range sc.active {
@@ -250,5 +174,5 @@ func (s *Server) routeBatch(snap *routeSnapshot, shared []event.Event) {
 		sc.idx[pos] = sc.idx[pos][:0]
 	}
 	s.routedEvents.Add(int64(delivered))
-	s.skippedEvents.Add(int64(len(shared)*len(snap.routed) - delivered))
+	s.skippedEvents.Add(int64(ordered.Len()*len(snap.routed) - delivered))
 }

@@ -15,8 +15,8 @@ import (
 
 // disorderStream perturbs a time-ordered stream: local swaps create
 // short reorderings and a few long-range moves pull events many
-// positions later, the "straggler" shape that most stresses the
-// τ-prune (a start event arriving after extensions far past it).
+// positions later, the "straggler" shape that reaches back furthest
+// behind the stream high-water.
 func disorderStream(rng *rand.Rand, ordered []event.Event) []event.Event {
 	out := make([]event.Event, len(ordered))
 	copy(out, ordered)
@@ -38,44 +38,31 @@ func disorderStream(rng *rand.Rand, ordered []event.Event) []event.Event {
 	return out
 }
 
-// TestRoutingOutOfOrderPruneIdentity is the τ-prune A/B property test
-// over disordered streams. The reference is a routed server with the
-// prune permanently off — key-based routing applies identically on
-// both sides, so the only degree of freedom is the prune's
-// suspend/re-arm behaviour. The guaranteed invariant is that a prune
-// decision never drops a match (a pruned event can neither start an
-// instance nor bind into one; see TestRoutingPruneReachBackAnomaly for
-// the one divergence disorder can cause). On these streams the
-// disorder never reaches back past a prune decision — the latch
-// suspends pruning at the first straggler — so the match logs must
-// stay byte for byte identical across suspension and re-arm. (Full
-// fan-out is not a valid reference here: on a disordered stream a
-// key-miss event still advances the engine's clock when delivered, so
-// routed and full-fan-out outputs legitimately diverge — the routing
-// identity guarantee is scoped to time-ordered streams.)
-func TestRoutingOutOfOrderPruneIdentity(t *testing.T) {
+// TestRoutingOutOfOrderIdentity is the routing A/B property test over
+// disordered streams: with every query of the pool registered and
+// random batch shapes, a routed server and a full-fan-out server
+// (BroadcastForTest) must produce byte-identical match logs. Lateness
+// is judged once at dispatch against the stream high-water, so every
+// query without slack steps the same ordered subsequence whichever
+// way it is delivered, and skipping its key misses changes nothing.
+func TestRoutingOutOfOrderIdentity(t *testing.T) {
 	rel := chemo.MustGenerate(chemo.Tiny())
-	pool := routingQueryPool()
-	for trial := 0; trial < 4; trial++ {
+	specs := routingQueryPool()
+	for trial := 0; trial < 16; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(97 + trial)))
 			events := disorderStream(rng, rel.Events())
-			perm := rng.Perm(len(pool))
-			n := 1 + rng.Intn(len(pool))
-			specs := make([]server.QuerySpec, 0, n)
-			for _, pi := range perm[:n] {
-				specs = append(specs, pool[pi])
-			}
 			sizes := []int{1 + rng.Intn(7), 1 + rng.Intn(31), 1 + rng.Intn(200)}
 
-			run := func(noPrune bool) map[string][]string {
-				s, err := server.New(server.Config{Schema: rel.Schema()})
+			run := func(broadcast bool) map[string][]string {
+				reg := obs.NewRegistry()
+				s, err := server.New(server.Config{Schema: rel.Schema(), Registry: reg})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if noPrune {
-					s.DisableTauPruneForTest()
+				if broadcast {
+					s.BroadcastForTest()
 				}
 				for _, spec := range specs {
 					if _, err := s.AddQuery(spec); err != nil {
@@ -86,6 +73,9 @@ func TestRoutingOutOfOrderPruneIdentity(t *testing.T) {
 				if err := s.Drain(context.Background()); err != nil {
 					t.Fatal(err)
 				}
+				if late, _ := reg.Value("ses_server_late_events_total"); late == 0 {
+					t.Fatal("the disordered stream has no late event")
+				}
 				out := make(map[string][]string, len(specs))
 				for _, spec := range specs {
 					out[spec.ID] = infoLines(t, s, spec.ID, 0)
@@ -93,17 +83,15 @@ func TestRoutingOutOfOrderPruneIdentity(t *testing.T) {
 				return out
 			}
 
-			pruned, free := run(false), run(true)
+			routed, full := run(false), run(true)
 			for _, spec := range specs {
-				r, f := pruned[spec.ID], free[spec.ID]
+				r, f := routed[spec.ID], full[spec.ID]
 				if len(r) != len(f) {
-					t.Fatalf("query %s: %d matches with the prune, %d without",
-						spec.ID, len(r), len(f))
+					t.Fatalf("query %s: routed %d matches, full fan-out %d", spec.ID, len(r), len(f))
 				}
 				for i := range f {
 					if r[i] != f[i] {
-						t.Errorf("query %s match %d:\nwith prune:    %s\nwithout prune: %s",
-							spec.ID, i, r[i], f[i])
+						t.Errorf("query %s match %d:\nrouted: %s\nfull:   %s", spec.ID, i, r[i], f[i])
 					}
 				}
 			}
@@ -111,134 +99,42 @@ func TestRoutingOutOfOrderPruneIdentity(t *testing.T) {
 	}
 }
 
-// counterValue reads one cumulative counter from the registry's
-// Prometheus exposition.
-func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			var v int64
-			if _, err := fmt.Sscanf(rest, "%d", &v); err != nil {
-				t.Fatalf("parsing %s value %q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("counter %s not exposed", name)
-	return 0
+// cdSchema and cdEvent build the two-attribute streams of the
+// hand-written disorder cases below.
+var cdSchema = event.MustSchema(
+	event.Field{Name: "ID", Type: event.TypeInt},
+	event.Field{Name: "L", Type: event.TypeString},
+)
+
+func cdEvent(time int64, id int64, label string) event.Event {
+	return event.Event{Time: event.Time(time), Attrs: []event.Value{event.Int(id), event.String(label)}}
 }
 
-// TestRoutingTauPruneRearm walks the prune through its whole
-// lifecycle with single-event batches: armed (skipping), suspended by
-// an out-of-order start (delivering events the stale bound would have
-// pruned), and re-armed once the stream advances a full WITHIN past
-// the disorder (skipping again). A permanent latch fails the final
-// stage; an eager re-arm fails the middle one.
-func TestRoutingTauPruneRearm(t *testing.T) {
-	schema := event.MustSchema(
-		event.Field{Name: "ID", Type: event.TypeInt},
-		event.Field{Name: "L", Type: event.TypeString},
-	)
-	ev := func(time int64, id int64, label string) event.Event {
-		return event.Event{Time: event.Time(time), Attrs: []event.Value{event.Int(id), event.String(label)}}
-	}
-	reg := obs.NewRegistry()
-	s, err := server.New(server.Config{Schema: schema, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	spec := server.QuerySpec{ID: "cd", Query: `
+const cdQuery = `
 PATTERN PERMUTE(c) THEN (d)
 WHERE c.L = 'C' AND d.L = 'D' AND c.ID = d.ID
-WITHIN 100`}
-	if _, err := s.AddQuery(spec); err != nil {
-		t.Fatal(err)
-	}
+WITHIN 100`
 
-	// One event per batch so each routing decision is observable as a
-	// counter delta: with one routed query, every event is either
-	// delivered (routed +1) or skipped (skipped +1).
-	step := func(e event.Event, wantSkipDelta int64, why string) {
-		t.Helper()
-		before := counterValue(t, reg, "ses_route_events_skipped_total")
-		if _, err := s.Ingest([]event.Event{e}); err != nil {
-			t.Fatal(err)
-		}
-		if d := counterValue(t, reg, "ses_route_events_skipped_total") - before; d != wantSkipDelta {
-			t.Fatalf("%s: skipped delta %d, want %d", why, d, wantSkipDelta)
-		}
-	}
-
-	step(ev(0, 1, "C"), 0, "start c@0 delivered")
-	step(ev(50, 1, "D"), 0, "d@50 within window of c@0")
-	step(ev(201, 1, "D"), 1, "armed prune skips d@201, 201 past last start + WITHIN")
-	// Out-of-order start: 150 < 201 suspends the prune and ratchets the
-	// query's last-start bound to 150.
-	step(ev(150, 2, "C"), 0, "straggler start c@150 delivered, prune suspends")
-	// 260-150 > WITHIN would be pruned when armed; the suspension must
-	// deliver it (an instance the router cannot see might need it).
-	step(ev(260, 2, "D"), 0, "d@260 delivered while prune is suspended")
-	// Key-miss filler advancing the high-water past 201+WITHIN: the
-	// prune re-arms. The event matches no key, so it is skipped by key
-	// routing regardless of the prune state.
-	step(ev(302, 9, "E"), 1, "key-miss filler e@302 re-arms the prune")
-	step(ev(310, 3, "C"), 0, "start c@310 delivered after re-arm")
-	step(ev(350, 3, "D"), 0, "d@350 within window of c@310")
-	step(ev(500, 3, "D"), 1, "re-armed prune skips d@500, 500 past last start + WITHIN")
-
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// The pruned extensions were both dead (past every possible
-	// window), so exactly the two in-window pairs match.
-	lines := infoLines(t, s, "cd", 0)
-	if len(lines) != 2 {
-		t.Fatalf("got %d matches, want 2:\n%s", len(lines), strings.Join(lines, "\n"))
-	}
-}
-
-// TestRoutingPruneReachBackAnomaly pins the one divergence the τ-prune
-// can cause on a disordered stream, and its direction. A pruned event
-// can never be needed by any instance (every live instance lies more
-// than WITHIN behind it, and it matches no start key), so pruning
-// never drops a match — but it also skips the lazy expiry the event
-// would have triggered. When a straggler then reaches back *past* the
-// prune decision into a still-lingering instance's window, the pruned
-// server completes a match the prune-free server expired unaccepted:
-// the divergence is always an extra or extended match, never a missing
-// one. Deliveries after the prune re-arms must not change this.
-func TestRoutingPruneReachBackAnomaly(t *testing.T) {
-	schema := event.MustSchema(
-		event.Field{Name: "ID", Type: event.TypeInt},
-		event.Field{Name: "L", Type: event.TypeString},
-	)
-	ev := func(time int64, id int64, label string) event.Event {
-		return event.Event{Time: event.Time(time), Attrs: []event.Value{event.Int(id), event.String(label)}}
-	}
+// TestRoutingReachBackIsLate: a straggler reaching back into an open
+// window behind a later event of the same query is late on the stream,
+// so neither a routed nor a full-fan-out server binds it, and the
+// server counts it once.
+func TestRoutingReachBackIsLate(t *testing.T) {
 	stream := []event.Event{
-		ev(0, 1, "C"),   // start: instance c@0 opens, d unbound
-		ev(201, 1, "D"), // beyond 0+WITHIN: pruned / expires c@0 unaccepted
-		ev(90, 1, "D"),  // straggler reaching back into c@0's window
+		cdEvent(0, 1, "C"),   // start: instance c@0 opens, d unbound
+		cdEvent(201, 1, "D"), // beyond 0+WITHIN: expires c@0 unaccepted
+		cdEvent(90, 1, "D"),  // straggler reaching back into c@0's window
 	}
-	run := func(noPrune bool) []string {
-		s, err := server.New(server.Config{Schema: schema})
+	for _, broadcast := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		s, err := server.New(server.Config{Schema: cdSchema, Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		if noPrune {
-			s.DisableTauPruneForTest()
+		if broadcast {
+			s.BroadcastForTest()
 		}
-		spec := server.QuerySpec{ID: "cd", Query: `
-PATTERN PERMUTE(c) THEN (d)
-WHERE c.L = 'C' AND d.L = 'D' AND c.ID = d.ID
-WITHIN 100`}
-		if _, err := s.AddQuery(spec); err != nil {
+		if _, err := s.AddQuery(server.QuerySpec{ID: "cd", Query: cdQuery}); err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range stream {
@@ -249,17 +145,65 @@ WITHIN 100`}
 		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return infoLines(t, s, "cd", 0)
+		if lines := infoLines(t, s, "cd", 0); len(lines) != 0 {
+			t.Errorf("broadcast=%t: %d matches, want 0:\n%s", broadcast, len(lines), strings.Join(lines, "\n"))
+		}
+		if late, _ := reg.Value("ses_server_late_events_total"); late != 1 {
+			t.Errorf("broadcast=%t: ses_server_late_events_total = %d, want 1", broadcast, late)
+		}
 	}
-	pruned, free := run(false), run(true)
-	// Prune-free: d@201 is delivered and expires c@0 before d binds.
-	if len(free) != 0 {
-		t.Fatalf("prune-free server matched %d times, want 0:\n%s", len(free), strings.Join(free, "\n"))
+}
+
+// TestLateEventsWithheldAtDispatch sends one straggler to three
+// queries. It is late on the stream but not behind anything the routed
+// query was delivered (the event that passed it matches none of that
+// query's keys), so only a stream-wide judgment withholds it from both
+// queries without slack; the slack query reorders it into its match.
+func TestLateEventsWithheldAtDispatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := server.New(server.Config{Schema: cdSchema, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Pruned: d@201 is skipped, c@0 lingers, the straggler completes it
-	// at Flush — the extra match, never a dropped one.
-	if len(pruned) != 1 {
-		t.Fatalf("pruned server matched %d times, want the one reach-back match:\n%s",
-			len(pruned), strings.Join(pruned, "\n"))
+	specs := []server.QuerySpec{
+		{ID: "routed", Query: cdQuery},
+		{ID: "keyed", Query: cdQuery, Key: "ID"},
+		{ID: "slack", Query: cdQuery, Slack: 100},
+	}
+	for _, spec := range specs {
+		if _, err := s.AddQuery(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Ingest([]event.Event{
+		cdEvent(0, 1, "C"),
+		cdEvent(60, 2, "E"), // no key of the routed query: it is not delivered there
+		cdEvent(50, 1, "D"), // the straggler: in c@0's window, behind e@60
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id              string
+		events, matches int
+	}{
+		{"routed", 1, 0}, // c@0 only
+		{"keyed", 2, 0},  // c@0 and e@60
+		{"slack", 3, 1},  // everything, c@0 and d@50 match
+	} {
+		info, err := s.Query(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := infoLines(t, s, c.id, 0)
+		if info.Events != int64(c.events) || len(lines) != c.matches {
+			t.Errorf("query %s: %d events and %d matches, want %d and %d:\n%s",
+				c.id, info.Events, len(lines), c.events, c.matches, strings.Join(lines, "\n"))
+		}
+	}
+	if late, _ := reg.Value("ses_server_late_events_total"); late != 1 {
+		t.Errorf("ses_server_late_events_total = %d, want 1", late)
 	}
 }

@@ -17,9 +17,10 @@ import (
 
 // routingQueryPool is the spec menu the identity tests draw from:
 // routable queries over different label keys and WITHIN windows (tight
-// windows exercise the τ-prune), a type-agnostic query that must land
-// in the catch-all bucket, a reorder-slack query (catch-all by rule), a
-// keyed query and an identical-automaton duplicate.
+// windows expire instances between routed events), a type-agnostic
+// query that must land in the catch-all bucket, a reorder-slack query
+// (catch-all by rule), a keyed query and an identical-automaton
+// duplicate.
 func routingQueryPool() []server.QuerySpec {
 	q := func(id, text string, mut func(*server.QuerySpec)) server.QuerySpec {
 		s := server.QuerySpec{ID: id, Query: text}
@@ -223,14 +224,14 @@ func TestRoutingConcurrentChurn(t *testing.T) {
 
 // TestRoutingCrashReplayIdentity kills a routed server mid-stream and
 // checks that WAL replay plus routed live delivery still reproduces
-// the full-fan-out match logs: replay-created instances are invisible
-// to the router, so the τ-prune must never skip an event they need.
+// the full-fan-out match logs: instances rebuilt by replay must see
+// the same live events a full-fan-out server delivers to them.
 func TestRoutingCrashReplayIdentity(t *testing.T) {
 	rel := chemo.MustGenerate(chemo.Tiny())
 	half := rel.Len() / 2
 	specs := []server.QuerySpec{
 		routingQueryPool()[0], // routable, wide window
-		routingQueryPool()[1], // routable, tight window (τ-prune active)
+		routingQueryPool()[1], // routable, tight window
 		routingQueryPool()[4], // catch-all
 	}
 

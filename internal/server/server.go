@@ -162,24 +162,10 @@ type Server struct {
 	// scratch is the dispatcher's routing working state; guarded by
 	// ingestMu (dispatch is serialized).
 	scratch routeScratch
-	// routeMaxTime and tauPrune track global stream monotonicity, the
-	// precondition of the WITHIN prune; guarded by ingestMu.
-	// routeDisorderMax is the stream high-water (routeMaxTime) at the
-	// moment disorder was last observed: once the stream advances more
-	// than the largest routed WITHIN past it, every instance an
-	// out-of-order event could have started has expired and the prune
-	// re-arms (see routeBatch).
-	routeMaxTime     int64
-	tauPrune         bool
-	routeDisorderMax int64
 	// broadcast puts every query in the catch-all bucket, the pre-index
 	// full fan-out; it is the reference the routing identity tests
 	// compare against (set through export_test.go only). Guarded by mu.
 	broadcast bool
-	// noTauPrune keeps the WITHIN prune permanently off; it is the A/B
-	// reference the prune-identity tests compare against (set through
-	// export_test.go only).
-	noTauPrune bool
 	// ingestSeq numbers the stream positions stamped into dispatched
 	// events when no WAL assigns offsets; guarded by ingestMu.
 	ingestSeq int64
@@ -192,7 +178,8 @@ type Server struct {
 	// Ownership.
 	lastSeq atomic.Int64
 	// lastTime is the highest event time dispatched (MinInt64 before
-	// the first); the router's merge watermark. Written under ingestMu.
+	// the first): the stream high-water lateness is judged against, and
+	// the router's merge watermark. Written under ingestMu.
 	lastTime atomic.Int64
 	// deduped counts events dropped as duplicate deliveries (seq at or
 	// below lastSeq), the idempotence of router retries; guarded by
@@ -207,6 +194,7 @@ type Server struct {
 	backfills      *obs.Counter
 	routedEvents   *obs.Counter
 	skippedEvents  *obs.Counter
+	lateEvents     *obs.Counter
 	statsRequests  *obs.Counter
 }
 
@@ -271,11 +259,8 @@ type queryState struct {
 	replayLag atomic.Int64
 
 	// route is the automaton's routing summary, extracted once at
-	// registration; routeLastStart is the time of the newest routed
-	// event that could start an instance (noLastStart before the
-	// first), the basis of the WITHIN prune.
-	route          automaton.RouteSet
-	routeLastStart atomic.Int64
+	// registration.
+	route automaton.RouteSet
 
 	events  *obs.Counter
 	shed    *obs.Counter
@@ -394,8 +379,6 @@ func New(cfg Config) (*Server, error) {
 		queries:      make(map[string]*queryState),
 		byFP:         make(map[string]*queryState),
 		drainStarted: make(chan struct{}),
-		routeMaxTime: noLastStart,
-		tauPrune:     true,
 		autos:        cfg.Automata,
 
 		maxIngestBody: cluster.MaxIngestBody,
@@ -407,7 +390,7 @@ func New(cfg Config) (*Server, error) {
 	s.route.Store(&routeSnapshot{})
 	s.ownKeyIdx = -1
 	s.lastSeq.Store(-1)
-	s.lastTime.Store(noLastStart)
+	s.lastTime.Store(int64(event.MinTime))
 	if own := cfg.Ownership; own != nil {
 		if err := own.Validate(); err != nil {
 			cancel()
@@ -432,7 +415,9 @@ func New(cfg Config) (*Server, error) {
 		s.routedEvents = cfg.Registry.Counter("ses_route_events_routed_total",
 			"Query-event deliveries made through the routing index.")
 		s.skippedEvents = cfg.Registry.Counter("ses_route_events_skipped_total",
-			"Query-event deliveries avoided by the routing index (key miss or WITHIN prune).")
+			"Query-event deliveries avoided by the routing index: in-order events matching none of a routed query's keys.")
+		s.lateEvents = cfg.Registry.Counter("ses_server_late_events_total",
+			"Events earlier than the stream high-water at dispatch, withheld from every query without reorder slack.")
 		s.statsRequests = cfg.Registry.Counter("ses_agg_stats_requests_total",
 			"GET /queries/{id}/stats requests served.")
 		cfg.Registry.GaugeFunc("ses_server_queries_active",
@@ -455,6 +440,7 @@ func New(cfg Config) (*Server, error) {
 		s.backfills = &obs.Counter{}
 		s.routedEvents = &obs.Counter{}
 		s.skippedEvents = &obs.Counter{}
+		s.lateEvents = &obs.Counter{}
 		s.statsRequests = &obs.Counter{}
 	}
 	if cfg.WALDir != "" {
@@ -746,7 +732,6 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 		cancel:   cancel,
 		log:      newMatchLog(s.cfg.MatchLog),
 	}
-	q.routeLastStart.Store(noLastStart)
 	if reg := s.cfg.Registry; reg != nil {
 		label := []string{"query", spec.ID}
 		q.events = reg.Counter(obs.SeriesName("ses_server_query_events_total", label...),
@@ -1092,14 +1077,32 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 	if own != nil {
 		s.lastSeq.Store(int64(events[len(events)-1].Seq))
 	}
+	// Lateness is judged once, on the stream: an event earlier than the
+	// stream high-water, the latest time dispatched before it, is late
+	// (ties are not).
+	// Queries without reorder slack never see it, whether they are
+	// routed or not, so each of them steps an ordered subsequence of the
+	// stream; the WAL keeps it, and queries with slack receive it.
 	hi := s.lastTime.Load()
+	var inOrder []int32 // nil while no event of the batch is late
 	for i := range events {
-		if t := int64(events[i].Time); t > hi {
+		if t := int64(events[i].Time); t >= hi {
 			hi = t
+			if inOrder != nil {
+				inOrder = append(inOrder, int32(i))
+			}
+		} else if inOrder == nil {
+			inOrder = make([]int32, i, len(events))
+			for j := range inOrder {
+				inOrder[j] = int32(j)
+			}
 		}
 	}
 	s.lastTime.Store(hi)
-	s.routeBatch(snap, events)
+	if inOrder != nil {
+		s.lateEvents.Add(int64(len(events) - len(inOrder)))
+	}
+	s.routeBatch(snap, events, inOrder)
 	s.eventsIngested.Add(int64(len(events)))
 	s.ingestBatches.Inc()
 	return len(events), nil
@@ -1257,7 +1260,7 @@ func (s *Server) LastSeq() int64 { return s.lastSeq.Load() }
 // node has emitted every match whose window closed before this time.
 func (s *Server) LastTime() (int64, bool) {
 	t := s.lastTime.Load()
-	return t, t != noLastStart
+	return t, t != int64(event.MinTime)
 }
 
 // Deduped returns the number of events dropped as duplicate deliveries
