@@ -9,8 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/paperdata"
-	"repro/internal/pattern"
-	"repro/internal/query"
 	"repro/internal/server"
 )
 
@@ -32,18 +30,8 @@ WITHIN 264h`,
 // benchmark queries have no optional variables, so exactly one
 // automaton results).
 func compileText(text string, schema *event.Schema) (*automaton.Automaton, error) {
-	p, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	variants, err := pattern.ExpandOptionals(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(variants) != 1 {
-		return nil, fmt.Errorf("query expands to %d variants, want 1", len(variants))
-	}
-	return automaton.Compile(variants[0], schema)
+	a, _, err := engine.CompileQuery(text, schema)
+	return a, err
 }
 
 // RunServerShared evaluates the benchmark queries against the dataset

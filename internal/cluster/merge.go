@@ -186,24 +186,49 @@ func mergeQueryDocs(resps []PartitionResponse) (MergedQueryInfo, error) {
 	return out, nil
 }
 
-// MergeStats fans the fold-form stats request to every partition and
-// merges the documents (engine.MergeFoldStats): accumulators re-fold,
-// HAVING applies to the merged groups.
+// FoldDoc is a node's GET /queries/{id}/stats?fold=1 body: the
+// registered query text and the query aggregator's snapshot section
+// (engine.Aggregator.FoldStats).
+type FoldDoc struct {
+	Query string          `json:"query"`
+	Agg   json.RawMessage `json:"agg"`
+}
+
+// MergeStats fans the fold-form stats request to every partition,
+// compiles the aggregation plan from the query text the partitions
+// report (refusing partitions that disagree on it) and merges their
+// sections (engine.MergeFoldStats): accumulators re-fold, HAVING
+// applies to the merged groups.
 func (r *Router) MergeStats(ctx context.Context, id string) ([]byte, int, error) {
 	path := "/queries/" + url.PathEscape(id) + "/stats?fold=1"
 	resps, err := r.fanOut(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	docs := make([][]byte, 0, len(resps))
-	for _, pr := range resps {
+	docs := make([]FoldDoc, len(resps))
+	sections := make([][]byte, len(resps))
+	for i, pr := range resps {
 		if pr.Status != http.StatusOK {
 			// Bubble the node's own error (404, 400 no AGGREGATE, ...).
 			return pr.Body, pr.Status, nil
 		}
-		docs = append(docs, pr.Body)
+		if err := json.Unmarshal(pr.Body, &docs[i]); err != nil {
+			return nil, 0, fmt.Errorf("cluster: partition %d fold stats: %w", pr.ID, err)
+		}
+		if docs[i].Query != docs[0].Query {
+			return nil, 0, fmt.Errorf("cluster: partitions disagree on query %q: partition %d runs %q, partition %d runs %q",
+				id, resps[0].ID, docs[0].Query, pr.ID, docs[i].Query)
+		}
+		sections[i] = docs[i].Agg
 	}
-	merged, err := engine.MergeFoldStats(docs)
+	_, plan, err := engine.CompileQuery(docs[0].Query, r.schema)
+	if err != nil {
+		return nil, 0, fmt.Errorf("cluster: compiling query %q: %w", id, err)
+	}
+	if plan == nil {
+		return nil, 0, fmt.Errorf("cluster: query %q has no AGGREGATE clause", id)
+	}
+	merged, err := engine.MergeFoldStats(plan, sections)
 	if err != nil {
 		return nil, 0, err
 	}

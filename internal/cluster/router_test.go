@@ -20,8 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/obs"
-	"repro/internal/pattern"
-	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/server"
 )
@@ -628,20 +626,46 @@ func TestRouterMergedStats(t *testing.T) {
 	}
 }
 
+// TestRouterMergedStatsErrors: the router compiles the merge plan from
+// the query text its partitions report, so partitions that registered
+// one id with different AGGREGATE clauses fail the merge with an error
+// naming the disagreement instead of rendering a blend; and a query
+// without an AGGREGATE clause gets the node's own 400 through the
+// router.
+func TestRouterMergedStatsErrors(t *testing.T) {
+	tc := startCluster(t, 2, 16, false)
+	texts := []string{
+		"PATTERN (b) WHERE b.L = 'B' WITHIN 5 AGGREGATE count PER PARTITION ID",
+		"PATTERN (b) WHERE b.L = 'B' WITHIN 5 AGGREGATE count PER PARTITION ID HAVING count >= 2",
+	}
+	for i, n := range tc.leaders {
+		if _, err := n.srv.AddQuery(server.QuerySpec{ID: "agg", Query: texts[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	registerQuery(t, tc.rts.URL, "plain", "PATTERN (b) WHERE b.L = 'B' WITHIN 5")
+	get := func(path string) (int, string) {
+		resp, err := http.Get(tc.rts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	status, body := get("/queries/agg/stats")
+	if status == http.StatusOK || !strings.Contains(body, "disagree") {
+		t.Errorf("stats over disagreeing partitions: %d %s, want an error naming the disagreement", status, body)
+	}
+	status, body = get("/queries/plain/stats")
+	if status != http.StatusBadRequest || !strings.Contains(body, "has no AGGREGATE clause") {
+		t.Errorf("stats of a non-aggregate query: %d %s, want the node's 400", status, body)
+	}
+}
+
 func compileQuery(t *testing.T, q string) *automaton.Automaton {
 	t.Helper()
-	p, err := query.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants, err := pattern.ExpandOptionals(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(variants) != 1 {
-		t.Fatalf("query expands to %d variants, want 1", len(variants))
-	}
-	auto, err := automaton.Compile(variants[0], clusterSchema())
+	auto, _, err := engine.CompileQuery(q, clusterSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,9 @@ type planColumn struct {
 
 // planHaving is one compiled HAVING conjunct.
 type planHaving struct {
-	slot  int // index into slots; -1 = count
-	op    pattern.Op
-	c     event.Value
-	label string
+	slot int // index into slots; -1 = count
+	op   pattern.Op
+	c    event.Value
 }
 
 // AggPlan is an AGGREGATE clause compiled against one automaton: the
@@ -151,7 +150,7 @@ func CompileAggregate(a *automaton.Automaton, spec *pattern.AggSpec) (*AggPlan, 
 		if err != nil {
 			return nil, err
 		}
-		p.having = append(p.having, planHaving{slot: s, op: h.Op, c: h.Const, label: h.Item.String()})
+		p.having = append(p.having, planHaving{slot: s, op: h.Op, c: h.Const})
 		if i > 0 {
 			p.havingSrc += " AND "
 		}
@@ -454,31 +453,37 @@ func (ag *Aggregator) Close() {
 	ag.mu.Unlock()
 }
 
+// slotValue is the value a group reads as in column or HAVING slot s
+// (-1 = count): avg divides its (sum, n) pair, and an empty min, max
+// or avg is null.
+func (ag *Aggregator) slotValue(g *aggGroup, s int) event.Value {
+	if s < 0 {
+		return event.Int(g.count)
+	}
+	slot, v := &ag.plan.slots[s], g.vals[s]
+	switch {
+	case v.n == 0 && slot.fn != pattern.AggSum:
+		return event.Value{}
+	case slot.fn == pattern.AggAvg && slot.isFloat:
+		return event.Float(v.f / float64(v.n))
+	case slot.fn == pattern.AggAvg:
+		return event.Float(float64(v.i) / float64(v.n))
+	case slot.isFloat:
+		return event.Float(v.f)
+	default:
+		return event.Int(v.i)
+	}
+}
+
 // havingPass evaluates the compiled HAVING filter on a group. A
-// comparison against an unordered value (NaN) or an empty min/max
+// comparison against an unordered value (NaN) or an empty min/max/avg
 // fails its conjunct.
 func (ag *Aggregator) havingPass(g *aggGroup) bool {
 	for i := range ag.plan.having {
 		h := &ag.plan.having[i]
-		var v event.Value
-		if h.slot < 0 {
-			v = event.Int(g.count)
-		} else {
-			slot := &ag.plan.slots[h.slot]
-			gv := g.vals[h.slot]
-			if gv.n == 0 && slot.fn != pattern.AggSum {
-				return false // empty min/max/avg has no value to compare
-			}
-			switch {
-			case slot.fn == pattern.AggAvg && slot.isFloat:
-				v = event.Float(gv.f / float64(gv.n))
-			case slot.fn == pattern.AggAvg:
-				v = event.Float(float64(gv.i) / float64(gv.n))
-			case slot.isFloat:
-				v = event.Float(gv.f)
-			default:
-				v = event.Int(gv.i)
-			}
+		v := ag.slotValue(g, h.slot)
+		if v.IsNull() {
+			return false
 		}
 		cmp, err := event.Compare(v, h.c)
 		if err != nil || !h.op.Eval(cmp) {
@@ -511,6 +516,13 @@ func (ag *Aggregator) Stats(since uint64) (data []byte, ver uint64, wait <-chan 
 	if since != 0 && ag.ver == since {
 		return nil, since, wait
 	}
+	return ag.render(since, true), ag.ver, wait
+}
+
+// render renders the stats document Stats describes; groupVer false
+// leaves out the per-group fold versions, which a merged document
+// (MergeFoldStats) has no use for. Callers hold ag.mu.
+func (ag *Aggregator) render(since uint64, groupVer bool) []byte {
 	delta := since != 0 && since < ag.ver
 	b := make([]byte, 0, 256)
 	b = append(b, `{"ver":`...)
@@ -551,7 +563,7 @@ func (ag *Aggregator) Stats(since uint64) (data []byte, ver uint64, wait <-chan 
 			b = append(b, ',')
 		}
 		n++
-		b = ag.appendGroup(b, g)
+		b = ag.appendGroup(b, g, groupVer)
 	}
 	b = append(b, ']')
 	if len(dropped) > 0 {
@@ -565,40 +577,24 @@ func (ag *Aggregator) Stats(since uint64) (data []byte, ver uint64, wait <-chan 
 		b = append(b, ']')
 	}
 	b = append(b, '}')
-	return b, ag.ver, wait
+	return b
 }
 
-// appendGroup renders one group object.
-func (ag *Aggregator) appendGroup(b []byte, g *aggGroup) []byte {
+// appendGroup renders one group object, with its fold version when
+// withVer is set.
+func (ag *Aggregator) appendGroup(b []byte, g *aggGroup, withVer bool) []byte {
 	b = append(b, `{"key":`...)
 	b = appendStatValue(b, g.key)
-	b = append(b, `,"ver":`...)
-	b = strconv.AppendUint(b, g.ver, 10)
+	if withVer {
+		b = append(b, `,"ver":`...)
+		b = strconv.AppendUint(b, g.ver, 10)
+	}
 	b = append(b, `,"values":[`...)
 	for i := range ag.plan.cols {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		c := &ag.plan.cols[i]
-		switch {
-		case c.slot < 0:
-			b = strconv.AppendInt(b, g.count, 10)
-		default:
-			v := g.vals[c.slot]
-			slot := &ag.plan.slots[c.slot]
-			switch {
-			case v.n == 0 && slot.fn != pattern.AggSum:
-				b = append(b, `null`...) // empty min/max/avg
-			case slot.fn == pattern.AggAvg && slot.isFloat:
-				b = appendStatFloat(b, v.f/float64(v.n))
-			case slot.fn == pattern.AggAvg:
-				b = appendStatFloat(b, float64(v.i)/float64(v.n))
-			case slot.isFloat:
-				b = appendStatFloat(b, v.f)
-			default:
-				b = strconv.AppendInt(b, v.i, 10)
-			}
-		}
+		b = appendStatValue(b, ag.slotValue(g, ag.plan.cols[i].slot))
 	}
 	b = append(b, `]}`...)
 	return b

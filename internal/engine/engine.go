@@ -131,7 +131,7 @@ const (
 	DropOldest
 	// ShedStartStates stops opening fresh start instances while the
 	// instance set is at or above the cap, and resumes once it drops
-	// below the low-water mark (WithShedLowWater, default cap/2).
+	// below the low-water mark (WithShedLowWater, default max(1, cap/2)).
 	// Existing instances keep consuming events, so in-flight matches
 	// complete; only new match beginnings are shed. Suppressed start
 	// instances count in InstancesShed.
@@ -199,8 +199,10 @@ func WithMaxInstances(n int) Option { return func(c *config) { c.maxInstances = 
 func WithOverloadPolicy(p OverloadPolicy) Option { return func(c *config) { c.policy = p } }
 
 // WithShedLowWater sets the low-water mark at which the
-// ShedStartStates policy resumes opening start instances (default:
-// half the instance cap).
+// ShedStartStates policy resumes opening start instances: shedding
+// stops once the instance set drops below it (default: half the
+// instance cap, at least 1, so a cap-1 runner resumes once it is
+// empty).
 func WithShedLowWater(n int) Option { return func(c *config) { c.shedLowWater = n } }
 
 // WithTrace installs a hook invoked for every instance-lifecycle
@@ -599,7 +601,7 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 	if limit > 0 && r.cfg.policy == ShedStartStates {
 		low := r.cfg.shedLowWater
 		if low <= 0 || low > limit {
-			low = limit / 2
+			low = max(1, limit/2)
 		}
 		if len(r.insts) >= limit {
 			r.shedding = true
@@ -1013,9 +1015,7 @@ func (r *Runner) flushInto(matches []Match) []Match {
 }
 
 // Run executes the automaton over a complete, time-sorted relation and
-// returns all matching substitutions plus execution metrics. When the
-// maximality filter option is requested via opts it is applied to the
-// full result set.
+// returns all matching substitutions plus execution metrics.
 func Run(a *automaton.Automaton, rel *event.Relation, opts ...Option) ([]Match, Metrics, error) {
 	return RunOn(New(a, opts...), rel)
 }

@@ -1,398 +1,56 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
-
-	"repro/internal/event"
-	"repro/internal/pattern"
 )
 
-// This file implements distributed aggregation: a fold document is the
-// machine-readable counterpart of the human-facing stats document — it
-// carries every group's raw accumulators (contribution count, integer
-// and float accumulator) instead of rendered values, and it includes
-// groups the HAVING filter excludes locally, because a group failing
-// HAVING on one partition may pass once the partitions are merged. A
-// cluster router gathers one fold document per partition and merges
-// them with MergeFoldStats, which re-applies the fold algebra (sums
-// add, mins/maxes compare, avg divides its merged sum/count pair) and
-// only then evaluates HAVING — the same split between folding and
-// read-time filtering the single-node Aggregator uses.
+// This file implements distributed aggregation. A partition's fold
+// state is its aggregator's snapshot section (snapAgg): every group's
+// raw accumulators, including groups the HAVING filter excludes
+// locally, because a group failing HAVING on one partition may pass
+// once the partitions are merged. A cluster router gathers one section
+// per partition and merges them with MergeFoldStats, which folds them
+// into one Aggregator under the plan's fold algebra (sums add,
+// mins/maxes compare, avg keeps its sum/count pair) and renders it
+// with the aggregator's own HAVING filter and renderer — the same
+// split between folding and read-time filtering a single node uses.
 
-// jsonFloat is a float64 that round-trips through JSON including the
-// values JSON has no number for (NaN, ±Inf render as strings).
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return json.Marshal(v)
-}
-
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return err
-		}
-		*f = jsonFloat(v)
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = jsonFloat(v)
-	return nil
-}
-
-// foldSlot describes one accumulator slot of the plan.
-type foldSlot struct {
-	Fn    string `json:"fn"`
-	Float bool   `json:"float,omitempty"`
-}
-
-// foldCond is one machine-readable HAVING conjunct: the slot it reads
-// (-1 = count), the comparison operator in query-language spelling,
-// and the constant (exactly one of ci/cf is set).
-type foldCond struct {
-	Slot int        `json:"slot"`
-	Op   string     `json:"op"`
-	CI   *int64     `json:"ci,omitempty"`
-	CF   *jsonFloat `json:"cf,omitempty"`
-}
-
-// foldAcc is one raw accumulator: the contribution count plus the
-// integer or float accumulator (which one is live depends on the
-// slot's type).
-type foldAcc struct {
-	N int64     `json:"n"`
-	I int64     `json:"i,omitempty"`
-	F jsonFloat `json:"f,omitempty"`
-}
-
-// foldGroup is one partition group with raw accumulators. Key is the
-// group key exactly as the stats document renders it (appendStatValue)
-// — byte equality of keys is group identity across partitions.
-type foldGroup struct {
-	Key   json.RawMessage `json:"key"`
-	Count int64           `json:"count"`
-	Acc   []foldAcc       `json:"acc"`
-}
-
-// foldDoc is the full fold document.
-type foldDoc struct {
-	Ver        uint64      `json:"ver"`
-	Aggregates []string    `json:"aggregates"`
-	Partition  string      `json:"partition,omitempty"`
-	Having     string      `json:"having,omitempty"`
-	Slots      []foldSlot  `json:"slots"`
-	Cols       []int       `json:"cols"`
-	Conds      []foldCond  `json:"conds,omitempty"`
-	Groups     []foldGroup `json:"groups"`
-}
-
-// planOf renders the doc's plan description — everything except the
-// version and the groups — as a comparison fingerprint.
-func (d *foldDoc) planOf() ([]byte, error) {
-	return json.Marshal(foldDoc{
-		Aggregates: d.Aggregates,
-		Partition:  d.Partition,
-		Having:     d.Having,
-		Slots:      d.Slots,
-		Cols:       d.Cols,
-		Conds:      d.Conds,
-	})
-}
-
-// FoldStats renders the aggregator's state as a fold document for
-// cross-partition merging: all groups (the HAVING filter is NOT
-// applied — a locally failing group may pass after the merge) with
-// their raw accumulators, plus the plan description MergeFoldStats
-// needs to re-fold and re-filter them.
+// FoldStats returns the aggregator's snapshot section — byte for byte
+// the "agg" object of WriteSnapshot — for cross-partition merging.
 func (ag *Aggregator) FoldStats() []byte {
-	ag.mu.Lock()
-	defer ag.mu.Unlock()
-	d := foldDoc{
-		Ver:        ag.ver,
-		Aggregates: ag.plan.Columns(),
-		Partition:  ag.plan.spec.Partition,
-		Having:     ag.plan.havingSrc,
-		Slots:      make([]foldSlot, len(ag.plan.slots)),
-		Cols:       make([]int, len(ag.plan.cols)),
-		Groups:     make([]foldGroup, 0, len(ag.order)),
-	}
-	for i := range ag.plan.slots {
-		d.Slots[i] = foldSlot{Fn: ag.plan.slots[i].fn.String(), Float: ag.plan.slots[i].isFloat}
-	}
-	for i := range ag.plan.cols {
-		d.Cols[i] = ag.plan.cols[i].slot
-	}
-	for i := range ag.plan.having {
-		h := &ag.plan.having[i]
-		c := foldCond{Slot: h.slot, Op: h.op.String()}
-		if h.c.Kind() == event.KindFloat {
-			f := jsonFloat(h.c.Float64())
-			c.CF = &f
-		} else {
-			v := h.c.Int64()
-			c.CI = &v
-		}
-		d.Conds = append(d.Conds, c)
-	}
-	for _, g := range ag.order {
-		fg := foldGroup{
-			Key:   json.RawMessage(appendStatValue(nil, g.key)),
-			Count: g.count,
-			Acc:   make([]foldAcc, len(g.vals)),
-		}
-		for s, v := range g.vals {
-			fg.Acc[s] = foldAcc{N: v.n, I: v.i, F: jsonFloat(v.f)}
-		}
-		d.Groups = append(d.Groups, fg)
-	}
-	b, err := json.Marshal(&d)
+	b, err := json.Marshal(ag.snapshotState())
 	if err != nil {
-		// The document is built from plain values; Marshal cannot fail.
+		// The section is built from plain values; Marshal cannot fail.
 		panic(fmt.Sprintf("engine: rendering fold stats: %v", err))
 	}
 	return b
 }
 
-// parseAggFn maps the query-language spelling back to the function.
-func parseAggFn(s string) (pattern.AggFunc, error) {
-	switch s {
-	case "count":
-		return pattern.AggCount, nil
-	case "sum":
-		return pattern.AggSum, nil
-	case "min":
-		return pattern.AggMin, nil
-	case "max":
-		return pattern.AggMax, nil
-	case "avg":
-		return pattern.AggAvg, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown aggregate function %q in fold document", s)
-	}
-}
-
-// parseAggOp maps the query-language spelling back to the operator.
-func parseAggOp(s string) (pattern.Op, error) {
-	switch s {
-	case "=":
-		return pattern.Eq, nil
-	case "!=":
-		return pattern.Ne, nil
-	case "<":
-		return pattern.Lt, nil
-	case "<=":
-		return pattern.Le, nil
-	case ">":
-		return pattern.Gt, nil
-	case ">=":
-		return pattern.Ge, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown comparison operator %q in fold document", s)
-	}
-}
-
-// MergeFoldStats merges per-partition fold documents (as produced by
-// FoldStats / GET .../stats?fold=1) into one rendered stats document of
-// the same shape as a single node's snapshot: accumulators re-fold
-// under the plan's fold algebra, HAVING applies to the merged groups,
-// and the document version is the sum of the partitions' versions (the
-// total number of matches folded cluster-wide). Groups appear in first
-// appearance order across the documents in argument order, so a fixed
-// partition enumeration yields a deterministic merge. All documents
-// must describe the same plan.
-func MergeFoldStats(docs [][]byte) ([]byte, error) {
-	if len(docs) == 0 {
+// MergeFoldStats merges per-partition snapshot sections (as produced
+// by FoldStats) of aggregators running plan into one rendered stats
+// document of the same shape as a single node's Stats(0), less the
+// per-group fold versions: groups with equal encoded keys re-fold,
+// HAVING applies to the merged groups, and the document version is
+// the sum of the sections' versions (the total number of matches
+// folded cluster-wide). Groups appear in first appearance order across
+// the sections in argument order, so a fixed partition enumeration
+// yields a deterministic merge.
+func MergeFoldStats(plan *AggPlan, sections [][]byte) ([]byte, error) {
+	if len(sections) == 0 {
 		return nil, fmt.Errorf("engine: no fold documents to merge")
 	}
-	parsed := make([]foldDoc, len(docs))
-	var plan []byte
-	for i, raw := range docs {
-		if err := json.Unmarshal(raw, &parsed[i]); err != nil {
+	ag := NewAggregator(plan)
+	for i, raw := range sections {
+		var sa snapAgg
+		if err := json.Unmarshal(raw, &sa); err != nil {
 			return nil, fmt.Errorf("engine: parsing fold document %d: %w", i, err)
 		}
-		p, err := parsed[i].planOf()
-		if err != nil {
-			return nil, err
-		}
-		if plan == nil {
-			plan = p
-		} else if !bytes.Equal(plan, p) {
-			return nil, fmt.Errorf("engine: fold document %d describes a different plan (partitions disagree on the query)", i)
+		if err := ag.foldSection(&sa, true); err != nil {
+			return nil, fmt.Errorf("engine: fold document %d: %w", i, err)
 		}
 	}
-	d0 := &parsed[0]
-	fns := make([]pattern.AggFunc, len(d0.Slots))
-	for i, s := range d0.Slots {
-		fn, err := parseAggFn(s.Fn)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	for _, c := range d0.Conds {
-		if c.Slot >= len(d0.Slots) {
-			return nil, fmt.Errorf("engine: fold document HAVING condition references slot %d of %d", c.Slot, len(d0.Slots))
-		}
-		if c.CI == nil && c.CF == nil {
-			return nil, fmt.Errorf("engine: fold document HAVING condition carries no constant")
-		}
-	}
-	for _, c := range d0.Cols {
-		if c >= len(d0.Slots) {
-			return nil, fmt.Errorf("engine: fold document column references slot %d of %d", c, len(d0.Slots))
-		}
-	}
-
-	type merged struct {
-		key   json.RawMessage
-		count int64
-		vals  []aggVal
-	}
-	var ver uint64
-	byKey := make(map[string]*merged)
-	var order []*merged
-	for di := range parsed {
-		d := &parsed[di]
-		ver += d.Ver
-		for gi := range d.Groups {
-			g := &d.Groups[gi]
-			if len(g.Acc) != len(d0.Slots) {
-				return nil, fmt.Errorf("engine: fold document %d group %s carries %d accumulators for %d slots",
-					di, g.Key, len(g.Acc), len(d0.Slots))
-			}
-			k := string(g.Key)
-			m := byKey[k]
-			if m == nil {
-				m = &merged{key: g.Key, vals: make([]aggVal, len(d0.Slots))}
-				byKey[k] = m
-				order = append(order, m)
-			}
-			m.count += g.Count
-			for s := range g.Acc {
-				a := &g.Acc[s]
-				if a.N == 0 {
-					continue
-				}
-				if d0.Slots[s].Float {
-					foldFloat(&m.vals[s], fns[s], float64(a.F), a.N)
-				} else {
-					foldInt(&m.vals[s], fns[s], a.I, a.N)
-				}
-			}
-		}
-	}
-
-	pass := func(m *merged) bool {
-		for _, c := range d0.Conds {
-			var v event.Value
-			if c.Slot < 0 {
-				v = event.Int(m.count)
-			} else {
-				fn, gv := fns[c.Slot], m.vals[c.Slot]
-				if gv.n == 0 && fn != pattern.AggSum {
-					return false
-				}
-				switch {
-				case fn == pattern.AggAvg && d0.Slots[c.Slot].Float:
-					v = event.Float(gv.f / float64(gv.n))
-				case fn == pattern.AggAvg:
-					v = event.Float(float64(gv.i) / float64(gv.n))
-				case d0.Slots[c.Slot].Float:
-					v = event.Float(gv.f)
-				default:
-					v = event.Int(gv.i)
-				}
-			}
-			var cv event.Value
-			if c.CF != nil {
-				cv = event.Float(float64(*c.CF))
-			} else {
-				cv = event.Int(*c.CI)
-			}
-			op, err := parseAggOp(c.Op)
-			if err != nil {
-				return false
-			}
-			cmp, err := event.Compare(v, cv)
-			if err != nil || !op.Eval(cmp) {
-				return false
-			}
-		}
-		return true
-	}
-
-	b := make([]byte, 0, 256)
-	b = append(b, `{"ver":`...)
-	b = strconv.AppendUint(b, ver, 10)
-	b = append(b, `,"aggregates":[`...)
-	for i, label := range d0.Aggregates {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, label)
-	}
-	b = append(b, ']')
-	if d0.Partition != "" {
-		b = append(b, `,"partition":`...)
-		b = appendJSONString(b, d0.Partition)
-	}
-	if d0.Having != "" {
-		b = append(b, `,"having":`...)
-		b = appendJSONString(b, d0.Having)
-	}
-	b = append(b, `,"groups":[`...)
-	n := 0
-	for _, m := range order {
-		if !pass(m) {
-			continue
-		}
-		if n > 0 {
-			b = append(b, ',')
-		}
-		n++
-		b = append(b, `{"key":`...)
-		b = append(b, m.key...)
-		b = append(b, `,"values":[`...)
-		for i, slot := range d0.Cols {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if slot < 0 {
-				b = strconv.AppendInt(b, m.count, 10)
-				continue
-			}
-			fn, gv := fns[slot], m.vals[slot]
-			switch {
-			case gv.n == 0 && fn != pattern.AggSum:
-				b = append(b, `null`...)
-			case fn == pattern.AggAvg && d0.Slots[slot].Float:
-				b = appendStatFloat(b, gv.f/float64(gv.n))
-			case fn == pattern.AggAvg:
-				b = appendStatFloat(b, float64(gv.i)/float64(gv.n))
-			case d0.Slots[slot].Float:
-				b = appendStatFloat(b, gv.f)
-			default:
-				b = strconv.AppendInt(b, gv.i, 10)
-			}
-		}
-		b = append(b, `]}`...)
-	}
-	b = append(b, `]}`...)
-	return b, nil
+	ag.mu.Lock()
+	defer ag.mu.Unlock()
+	return ag.render(0, false), nil
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/event"
@@ -95,7 +98,7 @@ func TestMergeFoldStatsProperty(t *testing.T) {
 			docs[i] = p.FoldStats()
 			verSum += p.Folds()
 		}
-		mergedRaw, err := MergeFoldStats(docs)
+		mergedRaw, err := MergeFoldStats(plan, docs)
 		if err != nil {
 			t.Fatalf("iter %d: merge: %v", iter, err)
 		}
@@ -141,7 +144,7 @@ func TestMergeFoldStatsCrossPartitionHaving(t *testing.T) {
 			t.Fatalf("partition %d renders %d groups locally, want 0 (HAVING count >= 2)", i, len(doc.Groups))
 		}
 	}
-	mergedRaw, err := MergeFoldStats([][]byte{a1.FoldStats(), a2.FoldStats()})
+	mergedRaw, err := MergeFoldStats(plan, [][]byte{a1.FoldStats(), a2.FoldStats()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +158,73 @@ func TestMergeFoldStatsCrossPartitionHaving(t *testing.T) {
 	wantStatFloat(t, merged.Groups[0].Values[2], 2.5, "avg(V)")
 }
 
-// TestMergeFoldStatsErrors: merging nothing, junk, or documents from
-// different plans fails loudly instead of rendering a wrong answer.
+// TestMergeFoldStatsErrors: merging nothing, junk, or a section that
+// does not fit the plan fails loudly instead of rendering a wrong
+// answer. (Whether the partitions run the same plan is the router's
+// check: it compiles the plan from the query text they report.)
 func TestMergeFoldStatsErrors(t *testing.T) {
-	if _, err := MergeFoldStats(nil); err == nil {
+	plan := foldPlan(t, nil)
+	if _, err := MergeFoldStats(plan, nil); err == nil {
 		t.Error("merging zero documents succeeded")
 	}
-	if _, err := MergeFoldStats([][]byte{[]byte("{")}); err == nil {
+	if _, err := MergeFoldStats(plan, [][]byte{[]byte("{")}); err == nil {
 		t.Error("merging a truncated document succeeded")
 	}
-	plan := foldPlan(t, nil)
-	other := foldPlan(t, []pattern.HavingCond{
-		{Item: pattern.AggItem{Func: pattern.AggCount}, Op: pattern.Ge, Const: event.Int(1)},
+	short := []byte(`{"ver":1,"groups":[{"key":"7","count":1,"ver":1,"vals":[{"n":1,"i":0,"f":"2.5"}]}]}`)
+	if _, err := MergeFoldStats(plan, [][]byte{short}); err == nil {
+		t.Errorf("merging a section with 1 slot for a %d-slot plan succeeded", len(plan.slots))
+	}
+}
+
+// TestFoldStatsIsSnapshotSection pins the single encoding of aggregate
+// state: the fold document is byte for byte the snapshot's "agg"
+// section, and merging that one section renders Stats(0) less the
+// per-group fold versions.
+func TestFoldStatsIsSnapshotSection(t *testing.T) {
+	a := compile(t, seqPattern(t, 10), simpleSchema())
+	plan := mustAggPlan(t, a, &pattern.AggSpec{
+		Items: []pattern.AggItem{
+			{Func: pattern.AggCount},
+			{Func: pattern.AggSum, Attr: "V"},
+			{Func: pattern.AggAvg, Attr: "V"},
+			{Func: pattern.AggMax, Attr: "ID"},
+		},
+		Partition: "ID",
+		Having:    []pattern.HavingCond{{Item: pattern.AggItem{Func: pattern.AggCount}, Op: pattern.Ge, Const: event.Int(2)}},
 	})
-	if _, err := MergeFoldStats([][]byte{NewAggregator(plan).FoldStats(), NewAggregator(other).FoldStats()}); err == nil {
-		t.Error("merging documents from different plans succeeded")
+	ag := NewAggregator(plan)
+	r := New(a, WithAggregation(ag), WithAggregateOnly(true))
+	rel := event.NewRelation(simpleSchema())
+	for i := 0; i < 60; i++ {
+		rel.MustAppend(event.Time(i), event.Int(int64(i%3)), event.String([]string{"A", "B"}[i/2%2]), event.Float(float64(i)/4))
+	}
+	if _, err := stepAll(t, r, rel); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Agg json.RawMessage `json:"agg"`
+	}
+	if err := json.Unmarshal(snap, &file); err != nil {
+		t.Fatal(err)
+	}
+	section := ag.FoldStats()
+	if !bytes.Equal(section, file.Agg) {
+		t.Fatalf("fold document differs from the snapshot section:\nfold %s\nsnap %s", section, file.Agg)
+	}
+	merged, err := MergeFoldStats(plan, [][]byte{section})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, _, _ := ag.Stats(0)
+	if n := len(parseStats(t, stats).Groups); n < 2 {
+		t.Fatalf("degenerate stream: %d groups pass HAVING", n)
+	}
+	want := regexp.MustCompile(`,"ver":[0-9]+,"values"`).ReplaceAll(stats, []byte(`,"values"`))
+	if !bytes.Equal(merged, want) {
+		t.Fatalf("merged single section differs from Stats(0) less group versions:\n got %s\nwant %s", merged, want)
 	}
 }

@@ -199,3 +199,28 @@ func TestPolicyCleanRunsUndegraded(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyShedResumesAtCapOne: at cap 1 the default low-water mark is
+// 1, not cap/2 = 0, so once the lone instance completes and expires the
+// empty set resumes start instances. With a mark of 0 the runner would
+// shed every start after the first match.
+func TestPolicyShedResumesAtCapOne(t *testing.T) {
+	schema := shardedSchema(t)
+	a := compile(t, shardedPattern(t), schema)
+	r := New(a, WithMaxInstances(1), WithOverloadPolicy(ShedStartStates))
+	rel := event.NewRelation(schema)
+	for round := 0; round < 5; round++ {
+		ts := event.Time(round * 2000)
+		rel.MustAppend(ts, event.Int(1), event.String("A"))
+		rel.MustAppend(ts+1, event.Int(1), event.String("B"))
+		rel.MustAppend(ts+1001, event.Int(1), event.String("C"))
+	}
+	got, err := stepAll(t, r, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, r.Flush()...)
+	if len(got) != 5 {
+		t.Errorf("got %d matches, want 5 (one per round): %v", len(got), matchStrings(got))
+	}
+}

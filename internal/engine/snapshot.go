@@ -286,7 +286,7 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 	case snap.Agg == nil && r.cfg.agg != nil:
 		return nil, fmt.Errorf("engine: restore configured an aggregator but the snapshot has no aggregation state")
 	case snap.Agg != nil:
-		if err := r.cfg.agg.restoreState(snap.Agg); err != nil {
+		if err := r.cfg.agg.foldSection(snap.Agg, false); err != nil {
 			return nil, err
 		}
 		r.rebuildAggNodes()
@@ -339,42 +339,57 @@ func (ag *Aggregator) snapshotState() *snapAgg {
 	return sa
 }
 
-// restoreState replaces the aggregator's (freshly reset) group state
-// with a snapshot's, validating it against the compiled plan.
-func (ag *Aggregator) restoreState(sa *snapAgg) error {
+// foldSection folds a snapshot aggregate section into the aggregator,
+// validating it against the compiled plan. Restoring (merge false)
+// refuses a key the aggregator already holds; merging folds a repeated
+// key's slots under the plan's fold algebra. Both add the section's
+// versions to the aggregator's, which for a restore into a freshly
+// reset aggregator takes them as they are.
+func (ag *Aggregator) foldSection(sa *snapAgg, merge bool) error {
 	ag.mu.Lock()
 	defer ag.mu.Unlock()
-	groups := make(map[string]*aggGroup, len(sa.Groups))
-	order := make([]*aggGroup, 0, len(sa.Groups))
 	for i, sg := range sa.Groups {
 		if (sg.Key == nil) != (ag.plan.partAttr < 0) || len(sg.Vals) != len(ag.plan.slots) || sg.Ver > sa.Ver {
 			return fmt.Errorf("engine: snapshot aggregate group %d does not match the aggregation plan", i)
 		}
-		g := &aggGroup{count: sg.Count, ver: sg.Ver, vals: make([]aggVal, len(sg.Vals))}
+		var keyEnc string
 		if sg.Key != nil {
-			k, err := event.ParseValue(ag.plan.partType, *sg.Key)
-			if err != nil {
-				return fmt.Errorf("engine: snapshot aggregate group %d key: %w", i, err)
-			}
-			g.key = k
-			g.keyEnc = *sg.Key
+			keyEnc = *sg.Key
 		}
+		g := ag.groups[keyEnc]
+		switch {
+		case g == nil:
+			g = &aggGroup{keyEnc: keyEnc, vals: make([]aggVal, len(sg.Vals))}
+			if sg.Key != nil {
+				k, err := event.ParseValue(ag.plan.partType, keyEnc)
+				if err != nil {
+					return fmt.Errorf("engine: snapshot aggregate group %d key: %w", i, err)
+				}
+				g.key = k
+			}
+			ag.groups[keyEnc] = g
+			ag.order = append(ag.order, g)
+		case !merge:
+			return fmt.Errorf("engine: snapshot aggregate group %d duplicates key %q", i, keyEnc)
+		}
+		g.count += sg.Count
+		g.ver += sg.Ver
 		for j, sv := range sg.Vals {
 			f, err := strconv.ParseFloat(sv.F, 64)
 			if err != nil {
 				return fmt.Errorf("engine: snapshot aggregate group %d slot %d: %w", i, j, err)
 			}
-			g.vals[j] = aggVal{n: sv.N, i: sv.I, f: f}
+			if sv.N == 0 {
+				continue
+			}
+			if slot := &ag.plan.slots[j]; slot.isFloat {
+				foldFloat(&g.vals[j], slot.fn, f, sv.N)
+			} else {
+				foldInt(&g.vals[j], slot.fn, sv.I, sv.N)
+			}
 		}
-		if _, dup := groups[g.keyEnc]; dup {
-			return fmt.Errorf("engine: snapshot aggregate group %d duplicates key %q", i, g.keyEnc)
-		}
-		groups[g.keyEnc] = g
-		order = append(order, g)
 	}
-	ag.groups = groups
-	ag.order = order
-	ag.ver = sa.Ver
+	ag.ver += sa.Ver
 	ag.wakeLocked()
 	return nil
 }

@@ -4,14 +4,16 @@ import (
 	"sync"
 
 	"repro/internal/automaton"
+	"repro/internal/engine"
 )
 
-// AutomatonCache shares compiled automata across registrations keyed
-// by the exact query text: registering N copies of one query compiles
-// it once, and all copies run against the same immutable compiled
-// instance. The cache is bounded — least-recently-used entries are
-// evicted past the cap, which is always safe because automata are
-// immutable and every registered query keeps its own reference.
+// AutomatonCache shares compiled automata, with their aggregation
+// plans, across registrations keyed by the exact query text:
+// registering N copies of one query compiles it once, and all copies
+// run against the same immutable compiled instance. The cache is
+// bounded — least-recently-used entries are evicted past the cap,
+// which is always safe because automata and plans are immutable and
+// every registered query keeps its own reference.
 //
 // A cache belongs to one schema: entries are compiled against the
 // schema of the server that inserted them, so a cache may only be
@@ -26,6 +28,7 @@ type AutomatonCache struct {
 
 type cacheEntry struct {
 	auto *automaton.Automaton
+	plan *engine.AggPlan // nil without an AGGREGATE clause
 	used uint64
 }
 
@@ -45,25 +48,25 @@ func (c *AutomatonCache) Len() int {
 	return len(c.entries)
 }
 
-// get returns the cached automaton for the query text, compiling and
-// inserting it via compile on a miss.
-func (c *AutomatonCache) get(text string, compile func() (*automaton.Automaton, error)) (*automaton.Automaton, error) {
+// get returns the cached automaton and plan for the query text,
+// compiling and inserting them via compile on a miss.
+func (c *AutomatonCache) get(text string, compile func() (*automaton.Automaton, *engine.AggPlan, error)) (*automaton.Automaton, *engine.AggPlan, error) {
 	c.mu.Lock()
 	c.tick++
 	if e, ok := c.entries[text]; ok {
 		e.used = c.tick
-		auto := e.auto
+		auto, plan := e.auto, e.plan
 		c.mu.Unlock()
-		return auto, nil
+		return auto, plan, nil
 	}
 	c.mu.Unlock()
 
 	// Compile outside the lock: compilation is pure, and a rare
 	// duplicate compile under concurrent registration of the same text
 	// is cheaper than serializing every registration on the cache.
-	auto, err := compile()
+	auto, plan, err := compile()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	c.mu.Lock()
@@ -72,7 +75,7 @@ func (c *AutomatonCache) get(text string, compile func() (*automaton.Automaton, 
 		// Another registration raced us; adopt its instance so equal
 		// texts share one compiled automaton.
 		e.used = c.tick
-		return e.auto, nil
+		return e.auto, e.plan, nil
 	}
 	if len(c.entries) >= c.cap {
 		// Evict the least-recently-used entry. The O(n) scan only runs
@@ -88,6 +91,6 @@ func (c *AutomatonCache) get(text string, compile func() (*automaton.Automaton, 
 		}
 		delete(c.entries, oldest)
 	}
-	c.entries[text] = &cacheEntry{auto: auto, used: c.tick}
-	return auto, nil
+	c.entries[text] = &cacheEntry{auto: auto, plan: plan, used: c.tick}
+	return auto, plan, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -393,14 +394,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.statsRequests.Inc()
 	if fold {
-		// The machine-readable merge form for cluster routers: raw
-		// accumulators, all groups (HAVING is re-applied after the
-		// cross-partition merge). Snapshot only.
-		data := q.agg.FoldStats()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		w.Write([]byte{'\n'})
+		// The machine-readable merge form for cluster routers: the
+		// registered text, from which the router compiles the plan, and
+		// the aggregator's snapshot section with every group (HAVING is
+		// re-applied after the cross-partition merge). Snapshot only.
+		writeJSON(w, http.StatusOK, cluster.FoldDoc{Query: q.spec.Query, Agg: q.agg.FoldStats()})
 		return
 	}
 	if !follow {

@@ -33,8 +33,9 @@ type QuerySpec struct {
 	// cap: "fail" (default), "reject-new", "drop-oldest" or
 	// "shed-start-states".
 	Policy string `json:"policy,omitempty"`
-	// ShedLowWater is the resume mark of the shed-start-states policy
-	// (default: half the cap).
+	// ShedLowWater is the resume mark of the shed-start-states policy:
+	// start instances resume once fewer than this many instances are
+	// live (default: half the cap, at least 1).
 	ShedLowWater int `json:"shed_low_water,omitempty"`
 	// Admission selects what happens when the query's mailbox is full:
 	// "block" (default) applies backpressure to the shared ingest,

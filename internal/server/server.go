@@ -18,8 +18,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/obs"
-	"repro/internal/pattern"
-	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/wal"
 )
@@ -528,22 +526,12 @@ func orDefault(s, def string) string {
 }
 
 // compile turns a spec's query text into its single-variant SES
-// automaton, sharing compiled instances across identical texts through
-// the automaton cache.
-func (s *Server) compile(spec QuerySpec) (*automaton.Automaton, error) {
-	return s.autos.get(spec.Query, func() (*automaton.Automaton, error) {
-		p, err := query.Parse(spec.Query)
-		if err != nil {
-			return nil, err
-		}
-		variants, err := pattern.ExpandOptionals(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(variants) != 1 {
-			return nil, fmt.Errorf("server: query %q expands into %d variant automata; the serving runtime requires single-variant queries (no optional variables)", spec.ID, len(variants))
-		}
-		return automaton.Compile(variants[0], s.cfg.Schema)
+// automaton and aggregation plan (engine.CompileQuery), sharing
+// compiled instances across identical texts through the automaton
+// cache.
+func (s *Server) compile(spec QuerySpec) (*automaton.Automaton, *engine.AggPlan, error) {
+	return s.autos.get(spec.Query, func() (*automaton.Automaton, *engine.AggPlan, error) {
+		return engine.CompileQuery(spec.Query, s.cfg.Schema)
 	})
 }
 
@@ -631,26 +619,20 @@ func (s *Server) addQuery(spec QuerySpec, reg registration) (QueryInfo, error) {
 	if err := spec.validate(s.cfg.Schema); err != nil {
 		return QueryInfo{}, err
 	}
-	auto, err := s.compile(spec)
-	if err != nil {
-		return QueryInfo{}, err
-	}
-	fp := auto.Fingerprint()
-
-	// The aggregation plan compiles against the query's own automaton
+	// The aggregation plan compiles against the query's own automaton,
 	// before any fingerprint sharing below: the fingerprint excludes the
 	// AGGREGATE clause, so a fingerprint-sharing partner may carry a
 	// different clause (or none) on its pattern. Sharing stays safe —
 	// equal fingerprints imply identical variables and schema, which is
 	// all the plan's resolved indices refer to.
-	var plan *engine.AggPlan
-	if aggSpec := auto.Pattern.Agg; aggSpec != nil {
-		if plan, err = engine.CompileAggregate(auto, aggSpec); err != nil {
-			return QueryInfo{}, err
-		}
-	} else if spec.Materialize {
+	auto, plan, err := s.compile(spec)
+	if err != nil {
+		return QueryInfo{}, err
+	}
+	if plan == nil && spec.Materialize {
 		return QueryInfo{}, fmt.Errorf("server: query %q sets materialize but has no AGGREGATE clause", spec.ID)
 	}
+	fp := auto.Fingerprint()
 
 	// The ingest lock fences the registration against in-flight
 	// batches: while held, the WAL tail cannot move, so registeredAt
