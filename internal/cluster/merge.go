@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -139,17 +141,13 @@ func (r *Router) fanOut(ctx context.Context, method, path string, body []byte) (
 
 // queryDoc is the slice of a node's query info the router consumes.
 type queryDoc struct {
-	ID               string `json:"id"`
-	Query            string `json:"query"`
-	Window           int64  `json:"window"`
-	Events           int64  `json:"events"`
-	Shed             int64  `json:"shed"`
-	Matches          int64  `json:"matches"`
-	QueueDepth       int    `json:"queue_depth"`
-	ProcessedThrough *int64 `json:"processed_through"`
-	Emitted          int64  `json:"emitted"`
-	Done             bool   `json:"done"`
-	CatchingUp       bool   `json:"catching_up"`
+	ID      string `json:"id"`
+	Query   string `json:"query"`
+	Window  int64  `json:"window"`
+	Events  int64  `json:"events"`
+	Shed    int64  `json:"shed"`
+	Matches int64  `json:"matches"`
+	Done    bool   `json:"done"`
 }
 
 // MergedQueryInfo is the router's view of a fanned-out query.
@@ -235,63 +233,77 @@ func (r *Router) MergeStats(ctx context.Context, id string) ([]byte, int, error)
 	return merged, http.StatusOK, nil
 }
 
-// matchLine is one match stream line with its node-log offset.
+// ClockComment starts the SSE comment line ": clock <t>" with which a
+// node punctuates a match follow: no match line after it has window
+// start + WITHIN below t (see server.Server.Handler).
+const ClockComment = ": clock "
+
+// matchLine is one item of a partition's match stream, in stream
+// order: a match line, or (clock set) a clock punctuation.
 type matchLine struct {
-	off  int64
-	data []byte
+	data  []byte
+	clock bool
+	t     int64
 }
 
 // partFeed is one partition's live match stream state inside a merge.
 type partFeed struct {
-	rp    *routePartition
-	lines chan matchLine // log-order match lines from the reader
+	lines chan matchLine // stream-order items from the reader
 	err   chan error     // reader terminal state (nil = clean end)
 
-	head    [][]byte   // buffered lines not yet released
-	keys    []matchKey // sort keys, index-aligned with head
-	ended   bool
-	readErr error
-	// consumed is the node-log offset the merge has taken lines up to
-	// (exclusive): the node's matches below this offset are all either
-	// buffered in head or already released. Compared against the
-	// node's emitted-match count in the quiet check — a match the node
-	// has emitted but the merge has not yet taken keeps the partition
-	// non-quiet.
-	consumed int64
+	head  [][]byte   // buffered lines not yet released
+	keys  []matchKey // sort keys, index-aligned with head
+	ended bool
+	// clock is the highest stream clock the node has punctuated its
+	// stream with: no line the merge has yet to take from this
+	// partition has window start + WITHIN below it.
+	clock int64
 }
 
-// take pops one line from the feed's reader channel into head.
+// take records one item from the feed's reader channel: a match line
+// goes to head, a clock punctuation raises clock.
 func (f *partFeed) take(ml matchLine) error {
+	if ml.clock {
+		f.clock = max(f.clock, ml.t)
+		return nil
+	}
 	k, err := parseMatchKey(ml.data)
 	if err != nil {
 		return err
 	}
 	f.head = append(f.head, ml.data)
 	f.keys = append(f.keys, k)
-	f.consumed = ml.off + 1
 	return nil
+}
+
+// poke wakes the merge loop without blocking: wake holds one pending
+// signal, which covers every send made before the loop drains it.
+func poke(wake chan<- struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
 }
 
 // streamPartitionMatches reads one partition's match stream as SSE,
 // reconnecting (with node failover) at the last consumed offset until
-// the stream ends cleanly or ctx is cancelled. Every line is sent to
-// out in log order.
-func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition, id string, follow bool, out chan<- matchLine, done chan<- error) {
+// the stream ends cleanly or ctx is cancelled. Every item is sent to
+// out in stream order, each send followed by a poke of wake. It
+// returns the reader's terminal state (nil for a clean end).
+func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition, id string, follow bool, out chan<- matchLine, wake chan<- struct{}) error {
 	next := int64(0)
 	b := resilience.NewBackoff(r.retry)
 	attempts := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			done <- err
-			return
+			return err
 		}
 		act := rp.active.Load()
 		u := fmt.Sprintf("%s/queries/%s/matches?from=%d&follow=%s",
 			rp.nodes[act].url, url.PathEscape(id), next, boolParam(follow))
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		req.Header.Set("Accept", "text/event-stream")
 		resp, err := r.client.Do(req)
@@ -299,8 +311,7 @@ func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition,
 			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusNotFound {
-				done <- fmt.Errorf("cluster: partition %d: query %q not registered: %s", rp.ID, id, raw)
-				return
+				return fmt.Errorf("cluster: partition %d: query %q not registered: %s", rp.ID, id, raw)
 			}
 			err = fmt.Errorf("cluster: partition %d matches: %s: %s", rp.ID, resp.Status, raw)
 		}
@@ -308,8 +319,7 @@ func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition,
 			rp.failover(act)
 			attempts++
 			if r.retry.MaxAttempts > 0 && attempts >= r.retry.MaxAttempts {
-				done <- err
-				return
+				return err
 			}
 			if r.retries != nil {
 				r.retries.Inc()
@@ -317,35 +327,50 @@ func (r *Router) streamPartitionMatches(ctx context.Context, rp *routePartition,
 			select {
 			case <-time.After(b.Next()):
 			case <-ctx.Done():
-				done <- ctx.Err()
-				return
+				return ctx.Err()
 			}
 			continue
 		}
 		attempts = 0
 		b.Reset()
-		clean, n, serr := consumeSSE(ctx, resp.Body, next, out)
+		clean, n, serr := consumeSSE(ctx, resp.Body, next, out, wake)
 		resp.Body.Close()
 		next = n
 		if clean {
-			done <- nil
-			return
+			return nil
 		}
 		if ctx.Err() != nil {
-			done <- ctx.Err()
-			return
+			return ctx.Err()
 		}
-		_ = serr // dropped connection: reconnect at the next offset
+		if errors.Is(serr, bufio.ErrTooLong) {
+			// The node's log is deterministic: every node of the
+			// partition would serve the same line again.
+			return fmt.Errorf("cluster: partition %d: match line at offset %d exceeds %d bytes: %w",
+				rp.ID, next, maxMatchLine, serr)
+		}
+		// Otherwise a dropped connection: reconnect at the next offset.
 	}
 }
 
-// consumeSSE parses a match SSE stream: data events are forwarded to
-// out with their log offsets, an explicit "end" event reports a clean
-// termination. Returns whether the stream ended cleanly and the next
-// offset to resume at.
-func consumeSSE(ctx context.Context, body io.Reader, next int64, out chan<- matchLine) (clean bool, resume int64, err error) {
+// maxMatchLine caps one line of a partition's match stream.
+const maxMatchLine = 4 << 20
+
+// consumeSSE parses a match SSE stream: data events and clock
+// comments are forwarded to out, each followed by a poke of wake; an
+// explicit "end" event reports a clean termination. Returns whether
+// the stream ended cleanly and the next offset to resume at.
+func consumeSSE(ctx context.Context, body io.Reader, next int64, out chan<- matchLine, wake chan<- struct{}) (clean bool, resume int64, err error) {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), 4<<20)
+	sc.Buffer(make([]byte, 64*1024), maxMatchLine)
+	send := func(ml matchLine) bool {
+		select {
+		case out <- ml:
+			poke(wake)
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
 	evType := ""
 	pendingID := next
 	for sc.Scan() {
@@ -353,6 +378,11 @@ func consumeSSE(ctx context.Context, body io.Reader, next int64, out chan<- matc
 		switch {
 		case line == "":
 			evType = ""
+		case strings.HasPrefix(line, ClockComment):
+			t, perr := strconv.ParseInt(strings.TrimPrefix(line, ClockComment), 10, 64)
+			if perr == nil && !send(matchLine{clock: true, t: t}) {
+				return false, next, ctx.Err()
+			}
 		case strings.HasPrefix(line, "event: "):
 			evType = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "id: "):
@@ -363,10 +393,7 @@ func consumeSSE(ctx context.Context, body io.Reader, next int64, out chan<- matc
 			if evType == "end" {
 				return true, next, nil
 			}
-			payload := []byte(strings.TrimPrefix(line, "data: "))
-			select {
-			case out <- matchLine{off: pendingID, data: payload}:
-			case <-ctx.Done():
+			if !send(matchLine{data: []byte(strings.TrimPrefix(line, "data: "))}) {
 				return false, next, ctx.Err()
 			}
 			next = pendingID + 1
@@ -382,54 +409,19 @@ func boolParam(b bool) string {
 	return "0"
 }
 
-// partitionQuiet reports whether the partition provably cannot emit
-// another match sorting at or before the release horizon (a window
-// start; a competitor would need its last bound event at or below
-// horizon, since first >= last - window). That holds once
-//
-//   - the node's stream clock is strictly past the horizon
-//     (processed_through > horizon): the runner emits a match when the
-//     first stepped event closes its window, so every match with
-//     first + WITHIN < clock is already out, and no surviving instance
-//     or admissible late arrival can close a window below the clock —
-//     a future match has first + WITHIN >= clock > horizon and sorts
-//     after the head; and
-//   - the merge has taken every match the pipeline ever emitted
-//     (emitted == consumed): nothing competing is in flight between
-//     the node's runner and the merge buffer.
-//
-// processed_through is read by the node before emitted, so a match
-// emitted between the two reads is counted — the check errs toward
-// "not quiet". WAL catch-up replays are excluded wholesale: their
-// emitted counter restarts with the pipeline, so it is only comparable
-// to consumed once catch-up hands off to live delivery.
-func (r *Router) partitionQuiet(ctx context.Context, rp *routePartition, id string, horizon, consumed int64) bool {
-	resp, err := r.doPartition(ctx, rp, http.MethodGet, "/queries/"+url.PathEscape(id), nil)
-	if err != nil {
-		return false
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return false
-	}
-	var d queryDoc
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return false
-	}
-	return d.ProcessedThrough != nil && *d.ProcessedThrough > horizon &&
-		!d.CatchingUp && d.Emitted == consumed
-}
-
 // StreamMatches serves the merged match stream of a fanned-out query:
 // one reader per partition, merged by (window start, minimum bound
 // sequence). emit receives each released line with its merged offset;
 // from skips the first offsets (the merge is deterministic, so a
 // reconnecting client sees the same prefix and can resume by offset).
-// In follow mode the merge holds a head back until every other
-// partition either buffered a later match, ended its stream, or went
-// provably quiet past the match's release horizon (window start + the
-// query's WITHIN duration).
+// A head is released once every other partition has ended its stream,
+// buffered a match of its own, or punctuated its stream with a clock
+// past the head's release horizon (window start + the query's WITHIN
+// duration): a match that partition emits later closes its window at
+// or above that clock, so it starts after the head. Only follow
+// streams of unkeyed queries carry clocks; otherwise a head waits for
+// the other heads or the end of the streams. The merge blocks on its
+// readers, which wake it after every item they deliver.
 func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follow bool, emit func(off int64, line []byte) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -450,18 +442,20 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 	}
 	window := qd.Window
 
+	wake := make(chan struct{}, 1)
 	feeds := make([]*partFeed, len(r.parts))
 	for i, rp := range r.parts {
-		f := &partFeed{rp: rp, lines: make(chan matchLine, 64), err: make(chan error, 1)}
+		f := &partFeed{lines: make(chan matchLine, 64), err: make(chan error, 1), clock: math.MinInt64}
 		feeds[i] = f
-		go r.streamPartitionMatches(ctx, rp, id, follow, f.lines, f.err)
+		go func() {
+			f.err <- r.streamPartitionMatches(ctx, rp, id, follow, f.lines, wake)
+			poke(wake)
+		}()
 	}
 
 	var off int64
-	quietProbe := time.NewTicker(100 * time.Millisecond)
-	defer quietProbe.Stop()
 	for {
-		// Drain whatever the readers have buffered without blocking.
+		// Drain whatever the readers have delivered without blocking.
 		for _, f := range feeds {
 			for !f.ended {
 				select {
@@ -471,19 +465,13 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 					}
 					continue
 				case err := <-f.err:
-					// Drain lines the reader buffered before its end.
-					for {
-						select {
-						case ml := <-f.lines:
-							if err := f.take(ml); err != nil {
-								return err
-							}
-							continue
-						default:
+					// Drain items the reader delivered before its end.
+					for len(f.lines) > 0 {
+						if err := f.take(<-f.lines); err != nil {
+							return err
 						}
-						break
 					}
-					f.ended, f.readErr = true, err
+					f.ended = true
 					if err != nil && ctx.Err() == nil {
 						return err
 					}
@@ -494,7 +482,6 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 		}
 
 		// Release every head that is provably next in the total order.
-		released := false
 		for {
 			min := -1
 			for i, f := range feeds {
@@ -511,14 +498,7 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 			k := feeds[min].keys[0]
 			ok := true
 			for i, f := range feeds {
-				if i == min || f.ended || len(f.head) > 0 {
-					continue
-				}
-				if !follow {
-					ok = false // drain mode: wait for the stream end
-					break
-				}
-				if !r.partitionQuiet(ctx, f.rp, id, k.first+window, f.consumed) {
+				if i != min && !f.ended && len(f.head) == 0 && f.clock <= k.first+window {
 					ok = false
 					break
 				}
@@ -538,7 +518,6 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 				}
 			}
 			off++
-			released = true
 		}
 
 		allEnded := true
@@ -551,32 +530,12 @@ func (r *Router) StreamMatches(ctx context.Context, id string, from int64, follo
 		if allEnded {
 			return nil
 		}
-		if released {
-			continue
-		}
 
-		// Nothing releasable: wait for input on any feed, a quiet-probe
-		// tick (a stalled partition may have advanced), or cancellation.
-		if err := r.waitForInput(ctx, feeds, quietProbe.C); err != nil {
-			return err
+		// Nothing more is releasable: wait for a reader to deliver.
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-	}
-}
-
-// waitForInput blocks until any live feed has input, a probe tick
-// fires, or ctx is cancelled. Feed channels are drained by the caller.
-func (r *Router) waitForInput(ctx context.Context, feeds []*partFeed, tick <-chan time.Time) error {
-	// A small poll loop instead of reflect.Select: feed count is tiny
-	// and the 10ms granularity is far below the health-probe cadence
-	// that gates releases anyway.
-	timer := time.NewTimer(10 * time.Millisecond)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-tick:
-		return nil
-	case <-timer.C:
-		return nil
 	}
 }

@@ -63,16 +63,21 @@ func genStream(t *testing.T, rng *rand.Rand, n int) ([]string, *event.Relation) 
 
 // testNode is one in-process sesd node behind a fault-injection shim:
 // refuse turns every request into a 503 fenced refusal, down aborts
-// the connection (a transport error at the router).
+// the connection (a transport error at the router). queryGets counts
+// the GET /queries/{id} requests the node served.
 type testNode struct {
-	srv    *server.Server
-	ts     *httptest.Server
-	refuse atomic.Bool
-	down   atomic.Bool
+	srv       *server.Server
+	ts        *httptest.Server
+	refuse    atomic.Bool
+	down      atomic.Bool
+	queryGets atomic.Int64
 }
 
 func (n *testNode) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutPrefix(r.URL.Path, "/queries/"); ok && r.Method == http.MethodGet && !strings.Contains(id, "/") {
+			n.queryGets.Add(1)
+		}
 		if n.down.Load() {
 			panic(http.ErrAbortHandler)
 		}
@@ -307,8 +312,8 @@ func TestRouterMergedStreamIdentity(t *testing.T) {
 }
 
 // TestRouterFollowStreamIdentity attaches a follow-mode merged reader
-// before any event arrives: live releases (gated by the quiet-partition
-// watermark) plus the drain flush must reproduce the same stream.
+// before any event arrives: live releases (gated by the partitions'
+// ": clock" lines) plus the drain flush must reproduce the same stream.
 func TestRouterFollowStreamIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lines, _ := genStream(t, rng, 300)

@@ -73,8 +73,8 @@ var driftPins = map[string][]string{
 		"ses_wal_appends_total",
 		"ses_replica_lag",
 		// Clustering (§8): node-side flags, router flags, the routable
-		// refusal state, the progress pair the merge reads, and every
-		// router metric series.
+		// refusal state, the progress pair, the clock punctuation the
+		// merge reads, and every router metric series.
 		"-cluster",
 		"-partition",
 		"-inflight",
@@ -83,6 +83,7 @@ var driftPins = map[string][]string{
 		"\"state\":\"not-owned\"",
 		"`processed_through`",
 		"`emitted`",
+		"`: clock <t>`",
 		"?fold=1",
 		"ses_router_batches_total",
 		"ses_router_events_total",

@@ -3,10 +3,12 @@ package resilience
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/engine"
@@ -408,5 +410,46 @@ func TestSupervisorSentinelDeadLetter(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Errorf("matches = %v, want the one A-B pair from the valid events", got)
+	}
+}
+
+// TestSupervisorProgress: a Progress channel is closed by the next
+// publication of the stream clock, an event's or the end of input's,
+// and one taken before the clock moved is never missed.
+func TestSupervisorProgress(t *testing.T) {
+	a := testAutomaton(t, 10)
+	in := make(chan event.Event)
+	out, s := Supervise(context.Background(), a, nil, in, Config{})
+	done := make(chan struct{})
+	go func() { collect(out); close(done) }()
+
+	wait := func(c <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Progress channel not closed")
+		}
+	}
+	p := s.Progress()
+	if q := s.Progress(); q != p {
+		t.Fatal("two waiters before a publication got different channels")
+	}
+	in <- event.Event{Time: 7, Attrs: []event.Value{event.Int(1), event.String("A"), event.Float(0)}}
+	wait(p)
+	if c, ok := s.CompletedThrough(); !ok || c != 7 {
+		t.Fatalf("CompletedThrough = %d, %t after the event at 7", c, ok)
+	}
+	p = s.Progress()
+	select {
+	case <-p:
+		t.Fatal("Progress channel closed before the clock moved again")
+	default:
+	}
+	close(in)
+	wait(p)
+	<-done
+	if c, _ := s.CompletedThrough(); c != math.MaxInt64 {
+		t.Fatalf("CompletedThrough = %d at end of input, want math.MaxInt64", c)
 	}
 }

@@ -119,6 +119,9 @@ type Supervisor struct {
 	// time (math.MinInt64 until the first event is fully processed).
 	emitted   atomic.Int64
 	completed atomic.Int64
+	// progress is the channel Progress hands out, closed and cleared by
+	// the next store of completed; nil while no reader waits.
+	progress atomic.Pointer[chan struct{}]
 
 	o *supObs // nil unless Config.Registry was set
 }
@@ -153,6 +156,31 @@ func (s *Supervisor) Emitted() int64 { return s.emitted.Load() }
 func (s *Supervisor) CompletedThrough() (int64, bool) {
 	v := s.completed.Load()
 	return v, v != math.MinInt64
+}
+
+// Progress returns a channel that is closed the next time the stream
+// clock (CompletedThrough) is published, including the end-of-input
+// math.MaxInt64. A reader takes the channel before it reads the clock,
+// so a publication between the two reads still wakes it. The channel
+// is made on demand: a supervisor nobody waits on pays nothing.
+func (s *Supervisor) Progress() <-chan struct{} {
+	for {
+		if c := s.progress.Load(); c != nil {
+			return *c
+		}
+		c := make(chan struct{})
+		if s.progress.CompareAndSwap(nil, &c) {
+			return c
+		}
+	}
+}
+
+// setCompleted publishes the stream clock and wakes Progress waiters.
+func (s *Supervisor) setCompleted(t int64) {
+	s.completed.Store(t)
+	if c := s.progress.Swap(nil); c != nil {
+		close(*c)
+	}
 }
 
 // supObs bundles the supervisor's registry-exported metrics. All
@@ -577,7 +605,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 			// CompletedThrough), which a resumed run climbs again from here.
 			last := sub.At(sub.Len() - 1)
 			hw = last.Time
-			s.completed.Store(int64(hw))
+			s.setCompleted(int64(hw))
 			if !checkpointing {
 				forget()
 				continue
@@ -701,7 +729,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	replay = append(replay, event.Block{})
 	if advance(len(replay) - 1) {
 		// Nothing below any horizon can arrive anymore.
-		s.completed.Store(math.MaxInt64)
+		s.setCompleted(math.MaxInt64)
 	}
 }
 

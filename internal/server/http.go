@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -39,6 +40,12 @@ import (
 // terminates or the client disconnects. With an Accept header of
 // text/event-stream matches are sent as SSE events whose id field is
 // the match-log offset; otherwise one JSON object per line (NDJSON).
+// An SSE follow of an unkeyed query that is not catching up also
+// carries the pipeline's stream clock as comment lines ": clock <t>"
+// (resilience.Supervisor.CompletedThrough), written after the lines
+// they follow whenever the clock has risen: no match line after
+// ": clock T" has window start + WITHIN < T. SSE parsers skip comment
+// lines; a cluster router releases its merged stream on them.
 //
 // The stats endpoint serves an AGGREGATE query's aggregate groups as
 // one JSON document (engine.Aggregator.Stats). Plain GET returns the
@@ -327,8 +334,23 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
+	// punctuate: write the ": clock <t>" lines described at Handler.
+	punctuate := sse && follow && q.spec.Key == ""
+	lastClock := int64(math.MinInt64)
 	off := from
 	for {
+		// The progress channel is taken before the clock is read, so a
+		// clock published in between still wakes this reader. Before the
+		// lazily started pipeline exists, its start is the wake-up.
+		sup := q.sup.Load()
+		var progress <-chan struct{}
+		if punctuate {
+			if sup != nil {
+				progress = sup.Progress()
+			} else {
+				progress = q.started
+			}
+		}
 		lines, next, wait := q.log.read(off)
 		for i, line := range lines {
 			if sse {
@@ -339,7 +361,18 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		off = next
-		if len(lines) > 0 && flusher != nil {
+		wrote := len(lines) > 0
+		if punctuate && sup != nil && !q.catchingUp.Load() {
+			// Clock before emitted count (resilience.Supervisor.CompletedThrough):
+			// once this reader holds every match emitted as of the clock
+			// read, no later line closes its window below the clock.
+			if t, ok := sup.CompletedThrough(); ok && t > lastClock && off >= sup.Emitted() {
+				fmt.Fprintf(w, "%s%d\n", cluster.ClockComment, t)
+				lastClock = t
+				wrote = true
+			}
+		}
+		if wrote && flusher != nil {
 			flusher.Flush()
 		}
 		if wait == nil {
@@ -357,6 +390,7 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-wait:
+		case <-progress:
 		case <-r.Context().Done():
 			return
 		}

@@ -12,8 +12,8 @@ import (
 // TestQueriesDuringFirstIngest: without a WAL or checkpoint directory a
 // query's pipeline starts lazily, on the ingest goroutine, inside the
 // first Ingest that routes a block to it. Listing the queries meanwhile
-// — what a cluster merge does when it polls processed_through — reads
-// the supervisor handle that start is publishing. Run under -race.
+// — what an operator's poll of processed_through does — reads the
+// supervisor handle that start is publishing. Run under -race.
 func TestQueriesDuringFirstIngest(t *testing.T) {
 	rel := paperdata.Relation()
 	for trial := 0; trial < 20; trial++ {

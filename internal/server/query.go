@@ -134,12 +134,12 @@ type QueryInfo struct {
 	// the match log's collector, and no later match can close a window
 	// below it (resilience.Supervisor.CompletedThrough). Emitted
 	// counts matches handed to the collector — it leads Matches
-	// (appended to the log) by at most the handoff in flight. Together
-	// they let a cluster router prove a partition can no longer
-	// produce a match sorting at or before a release horizon. A keyed
-	// query (QuerySpec.Key) omits ProcessedThrough: its runner emits a
-	// key's expired match only at that key's next event, so the clock
-	// bounds no other key's matches.
+	// (appended to the log) by at most the handoff in flight. The SSE
+	// match follow carries the same clock to cluster routers as
+	// ": clock" lines (see Server.Handler). A keyed query
+	// (QuerySpec.Key) omits ProcessedThrough: its runner emits a key's
+	// expired match only at that key's next event, so the clock bounds
+	// no other key's matches.
 	ProcessedThrough *int64 `json:"processed_through,omitempty"`
 	Emitted          int64  `json:"emitted"`
 	// Done reports that the pipeline has terminated (drained, removed
@@ -174,15 +174,18 @@ type QueryInfo struct {
 // JSON lines. Offsets grow monotonically from 0 as matches are
 // appended; once the ring is full the oldest lines are discarded and
 // the start offset advances. Readers poll read and block on the
-// returned notify channel for live follow.
+// returned wait channel for live follow.
 type matchLog struct {
-	mu     sync.Mutex
-	ring   [][]byte
-	limit  int   // retention capacity; the ring grows toward it on demand
-	base   int64 // offset of ring[start]
-	start  int   // index of the oldest retained line
-	count  int
-	notify chan struct{} // closed and replaced on append; nil once closed
+	mu    sync.Mutex
+	ring  [][]byte
+	limit int   // retention capacity; the ring grows toward it on demand
+	base  int64 // offset of ring[start]
+	start int   // index of the oldest retained line
+	count int
+	// notify is made by a reader about to wait and closed and cleared
+	// by the next append or close: an append nobody waits for
+	// allocates nothing.
+	notify chan struct{}
 	done   bool
 }
 
@@ -190,7 +193,7 @@ func newMatchLog(capacity int) *matchLog {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &matchLog{limit: capacity, notify: make(chan struct{})}
+	return &matchLog{limit: capacity}
 }
 
 // append adds one encoded match line, evicting the oldest line when
@@ -224,8 +227,15 @@ func (l *matchLog) append(line []byte) {
 	}
 	l.ring[(l.start+l.count)%len(l.ring)] = line
 	l.count++
-	close(l.notify)
-	l.notify = make(chan struct{})
+	l.wake()
+}
+
+// wake closes and clears notify. Called with l.mu held.
+func (l *matchLog) wake() {
+	if l.notify != nil {
+		close(l.notify)
+		l.notify = nil
+	}
 }
 
 // close marks the log complete — no further appends — and wakes all
@@ -237,8 +247,7 @@ func (l *matchLog) close() {
 		return
 	}
 	l.done = true
-	close(l.notify)
-	l.notify = nil
+	l.wake()
 }
 
 // read returns every retained line at offset >= from, the offset
@@ -256,6 +265,12 @@ func (l *matchLog) read(from int64) (lines [][]byte, next int64, wait <-chan str
 	for next < l.base+int64(l.count) {
 		lines = append(lines, l.ring[(l.start+int(next-l.base))%len(l.ring)])
 		next++
+	}
+	if l.done {
+		return lines, next, nil
+	}
+	if l.notify == nil {
+		l.notify = make(chan struct{})
 	}
 	return lines, next, l.notify
 }

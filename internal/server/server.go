@@ -216,6 +216,8 @@ type queryState struct {
 	// startPipe publishes it from the ingest goroutine (lazy start)
 	// while info reads it from any other.
 	sup atomic.Pointer[resilience.Supervisor]
+	// started is closed once sup is published.
+	started chan struct{}
 	// agg holds the query's aggregate groups when its text carries an
 	// AGGREGATE clause (nil otherwise); served by /queries/{id}/stats.
 	agg *engine.Aggregator
@@ -711,6 +713,7 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 		mailbox:  make(chan event.Block, s.cfg.Mailbox),
 		removed:  make(chan struct{}),
 		finished: make(chan struct{}),
+		started:  make(chan struct{}),
 		cancel:   cancel,
 		log:      newMatchLog(s.cfg.MatchLog),
 	}
@@ -781,6 +784,7 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 	q.startPipe = func() {
 		out, sup := resilience.SuperviseBlocks(ctx, auto, opts, q.mailbox, rcfg)
 		q.sup.Store(sup)
+		close(q.started)
 		go s.collect(q, out)
 	}
 	if s.wal != nil || s.cfg.CheckpointDir != "" {
