@@ -228,6 +228,7 @@ func run(o options) error {
 	if o.maximal {
 		matches = ses.FilterMaximal(matches)
 	}
+	var line []byte // every -json line is encoded into this one buffer
 	for i, match := range matches {
 		if o.limit > 0 && i >= o.limit {
 			if !o.asJSON {
@@ -236,11 +237,12 @@ func run(o options) error {
 			break
 		}
 		if o.asJSON {
-			b, err := ses.MatchJSON(match, rel.Schema())
-			if err != nil {
+			var err error
+			if line, err = ses.AppendMatchJSON(line[:0], match, rel.Schema()); err != nil {
 				return err
 			}
-			fmt.Println(string(b))
+			line = append(line, '\n')
+			os.Stdout.Write(line)
 			continue
 		}
 		fmt.Println(match)

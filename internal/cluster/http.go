@@ -245,17 +245,18 @@ func (r *Router) handleMatches(w http.ResponseWriter, req *http.Request) {
 	}
 	flusher, _ := w.(http.Flusher)
 	headerSent := false
+	var buf []byte // one merged line, framed
 	emit := func(off int64, line []byte) error {
 		if !headerSent {
 			w.WriteHeader(http.StatusOK)
 			headerSent = true
 		}
 		if sse {
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", off, line)
+			buf = AppendSSE(buf[:0], off, line)
 		} else {
-			w.Write(line)
-			w.Write([]byte{'\n'})
+			buf = append(append(buf[:0], line...), '\n')
 		}
+		w.Write(buf)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -294,7 +295,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(status)
 	w.Write(doc)
 	if len(doc) > 0 && doc[len(doc)-1] != '\n' {
-		w.Write([]byte{'\n'})
+		io.WriteString(w, "\n")
 	}
 }
 

@@ -238,6 +238,17 @@ func (r *Router) MergeStats(ctx context.Context, id string) ([]byte, int, error)
 // start + WITHIN below t (see server.Server.Handler).
 const ClockComment = ": clock "
 
+// AppendSSE appends to b the SSE event "id: <id>\ndata: <line>\n\n",
+// the frame of one line in every match stream a node or a router
+// serves. line holds no newline: an encoded match never does.
+func AppendSSE(b []byte, id int64, line []byte) []byte {
+	b = append(b, "id: "...)
+	b = strconv.AppendInt(b, id, 10)
+	b = append(b, "\ndata: "...)
+	b = append(b, line...)
+	return append(b, "\n\n"...)
+}
+
 // matchLine is one item of a partition's match stream, in stream
 // order: a match line, or (clock set) a clock punctuation.
 type matchLine struct {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -54,19 +53,20 @@ type eventJSON struct {
 
 // MatchJSON encodes a match using the schema for attribute names.
 func MatchJSON(m Match, schema *event.Schema) ([]byte, error) {
-	// Attribute keys appear in sorted order, as encoding/json renders
-	// maps; the index permutation is tiny (schemas have a handful of
-	// fields) and computed per call.
-	n := schema.NumFields()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	b, err := AppendMatchJSON(make([]byte, 0, 256), m, schema)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return schema.Field(order[a]).Name < schema.Field(order[b]).Name
-	})
+	return b, nil
+}
 
-	b := make([]byte, 0, 256)
+// AppendMatchJSON appends the JSON encoding of m (the MatchJSON bytes)
+// to b and returns the extended buffer. On an error, a float that JSON
+// cannot represent, it returns b cut back to its length on entry, so a
+// caller encoding many matches into one buffer loses only the failing
+// one. Into a buffer with room it allocates nothing.
+func AppendMatchJSON(b []byte, m Match, schema *event.Schema) ([]byte, error) {
+	n0 := len(b)
 	b = append(b, `{"first":`...)
 	b = strconv.AppendInt(b, int64(m.First), 10)
 	b = append(b, `,"last":`...)
@@ -95,9 +95,9 @@ func MatchJSON(m Match, schema *event.Schema) ([]byte, error) {
 						b = append(b, ',')
 					}
 					var err error
-					b, err = appendEventJSON(b, bind.Events[ei], schema, order)
+					b, err = appendEventJSON(b, bind.Events[ei], schema)
 					if err != nil {
-						return nil, err
+						return b[:n0], err
 					}
 				}
 				b = append(b, ']')
@@ -106,26 +106,29 @@ func MatchJSON(m Match, schema *event.Schema) ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	b = append(b, '}')
-	return b, nil
+	return append(b, '}'), nil
 }
 
-func appendEventJSON(b []byte, e *event.Event, schema *event.Schema, order []int) ([]byte, error) {
+// appendEventJSON appends one bound event, its attributes in name order
+// as encoding/json renders a map. On an error it returns the partly
+// extended buffer for the caller to cut.
+func appendEventJSON(b []byte, e *event.Event, schema *event.Schema) ([]byte, error) {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(e.Seq), 10)
 	b = append(b, `,"time":`...)
 	b = strconv.AppendInt(b, int64(e.Time), 10)
 	b = append(b, `,"attrs":{`...)
-	for oi, i := range order {
-		if oi > 0 {
+	for k := 0; k < schema.NumFields(); k++ {
+		if k > 0 {
 			b = append(b, ',')
 		}
+		i := schema.SortedField(k)
 		b = appendJSONString(b, schema.Field(i).Name)
 		b = append(b, ':')
 		var err error
 		b, err = appendJSONValue(b, e.Attrs[i])
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 	}
 	return append(b, "}}"...), nil
@@ -160,10 +163,11 @@ func appendJSONValue(b []byte, v event.Value) ([]byte, error) {
 
 // appendJSONFloat renders f exactly as encoding/json does: shortest
 // round-trip representation, 'f' form except for very small or very
-// large magnitudes, with the exponent's leading zero trimmed.
+// large magnitudes, with the exponent's leading zero trimmed. A NaN or
+// infinity is an error and leaves b as it was.
 func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, fmt.Errorf("engine: unsupported float value %v in match", f)
+		return b, fmt.Errorf("engine: unsupported float value %v in match", f)
 	}
 	abs := math.Abs(f)
 	format := byte('f')

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/event"
@@ -73,9 +74,28 @@ func matchJSONReflect(m Match, schema *event.Schema) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// TestMatchJSONMatchesReflect pins the hand-rolled encoder to
-// encoding/json byte for byte, including string escaping, float
-// formats and attribute key ordering.
+// encodeBoth encodes m with MatchJSON and with AppendMatchJSON after a
+// prefix, and fails unless the two agree.
+func encodeBoth(t *testing.T, m Match, schema *event.Schema) []byte {
+	t.Helper()
+	got, err := MatchJSON(m, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "prev\n"
+	appended, err := AppendMatchJSON([]byte(prefix), m, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(appended) != prefix+string(got) {
+		t.Fatalf("AppendMatchJSON drifts from MatchJSON:\nappend: %s\nmatch:  %s%s", appended, prefix, got)
+	}
+	return got
+}
+
+// TestMatchJSONMatchesReflect pins the hand-rolled encoder, through
+// both entry points, to encoding/json byte for byte, including string
+// escaping, float formats and attribute key ordering.
 func TestMatchJSONMatchesReflect(t *testing.T) {
 	a := compile(t, paperdata.QueryQ1(), paperdata.Schema())
 	matches, _, err := Run(a, paperdata.Relation())
@@ -86,10 +106,7 @@ func TestMatchJSONMatchesReflect(t *testing.T) {
 		t.Fatal("no matches to encode")
 	}
 	for _, m := range matches {
-		got, err := MatchJSON(m, paperdata.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeBoth(t, m, paperdata.Schema())
 		want, err := matchJSONReflect(m, paperdata.Schema())
 		if err != nil {
 			t.Fatal(err)
@@ -129,16 +146,34 @@ func TestMatchJSONMatchesReflect(t *testing.T) {
 				{Var: "empty"},
 			},
 		}
-		got, err := MatchJSON(m, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeBoth(t, m, schema)
 		want, err := matchJSONReflect(m, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
 			t.Fatalf("encoder drift on %q/%v:\ngot:  %s\nwant: %s", s, f, got, want)
+		}
+	}
+}
+
+// TestAppendMatchJSONCutsFailedMatch: a match holding a float JSON
+// cannot represent is an error from both entry points, and
+// AppendMatchJSON hands the buffer back as it was, so the matches
+// encoded before it stay.
+func TestAppendMatchJSONCutsFailedMatch(t *testing.T) {
+	schema := event.MustSchema(event.Field{Name: "V", Type: event.TypeFloat})
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := Match{First: 1, Last: 2, Bindings: []Binding{{Var: "v", Events: []*event.Event{
+			{Seq: 0, Time: 1, Attrs: []event.Value{event.Float(1)}},
+			{Seq: 1, Time: 2, Attrs: []event.Value{event.Float(f)}},
+		}}}}
+		if b, err := MatchJSON(m, schema); err == nil || b != nil {
+			t.Errorf("MatchJSON with %v = %q, %v; want nil and an error", f, b, err)
+		}
+		b, err := AppendMatchJSON([]byte("kept"), m, schema)
+		if err == nil || string(b) != "kept" {
+			t.Errorf("AppendMatchJSON with %v = %q, %v; want the prefix back and an error", f, b, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -17,6 +18,9 @@ type Field struct {
 type Schema struct {
 	fields []Field
 	byName map[string]int
+	// sorted lists the field indexes in name order, for encoders that
+	// render attributes as a key-sorted object (see SortedField).
+	sorted []int
 }
 
 // NewSchema builds a schema from the given fields. Field names must be
@@ -39,7 +43,9 @@ func NewSchema(fields ...Field) (*Schema, error) {
 			return nil, fmt.Errorf("event: duplicate schema field %q", f.Name)
 		}
 		s.byName[f.Name] = i
+		s.sorted = append(s.sorted, i)
 	}
+	slices.SortFunc(s.sorted, func(a, b int) int { return strings.Compare(s.fields[a].Name, s.fields[b].Name) })
 	return s, nil
 }
 
@@ -58,6 +64,11 @@ func (s *Schema) NumFields() int { return len(s.fields) }
 
 // Field returns the i-th field. It panics when i is out of range.
 func (s *Schema) Field(i int) Field { return s.fields[i] }
+
+// SortedField returns the index of the field that is k-th in name
+// order (byte-wise, as encoding/json sorts map keys). The order is
+// computed once, when the schema is built.
+func (s *Schema) SortedField(k int) int { return s.sorted[k] }
 
 // Fields returns a copy of the field list.
 func (s *Schema) Fields() []Field {

@@ -55,8 +55,8 @@ func TestSuperviseBlocksAllocations(t *testing.T) {
 	matches := make(chan int)
 	go func() {
 		n := 0
-		for range out {
-			n++
+		for ms := range out {
+			n += len(ms)
 		}
 		matches <- n
 	}()

@@ -67,6 +67,21 @@ func routeBlocks(rng *rand.Rand, evs []event.Event, bs int) ([]event.Block, []ev
 	return blocks, selected
 }
 
+// perMatch flattens SuperviseBlocks' block channel into the per-match
+// channel of Supervise, so one harness drives and compares both.
+func perMatch(out <-chan []engine.Match, s *Supervisor) (<-chan engine.Match, *Supervisor) {
+	flat := make(chan engine.Match)
+	go func() {
+		defer close(flat)
+		for ms := range out {
+			for _, m := range ms {
+				flat <- m
+			}
+		}
+	}()
+	return flat, s
+}
+
 // pipelineOutcome is everything a supervised run exposes.
 type pipelineOutcome struct {
 	matches     []string
@@ -184,7 +199,7 @@ func TestSuperviseBlocksIsSupervise(t *testing.T) {
 							in <- b
 						}
 					}()
-					return SuperviseBlocks(context.Background(), a, tc.opts, in, cfg)
+					return perMatch(SuperviseBlocks(context.Background(), a, tc.opts, in, cfg))
 				})
 
 				if len(want.matches) == 0 || len(want.deadLetters) == 0 || want.checkpoints == 0 {
@@ -243,7 +258,7 @@ func TestSuperviseBlocksKeyedChaos(t *testing.T) {
 					in <- b
 				}
 			}()
-			return SuperviseBlocks(context.Background(), a, opts, in, cfg)
+			return perMatch(SuperviseBlocks(context.Background(), a, opts, in, cfg))
 		})
 	}
 	calm, chaos := run(nil), run([]int64{9, 40, 41, 77, 130})
@@ -302,7 +317,7 @@ func TestUnrecoverableRunCutsNoCheckpoint(t *testing.T) {
 				in <- b
 			}
 		}()
-		return SuperviseBlocks(context.Background(), a, nil, in, cfg)
+		return perMatch(SuperviseBlocks(context.Background(), a, nil, in, cfg))
 	}
 	want := runPipeline(t, Config{CheckpointEvery: 5}, nil, supervise)
 	if len(want.matches) == 0 || len(want.deadLetters) == 0 || want.checkpoints == 0 {

@@ -186,11 +186,11 @@ func TestResumeSlackZeroStepsBufferedEvents(t *testing.T) {
 	}}
 	close(in)
 	var reasons []error
-	out, s := SuperviseBlocks(context.Background(), a, nil, in, Config{
+	out, s := perMatch(SuperviseBlocks(context.Background(), a, nil, in, Config{
 		CheckpointPath: ckpt,
 		Resume:         true,
 		DeadLetter:     func(e event.Event, reason error) { reasons = append(reasons, reason) },
-	})
+	}))
 	got := collect(out)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

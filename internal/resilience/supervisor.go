@@ -268,7 +268,24 @@ func (p panicError) Error() string { return fmt.Sprintf("resilience: pipeline pa
 // Supervisor.Err afterwards.
 func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
 	in <-chan event.Event, cfg Config) (<-chan engine.Match, *Supervisor) {
-	return start(ctx, a, opts, in, nil, cfg)
+	s := newSupervisor(cfg)
+	out := make(chan engine.Match)
+	go func() {
+		defer close(out)
+		s.run(ctx, a, opts, in, nil, cfg, func(ms []engine.Match) bool {
+			for _, m := range ms {
+				select {
+				case out <- m:
+					s.emitted.Add(1)
+				case <-ctx.Done():
+					s.fail(ctx.Err())
+					return false
+				}
+			}
+			return true
+		})
+	}()
+	return out, s
 }
 
 // SuperviseBlocks is Supervise over a channel of shared, immutable
@@ -281,6 +298,11 @@ func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option
 // event is late when earlier than the last one stepped. Matches, dead
 // letters, checkpoints and restarts are those of Supervise.
 //
+// Matches leave a block at a time: each stepped sub-block (a block is
+// split only where a checkpoint falls inside it) that completes any
+// match is one send of a non-empty slice the receiver owns, and
+// Emitted rises by its length once the receiver has taken it.
+//
 // Block mode keeps each event's Seq as stamped by the feeder, its
 // global stream position, so matches are the same whether the query
 // received the full stream or a routed sub-stream of it. Seq must
@@ -288,20 +310,33 @@ func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option
 // offsets do); a checkpoint cut inside a block records the Seq of the
 // last event it covers as its watermark.
 func SuperviseBlocks(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	in <-chan event.Block, cfg Config) (<-chan engine.Match, *Supervisor) {
-	return start(ctx, a, opts, nil, in, cfg)
+	in <-chan event.Block, cfg Config) (<-chan []engine.Match, *Supervisor) {
+	s := newSupervisor(cfg)
+	out := make(chan []engine.Match)
+	go func() {
+		defer close(out)
+		s.run(ctx, a, opts, nil, in, cfg, func(ms []engine.Match) bool {
+			// The runner reuses ms at its next step: the receiver gets a copy.
+			select {
+			case out <- slices.Clone(ms):
+				s.emitted.Add(int64(len(ms)))
+				return true
+			case <-ctx.Done():
+				s.fail(ctx.Err())
+				return false
+			}
+		})
+	}()
+	return out, s
 }
 
-func start(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	inEv <-chan event.Event, inBlk <-chan event.Block, cfg Config) (<-chan engine.Match, *Supervisor) {
+func newSupervisor(cfg Config) *Supervisor {
 	s := &Supervisor{}
 	s.completed.Store(math.MinInt64)
 	if cfg.Registry != nil {
 		s.o = newSupObs(cfg.Registry, cfg.MetricLabels)
 	}
-	out := make(chan engine.Match)
-	go s.run(ctx, a, opts, inEv, inBlk, cfg, out)
-	return out, s
+	return s
 }
 
 // subBlock returns the selected events [lo, hi) of b.
@@ -312,10 +347,11 @@ func subBlock(b event.Block, lo, hi int) event.Block {
 	return event.Block{Events: b.Events[lo:hi]}
 }
 
+// run drives the pipeline until the input ends, ctx is done or the
+// stream fails, handing each stepped block's new matches to send; send
+// returns false, having recorded the cause, when ctx is done first.
 func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	inEv <-chan event.Event, inBlk <-chan event.Block, cfg Config, out chan<- engine.Match) {
-	defer close(out)
-
+	inEv <-chan event.Event, inBlk <-chan event.Block, cfg Config, send func([]engine.Match) bool) {
 	// Block-mode inputs arrive pre-numbered by global stream position;
 	// keep those numbers so matches are byte-identical across full and
 	// routed delivery (see SuperviseBlocks).
@@ -433,17 +469,6 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	var replay []event.Block
 	stepped, emittedSince := 0, 0
 
-	send := func(m engine.Match) bool {
-		select {
-		case out <- m:
-			s.emitted.Add(1)
-			return true
-		case <-ctx.Done():
-			s.fail(ctx.Err())
-			return false
-		}
-	}
-
 	// stepBlock runs faultHook over blk's events and steps blk, turning
 	// a panic into a panicError. An empty block, the end of input,
 	// flushes the runner.
@@ -554,14 +579,15 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 				runner, i, seen = next, -1, 0
 				continue
 			}
-			for _, m := range ms {
-				if seen++; seen > emittedSince {
-					if !send(m) {
-						return false
-					}
-					emittedSince = seen
+			// A replayed block's first matches may have been delivered
+			// before the crash: only what follows them is sent.
+			if fresh := ms[min(len(ms), max(0, emittedSince-seen)):]; len(fresh) > 0 {
+				if !send(fresh) {
+					return false
 				}
+				emittedSince = seen + len(ms)
 			}
+			seen += len(ms)
 			if err != nil {
 				s.fail(err)
 				return false

@@ -14,9 +14,12 @@
 // supervised runner (resilience.SuperviseBlocks: schema validation,
 // reorder slack, checkpoint/replay crash recovery), keyed by an
 // attribute (engine.WithPartitionKey) when the spec names one.
-// Matches are encoded once (engine.MatchJSON) into an in-memory,
-// offset-addressed match log that HTTP clients read as NDJSON or SSE,
-// including live follow.
+// Matches leave the pipeline a stepped block at a time and are encoded
+// once (engine.AppendMatchJSON) into one reused buffer, copied out
+// once per block and appended, one lock and one reader wake-up per
+// block, to an in-memory, offset-addressed match log that HTTP clients
+// read as NDJSON or SSE, including live follow; a follower gets each
+// read round in one write.
 //
 // The HTTP surface (see Server.Handler) exposes batch NDJSON ingest,
 // query management, match streaming, health, and the observability

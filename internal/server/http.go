@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -295,6 +296,11 @@ func (s *Server) handleRemoveQuery(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// maxWriteChunk caps the bytes a match read frames before writing them
+// out: a round is one Write unless it catches up on a long backlog, which
+// then streams in chunks instead of being copied whole.
+const maxWriteChunk = 64 << 10
+
 func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -338,6 +344,12 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	punctuate := sse && follow && q.spec.Key == ""
 	lastClock := int64(math.MinInt64)
 	off := from
+	// A read round's lines are framed into buf and written with one
+	// Write and one Flush; lines and buf are reused across rounds.
+	var (
+		lines [][]byte
+		buf   []byte
+	)
 	for {
 		// The progress channel is taken before the clock is read, so a
 		// clock published in between still wakes this reader. Before the
@@ -351,34 +363,50 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 				progress = q.started
 			}
 		}
-		lines, next, wait := q.log.read(off)
+		var wait <-chan struct{}
+		lines, off, wait = q.log.read(lines[:0], off)
+		// A read below the retention window starts at the oldest
+		// retained line: ids are the lines' own offsets.
+		first := off - int64(len(lines))
+		buf = buf[:0]
 		for i, line := range lines {
 			if sse {
-				fmt.Fprintf(w, "id: %d\ndata: %s\n\n", off+int64(i), line)
+				buf = cluster.AppendSSE(buf, first+int64(i), line)
 			} else {
-				w.Write(line)
-				w.Write([]byte{'\n'})
+				buf = append(append(buf, line...), '\n')
+			}
+			if len(buf) >= maxWriteChunk {
+				if _, err := w.Write(buf); err != nil {
+					return
+				}
+				buf = buf[:0]
 			}
 		}
-		off = next
 		wrote := len(lines) > 0
+		clear(lines) // pin no evicted block's buffer while waiting
 		if punctuate && sup != nil && !q.catchingUp.Load() {
 			// Clock before emitted count (resilience.Supervisor.CompletedThrough):
 			// once this reader holds every match emitted as of the clock
 			// read, no later line closes its window below the clock.
 			if t, ok := sup.CompletedThrough(); ok && t > lastClock && off >= sup.Emitted() {
-				fmt.Fprintf(w, "%s%d\n", cluster.ClockComment, t)
+				buf = append(buf, cluster.ClockComment...)
+				buf = append(strconv.AppendInt(buf, t, 10), '\n')
 				lastClock = t
 				wrote = true
 			}
 		}
-		if wrote && flusher != nil {
-			flusher.Flush()
+		if wrote {
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 		if wait == nil {
 			// The pipeline has terminated; the log is complete.
 			if sse {
-				fmt.Fprintf(w, "event: end\ndata: {}\n\n")
+				io.WriteString(w, "event: end\ndata: {}\n\n")
 				if flusher != nil {
 					flusher.Flush()
 				}
@@ -440,7 +468,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(data)
-		w.Write([]byte{'\n'})
+		io.WriteString(w, "\n")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -451,6 +479,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	var since uint64
+	var buf []byte
 	for first := true; ; first = false {
 		// The first round (since = 0) pushes the full snapshot; every
 		// later round pushes a delta of the groups folded into since the
@@ -459,7 +488,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// aggregator — pushes nothing: ids strictly increase.
 		data, ver, wait := q.agg.Stats(since)
 		if data != nil && (first || ver != since) {
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ver, data)
+			buf = cluster.AppendSSE(buf[:0], int64(ver), data)
+			w.Write(buf)
 			if flusher != nil {
 				flusher.Flush()
 			}

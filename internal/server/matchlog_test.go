@@ -8,9 +8,9 @@ import (
 func TestMatchLogOffsets(t *testing.T) {
 	l := newMatchLog(4)
 	for i := 0; i < 3; i++ {
-		l.append([]byte(fmt.Sprintf("m%d", i)))
+		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))})
 	}
-	lines, next, wait := l.read(0)
+	lines, next, wait := l.read(nil, 0)
 	if len(lines) != 3 || next != 3 {
 		t.Fatalf("read(0) = %d lines, next %d, want 3 lines, next 3", len(lines), next)
 	}
@@ -22,7 +22,7 @@ func TestMatchLogOffsets(t *testing.T) {
 	}
 
 	// Reading at the tail returns nothing and the notify channel.
-	lines, next, _ = l.read(3)
+	lines, next, _ = l.read(nil, 3)
 	if len(lines) != 0 || next != 3 {
 		t.Fatalf("read(3) = %d lines, next %d", len(lines), next)
 	}
@@ -31,14 +31,14 @@ func TestMatchLogOffsets(t *testing.T) {
 func TestMatchLogEviction(t *testing.T) {
 	l := newMatchLog(4)
 	for i := 0; i < 10; i++ {
-		l.append([]byte(fmt.Sprintf("m%d", i)))
+		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))})
 	}
 	start, end := l.bounds()
 	if start != 6 || end != 10 {
 		t.Fatalf("bounds = [%d, %d), want [6, 10)", start, end)
 	}
 	// An offset older than retention clamps to the oldest line.
-	lines, next, _ := l.read(0)
+	lines, next, _ := l.read(nil, 0)
 	if len(lines) != 4 || next != 10 {
 		t.Fatalf("read(0) = %d lines, next %d, want 4 lines, next 10", len(lines), next)
 	}
@@ -49,13 +49,13 @@ func TestMatchLogEviction(t *testing.T) {
 
 func TestMatchLogNotifyAndClose(t *testing.T) {
 	l := newMatchLog(4)
-	_, _, wait := l.read(0)
+	_, _, wait := l.read(nil, 0)
 	select {
 	case <-wait:
 		t.Fatal("notify channel closed before any append")
 	default:
 	}
-	l.append([]byte("m0"))
+	l.appendBlock([][]byte{[]byte("m0")})
 	select {
 	case <-wait:
 	default:
@@ -63,7 +63,7 @@ func TestMatchLogNotifyAndClose(t *testing.T) {
 	}
 
 	l.close()
-	lines, next, wait := l.read(0)
+	lines, next, wait := l.read(nil, 0)
 	if len(lines) != 1 || next != 1 {
 		t.Fatalf("read after close = %d lines, next %d", len(lines), next)
 	}
@@ -71,7 +71,7 @@ func TestMatchLogNotifyAndClose(t *testing.T) {
 		t.Fatal("closed log returned a non-nil wait channel")
 	}
 	// Appends after close are ignored.
-	l.append([]byte("late"))
+	l.appendBlock([][]byte{[]byte("late")})
 	if _, end := l.bounds(); end != 1 {
 		t.Fatalf("append after close extended the log to %d", end)
 	}

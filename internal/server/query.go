@@ -134,7 +134,7 @@ type QueryInfo struct {
 	// the match log's collector, and no later match can close a window
 	// below it (resilience.Supervisor.CompletedThrough). Emitted
 	// counts matches handed to the collector — it leads Matches
-	// (appended to the log) by at most the handoff in flight. The SSE
+	// (appended to the log) by at most the block in flight. The SSE
 	// match follow carries the same clock to cluster routers as
 	// ": clock" lines (see Server.Handler). A keyed query
 	// (QuerySpec.Key) omits ProcessedThrough: its runner emits a key's
@@ -175,6 +175,11 @@ type QueryInfo struct {
 // appended; once the ring is full the oldest lines are discarded and
 // the start offset advances. Readers poll read and block on the
 // returned wait channel for live follow.
+//
+// The lines of one appended block share one buffer (see
+// Server.collect), so a retained line keeps its whole block's buffer
+// alive: beyond the retention limit the log holds at most the rest of
+// one partly evicted block.
 type matchLog struct {
 	mu    sync.Mutex
 	ring  [][]byte
@@ -196,37 +201,40 @@ func newMatchLog(capacity int) *matchLog {
 	return &matchLog{limit: capacity}
 }
 
-// append adds one encoded match line, evicting the oldest line when
-// the ring is full, and wakes all follow readers.
-func (l *matchLog) append(line []byte) {
+// appendBlock adds the encoded match lines of one stepped block in
+// order, evicting the oldest lines while the ring is full, and wakes
+// all follow readers once. The log keeps the lines, not the slice.
+func (l *matchLog) appendBlock(lines [][]byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
 		return
 	}
-	if l.count == len(l.ring) && len(l.ring) < l.limit {
-		// Grow geometrically toward the retention limit. Eviction only
-		// starts once the ring reaches the limit, so the content here is
-		// still linear from index 0.
-		n := 2 * len(l.ring)
-		if n == 0 {
-			n = 16
+	for _, line := range lines {
+		if l.count == len(l.ring) && len(l.ring) < l.limit {
+			// Grow geometrically toward the retention limit. Eviction
+			// only starts once the ring reaches the limit, so the content
+			// here is still linear from index 0.
+			n := 2 * len(l.ring)
+			if n == 0 {
+				n = 16
+			}
+			if n > l.limit {
+				n = l.limit
+			}
+			grown := make([][]byte, n)
+			copy(grown, l.ring)
+			l.ring = grown
 		}
-		if n > l.limit {
-			n = l.limit
+		if l.count == len(l.ring) {
+			l.ring[l.start] = nil
+			l.start = (l.start + 1) % len(l.ring)
+			l.base++
+			l.count--
 		}
-		grown := make([][]byte, n)
-		copy(grown, l.ring)
-		l.ring = grown
+		l.ring[(l.start+l.count)%len(l.ring)] = line
+		l.count++
 	}
-	if l.count == len(l.ring) {
-		l.ring[l.start] = nil
-		l.start = (l.start + 1) % len(l.ring)
-		l.base++
-		l.count--
-	}
-	l.ring[(l.start+l.count)%len(l.ring)] = line
-	l.count++
 	l.wake()
 }
 
@@ -250,18 +258,17 @@ func (l *matchLog) close() {
 	l.wake()
 }
 
-// read returns every retained line at offset >= from, the offset
-// following the last returned line, and a channel that is closed on
-// the next append — nil once the log is complete. Offsets older than
-// the retention window are skipped (next reports how far the reader
-// actually is).
-func (l *matchLog) read(from int64) (lines [][]byte, next int64, wait <-chan struct{}) {
+// read appends to dst every retained line at offset >= from and
+// returns it, the offset following the last line — so the first line's
+// offset is next - len(lines) — and a channel that is closed on the
+// next append, nil once the log is complete. Offsets older than the
+// retention window are skipped: the first line is then the oldest
+// retained one, not the one at from.
+func (l *matchLog) read(dst [][]byte, from int64) (lines [][]byte, next int64, wait <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < l.base {
-		from = l.base
-	}
-	next = from
+	next = max(from, l.base)
+	lines = dst
 	for next < l.base+int64(l.count) {
 		lines = append(lines, l.ring[(l.start+int(next-l.base))%len(l.ring)])
 		next++

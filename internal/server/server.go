@@ -797,24 +797,51 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 	return q, nil
 }
 
-// collect drains a pipeline's match channel into the query's match
-// log, encoding each match once. It closes the log and the finished
-// channel when the pipeline terminates.
-func (s *Server) collect(q *queryState, matches <-chan engine.Match) {
+// collect drains a pipeline's match blocks into the query's match log.
+// A block's matches are encoded into one reused scratch buffer, copied
+// out at exact size once, and appended as lines slicing that copy: one
+// allocation and one log append per block. A match that fails to
+// encode is left out and its error recorded; the rest of its block is
+// served. collect closes the log and the finished channel when the
+// pipeline terminates.
+func (s *Server) collect(q *queryState, blocks <-chan []engine.Match) {
 	defer close(q.finished)
 	defer q.log.close()
 	if q.agg != nil {
 		// End the /stats follow streams when the pipeline terminates.
 		defer q.agg.Close()
 	}
-	for m := range matches {
-		b, err := engine.MatchJSON(m, s.cfg.Schema)
-		if err != nil {
-			q.recordErr(err)
+	var (
+		scratch []byte
+		ends    []int
+		lines   [][]byte
+	)
+	for ms := range blocks {
+		scratch, ends = scratch[:0], ends[:0]
+		for _, m := range ms {
+			var err error
+			if scratch, err = engine.AppendMatchJSON(scratch, m, s.cfg.Schema); err != nil {
+				q.recordErr(err)
+				continue
+			}
+			ends = append(ends, len(scratch))
+		}
+		if len(ends) == 0 {
 			continue
 		}
-		q.log.append(b)
-		q.matches.Inc()
+		// Exact size: the log retains these bytes, so slack here would
+		// be held for as long as the lines are.
+		buf := make([]byte, len(scratch))
+		copy(buf, scratch)
+		lines = lines[:0]
+		lo := 0
+		for _, hi := range ends {
+			lines = append(lines, buf[lo:hi:hi])
+			lo = hi
+		}
+		q.log.appendBlock(lines)
+		q.matches.Add(int64(len(lines)))
+		clear(lines) // the log holds the lines now; do not pin evicted ones
 	}
 	if sup := q.sup.Load(); sup != nil {
 		q.recordErr(sup.Err())
@@ -914,7 +941,7 @@ func (s *Server) Matches(id string, from int64) ([][]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	lines, _, _ := q.log.read(from)
+	lines, _, _ := q.log.read(nil, from)
 	return lines, nil
 }
 

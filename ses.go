@@ -391,6 +391,12 @@ func (q *Query) TraceJSON(w io.Writer) (Option, func() error, error) {
 // names.
 func MatchJSON(m Match, schema *Schema) ([]byte, error) { return engine.MatchJSON(m, schema) }
 
+// AppendMatchJSON appends the MatchJSON encoding of m to b. On an error
+// it returns b as it was; into a buffer with room it allocates nothing.
+func AppendMatchJSON(b []byte, m Match, schema *Schema) ([]byte, error) {
+	return engine.AppendMatchJSON(b, m, schema)
+}
+
 // FilterMaximal drops matches that are proper subsets of another match
 // with the same start time (condition 5 of the paper's Definition 2).
 // Only needed when the input contains events with identical
