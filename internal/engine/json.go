@@ -64,8 +64,50 @@ func MatchJSON(m Match, schema *event.Schema) ([]byte, error) {
 // to b and returns the extended buffer. On an error, a float that JSON
 // cannot represent, it returns b cut back to its length on entry, so a
 // caller encoding many matches into one buffer loses only the failing
-// one. Into a buffer with room it allocates nothing.
+// one. Into a buffer with room it allocates nothing. It is the
+// MatchEncoder with no cache: every bound event is rendered afresh.
 func AppendMatchJSON(b []byte, m Match, schema *event.Schema) ([]byte, error) {
+	enc := MatchEncoder{schema: schema}
+	return enc.Append(b, m)
+}
+
+// MatchEncoder encodes matches like AppendMatchJSON, rendering each
+// bound event once until Reset: the first match that binds an event
+// appends the event's encoding to a side buffer, and every later match
+// that binds it copies those bytes. The matches of a time window share
+// most of their events (a group variable's matches differ by a few), so
+// a batch of them costs about one rendering per distinct event plus
+// the copies. Events are keyed by pointer, and the cache holds each
+// one until Reset: a caller encodes one batch of matches (the serving
+// layer, one stepped block's) and resets, so no event is pinned past
+// its batch and the cache needs no size limit. An event that fails to
+// encode is never cached.
+type MatchEncoder struct {
+	schema *event.Schema
+	// spans maps an event to its encoding, events[lo:hi]; nil for the
+	// uncached encoder behind AppendMatchJSON.
+	spans  map[*event.Event]eventSpan
+	events []byte
+}
+
+type eventSpan struct{ lo, hi int }
+
+// NewMatchEncoder returns an encoder that reuses event encodings across
+// the matches it encodes until Reset.
+func NewMatchEncoder(schema *event.Schema) *MatchEncoder {
+	return &MatchEncoder{schema: schema, spans: make(map[*event.Event]eventSpan)}
+}
+
+// Reset forgets every cached encoding and releases the events the
+// cache referred to; the storage is kept for the next batch.
+func (enc *MatchEncoder) Reset() {
+	clear(enc.spans)
+	enc.events = enc.events[:0]
+}
+
+// Append appends the JSON encoding of m to b, with AppendMatchJSON's
+// bytes and error contract.
+func (enc *MatchEncoder) Append(b []byte, m Match) ([]byte, error) {
 	n0 := len(b)
 	b = append(b, `{"first":`...)
 	b = strconv.AppendInt(b, int64(m.First), 10)
@@ -95,7 +137,7 @@ func AppendMatchJSON(b []byte, m Match, schema *event.Schema) ([]byte, error) {
 						b = append(b, ',')
 					}
 					var err error
-					b, err = appendEventJSON(b, bind.Events[ei], schema)
+					b, err = enc.appendEvent(b, bind.Events[ei])
 					if err != nil {
 						return b[:n0], err
 					}
@@ -107,6 +149,26 @@ func AppendMatchJSON(b []byte, m Match, schema *event.Schema) ([]byte, error) {
 		b = append(b, ']')
 	}
 	return append(b, '}'), nil
+}
+
+// appendEvent appends e's encoding, from the cache when the encoder has
+// one. On an error it returns the partly extended buffer for the caller
+// to cut, and caches nothing.
+func (enc *MatchEncoder) appendEvent(b []byte, e *event.Event) ([]byte, error) {
+	if enc.spans == nil {
+		return appendEventJSON(b, e, enc.schema)
+	}
+	if sp, ok := enc.spans[e]; ok {
+		return append(b, enc.events[sp.lo:sp.hi]...), nil
+	}
+	lo := len(enc.events)
+	var err error
+	if enc.events, err = appendEventJSON(enc.events, e, enc.schema); err != nil {
+		enc.events = enc.events[:lo]
+		return b, err
+	}
+	enc.spans[e] = eventSpan{lo, len(enc.events)}
+	return append(b, enc.events[lo:]...), nil
 }
 
 // appendEventJSON appends one bound event, its attributes in name order

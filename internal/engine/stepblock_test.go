@@ -29,7 +29,7 @@ func renderMatches(out []byte, ms []Match, schema *event.Schema) []byte {
 // following the six-cycle protocol with little noise, each starting
 // 756 h after the previous one, so a 264 h window holds several
 // patients' medication events.
-func overlapStream(t *testing.T, patients int) (*event.Schema, []event.Event) {
+func overlapStream(t testing.TB, patients int) (*event.Schema, []event.Event) {
 	t.Helper()
 	var schema *event.Schema
 	var evs []event.Event

@@ -15,11 +15,13 @@
 // reorder slack, checkpoint/replay crash recovery), keyed by an
 // attribute (engine.WithPartitionKey) when the spec names one.
 // Matches leave the pipeline a stepped block at a time and are encoded
-// once (engine.AppendMatchJSON) into one reused buffer, copied out
-// once per block and appended, one lock and one reader wake-up per
-// block, to an in-memory, offset-addressed match log that HTTP clients
-// read as NDJSON or SSE, including live follow; a follower gets each
-// read round in one write.
+// into one reused buffer by an engine.MatchEncoder, which renders each
+// bound event once per block and copies those bytes into every later
+// match of the block that binds it (the cache is reset after the
+// block). The block's bytes are copied out once and appended, one lock
+// and one reader wake-up per block, to an in-memory, offset-addressed
+// match log that HTTP clients read as NDJSON or SSE, including live
+// follow; a follower gets each read round in one write.
 //
 // The HTTP surface (see Server.Handler) exposes batch NDJSON ingest,
 // query management, match streaming, health, and the observability

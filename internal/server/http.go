@@ -363,6 +363,10 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 				progress = q.started
 			}
 		}
+		// Matches that failed to encode are emitted but not logged; the
+		// count is taken before the log, so each drop it includes has
+		// its block's lines in this read.
+		dropped := q.log.droppedCount()
 		var wait <-chan struct{}
 		lines, off, wait = q.log.read(lines[:0], off)
 		// A read below the retention window starts at the oldest
@@ -387,8 +391,9 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 		if punctuate && sup != nil && !q.catchingUp.Load() {
 			// Clock before emitted count (resilience.Supervisor.CompletedThrough):
 			// once this reader holds every match emitted as of the clock
-			// read, no later line closes its window below the clock.
-			if t, ok := sup.CompletedThrough(); ok && t > lastClock && off >= sup.Emitted() {
+			// read, logged or dropped, no later line closes its window
+			// below the clock.
+			if t, ok := sup.CompletedThrough(); ok && t > lastClock && off+dropped >= sup.Emitted() {
 				buf = append(buf, cluster.ClockComment...)
 				buf = append(strconv.AppendInt(buf, t, 10), '\n')
 				lastClock = t

@@ -8,7 +8,7 @@ import (
 func TestMatchLogOffsets(t *testing.T) {
 	l := newMatchLog(4)
 	for i := 0; i < 3; i++ {
-		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))})
+		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))}, 0)
 	}
 	lines, next, wait := l.read(nil, 0)
 	if len(lines) != 3 || next != 3 {
@@ -31,7 +31,7 @@ func TestMatchLogOffsets(t *testing.T) {
 func TestMatchLogEviction(t *testing.T) {
 	l := newMatchLog(4)
 	for i := 0; i < 10; i++ {
-		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))})
+		l.appendBlock([][]byte{[]byte(fmt.Sprintf("m%d", i))}, 0)
 	}
 	start, end := l.bounds()
 	if start != 6 || end != 10 {
@@ -55,7 +55,7 @@ func TestMatchLogNotifyAndClose(t *testing.T) {
 		t.Fatal("notify channel closed before any append")
 	default:
 	}
-	l.appendBlock([][]byte{[]byte("m0")})
+	l.appendBlock([][]byte{[]byte("m0")}, 0)
 	select {
 	case <-wait:
 	default:
@@ -71,7 +71,7 @@ func TestMatchLogNotifyAndClose(t *testing.T) {
 		t.Fatal("closed log returned a non-nil wait channel")
 	}
 	// Appends after close are ignored.
-	l.appendBlock([][]byte{[]byte("late")})
+	l.appendBlock([][]byte{[]byte("late")}, 0)
 	if _, end := l.bounds(); end != 1 {
 		t.Fatalf("append after close extended the log to %d", end)
 	}

@@ -187,6 +187,10 @@ type matchLog struct {
 	base  int64 // offset of ring[start]
 	start int   // index of the oldest retained line
 	count int
+	// dropped counts the matches left out because they failed to
+	// encode. A block's drops are counted with its lines, so
+	// offset + dropped is the number of matches collected.
+	dropped int64
 	// notify is made by a reader about to wait and closed and cleared
 	// by the next append or close: an append nobody waits for
 	// allocates nothing.
@@ -202,9 +206,10 @@ func newMatchLog(capacity int) *matchLog {
 }
 
 // appendBlock adds the encoded match lines of one stepped block in
-// order, evicting the oldest lines while the ring is full, and wakes
-// all follow readers once. The log keeps the lines, not the slice.
-func (l *matchLog) appendBlock(lines [][]byte) {
+// order, evicting the oldest lines while the ring is full, then counts
+// the block's dropped matches, and wakes all follow readers once. The
+// log keeps the lines, not the slice.
+func (l *matchLog) appendBlock(lines [][]byte, dropped int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
@@ -235,7 +240,20 @@ func (l *matchLog) appendBlock(lines [][]byte) {
 		l.ring[(l.start+l.count)%len(l.ring)] = line
 		l.count++
 	}
-	l.wake()
+	l.dropped += int64(dropped)
+	if len(lines) > 0 || dropped > 0 {
+		l.wake()
+	}
+}
+
+// droppedCount returns how many matches were left out of the log. A
+// reader that takes it before read has next + dropped at most the
+// number of matches collected up to the read: every drop it counts
+// belongs to a block whose lines the read sees.
+func (l *matchLog) droppedCount() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
 }
 
 // wake closes and clears notify. Called with l.mu held.

@@ -800,10 +800,13 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 // collect drains a pipeline's match blocks into the query's match log.
 // A block's matches are encoded into one reused scratch buffer, copied
 // out at exact size once, and appended as lines slicing that copy: one
-// allocation and one log append per block. A match that fails to
-// encode is left out and its error recorded; the rest of its block is
-// served. collect closes the log and the finished channel when the
-// pipeline terminates.
+// allocation and one log append per block. The encoder renders each
+// bound event once per block and copies it into every later match of
+// the block that binds it; it is reset after the block, so it pins no
+// event past it. A match that fails to encode is left out and its
+// error recorded; the rest of its block is served, and the log counts
+// the dropped match with the block's lines. collect closes the log and
+// the finished channel when the pipeline terminates.
 func (s *Server) collect(q *queryState, blocks <-chan []engine.Match) {
 	defer close(q.finished)
 	defer q.log.close()
@@ -811,6 +814,7 @@ func (s *Server) collect(q *queryState, blocks <-chan []engine.Match) {
 		// End the /stats follow streams when the pipeline terminates.
 		defer q.agg.Close()
 	}
+	enc := engine.NewMatchEncoder(s.cfg.Schema)
 	var (
 		scratch []byte
 		ends    []int
@@ -820,26 +824,26 @@ func (s *Server) collect(q *queryState, blocks <-chan []engine.Match) {
 		scratch, ends = scratch[:0], ends[:0]
 		for _, m := range ms {
 			var err error
-			if scratch, err = engine.AppendMatchJSON(scratch, m, s.cfg.Schema); err != nil {
+			if scratch, err = enc.Append(scratch, m); err != nil {
 				q.recordErr(err)
 				continue
 			}
 			ends = append(ends, len(scratch))
 		}
-		if len(ends) == 0 {
-			continue
-		}
-		// Exact size: the log retains these bytes, so slack here would
-		// be held for as long as the lines are.
-		buf := make([]byte, len(scratch))
-		copy(buf, scratch)
+		enc.Reset()
 		lines = lines[:0]
-		lo := 0
-		for _, hi := range ends {
-			lines = append(lines, buf[lo:hi:hi])
-			lo = hi
+		if len(ends) > 0 {
+			// Exact size: the log retains these bytes, so slack here
+			// would be held for as long as the lines are.
+			buf := make([]byte, len(scratch))
+			copy(buf, scratch)
+			lo := 0
+			for _, hi := range ends {
+				lines = append(lines, buf[lo:hi:hi])
+				lo = hi
+			}
 		}
-		q.log.appendBlock(lines)
+		q.log.appendBlock(lines, len(ms)-len(lines))
 		q.matches.Add(int64(len(lines)))
 		clear(lines) // the log holds the lines now; do not pin evicted ones
 	}
