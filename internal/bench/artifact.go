@@ -154,8 +154,9 @@ func artifactCases(ds []Dataset) ([]artifactCase, func(), error) {
 
 	// AggThroughput is ThroughputQ1 evaluated aggregate-only: the same
 	// Kleene-plus query under the same filter, but every accepted
-	// instance folds into a per-patient (count, sum(p.V)) group instead
-	// of being enumerated — no buildMatch, no match materialization.
+	// instance is folded from its match buffer, in time linear in its
+	// bindings, into a per-patient (count, sum(p.V)) group instead of
+	// being enumerated — no buildMatch, no match materialization.
 	// The fold count is reported as the Matches fingerprint and must
 	// equal ThroughputQ1's match count; the ns/op and bytes/op gap
 	// between the two entries is the measured cost of enumeration.

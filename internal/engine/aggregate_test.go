@@ -159,7 +159,7 @@ func TestAggregateMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// --- property test: incremental == fold over enumerated matches ----
+// --- property test: buffer fold == fold over enumerated matches ----
 
 // refVal is the test-side scalar accumulator, maintained with plain
 // arithmetic independent of the engine's fold functions.
@@ -210,7 +210,7 @@ type refGroup struct {
 // straightforward way: per match, walk the bound events in
 // chronological order and accumulate each slot, then merge the
 // per-match partial into its group. This is the semantics the
-// incremental per-instance path must reproduce exactly, float
+// runner's fold from the match buffer must reproduce exactly, float
 // rounding included.
 func refAggregate(a *automaton.Automaton, plan *AggPlan, matches []Match) []*refGroup {
 	groups := make(map[string]*refGroup)
@@ -334,9 +334,9 @@ func compareStats(t *testing.T, plan *AggPlan, doc statsDoc, want []*refGroup, c
 
 // TestAggregatePropertyRandom is the core equivalence property:
 // on random patterns (sequences, Kleene-plus groups, permuted sets)
-// over random streams seeded with NaN and ±Inf values, the
-// incremental per-instance aggregation must equal a fold over the
-// enumerated match set — group for group, bit for bit.
+// over random streams seeded with NaN and ±Inf values, the runner's
+// aggregation must equal a fold over the enumerated match set — group
+// for group, bit for bit.
 func TestAggregatePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	schema := simpleSchema()
@@ -663,6 +663,52 @@ func TestAggregateStatsDelta(t *testing.T) {
 	}
 }
 
+// TestAggregateWakePerBlock: Stats followers are woken at the end of a
+// StepBlock or Flush that folded something — once for all of its
+// folds — and not by a block that folded nothing.
+func TestAggregateWakePerBlock(t *testing.T) {
+	a := compile(t, seqPattern(t, 100), simpleSchema())
+	spec := &pattern.AggSpec{Items: []pattern.AggItem{{Func: pattern.AggCount}}}
+	ag := NewAggregator(mustAggPlan(t, a, spec))
+	r := New(a, WithAggregation(ag), WithAggregateOnly(true))
+	rl := rel(t, "A@1", "B@2", "A@3", "B@4", "C@200", "A@201", "B@202")
+	step := func(lo, hi int) {
+		t.Helper()
+		if _, err := r.StepBlock(event.Block{Events: rl.Events()[lo:hi]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := func(wait <-chan struct{}) bool {
+		select {
+		case <-wait:
+			return true
+		default:
+			return false
+		}
+	}
+
+	_, ver, wait := ag.Stats(0)
+	step(0, 4) // two accepting instances, emitted only when they expire
+	if closed(wait) {
+		t.Fatal("a block that folded nothing woke the follower")
+	}
+	step(4, 5) // C@200 expires both: two folds in one block
+	if !closed(wait) {
+		t.Fatal("a block that folded did not wake the follower")
+	}
+	if _, ver, wait = ag.Stats(ver); ver != 2 {
+		t.Fatalf("after the expiring block: ver %d, want 2 folds", ver)
+	}
+	step(5, 7)
+	if closed(wait) {
+		t.Fatal("a block that folded nothing woke the follower")
+	}
+	r.Flush()
+	if !closed(wait) || ag.Folds() != 3 {
+		t.Fatalf("Flush folded %d matches in all and woke the follower: %v", ag.Folds(), closed(wait))
+	}
+}
+
 // --- snapshot / crash recovery -------------------------------------
 
 // TestAggregateSnapshotRoundTrip cuts an aggregating run at every
@@ -853,5 +899,94 @@ func TestAggregateKindMismatchSkipped(t *testing.T) {
 		`"groups":[{"key":null,"ver":1,"values":[1,2.5,2.5]}]}`
 	if got := mustStats(ag); string(got) != want {
 		t.Errorf("stats:\n got %s\nwant %s", got, want)
+	}
+}
+
+// foldOrderStream is a stream for groupPattern whose P values make
+// float addition order-dependent: 1 + 1e16 rounds back to 1e16, so the
+// sum of {1, 1e16, -1e16} is 0 oldest binding first and 1 newest first.
+// p+ binds three of an episode's five values when c and d take the
+// other two. Each episode orders the values differently and then lapses
+// out of the window, and IDs vary within an episode, so the oldest
+// bound event's ID — the partition key — differs from the newest's.
+func foldOrderStream(t *testing.T) *event.Relation {
+	t.Helper()
+	orders := [][]float64{
+		{1, 1e16, -1e16, 1, 2},
+		{-1e16, 1, 1e16, 3, 1},
+		{1e16, 1, -1e16, -1, 1},
+		{1, -1e16, 1, 1e16, 1},
+	}
+	r := event.NewRelation(simpleSchema())
+	for k, vals := range orders {
+		base := event.Time(k) * event.Time(300*event.Hour)
+		for i, v := range vals {
+			r.MustAppend(base+event.Time(i), event.Int(int64(1+(k+i)%2)), event.String("P"), event.Float(v))
+		}
+		r.MustAppend(base+event.Time(len(vals)), event.Int(int64(1+k%2)), event.String("B"), event.Float(0))
+	}
+	return r
+}
+
+// TestAggregateFoldOrder pins the fold order of a match and its
+// partition key: an accepted match's bindings are contributed oldest
+// first into a per-match partial, which is then folded into the group
+// of the oldest bound event's ID. The aggregate-only run, the
+// materializing run and a run snapshotted and restored at every cut
+// must render byte-identical stats, and those must equal the reference
+// fold over the materialized matches; a newest-first walk does not.
+func TestAggregateFoldOrder(t *testing.T) {
+	a := compile(t, groupPattern(), simpleSchema())
+	spec := &pattern.AggSpec{
+		Items:     []pattern.AggItem{{Func: pattern.AggCount}, {Func: pattern.AggSum, Var: "p", Attr: "V"}},
+		Partition: "ID",
+	}
+	plan := mustAggPlan(t, a, spec)
+	relation := foldOrderStream(t)
+
+	only := NewAggregator(plan)
+	if _, _, err := Run(a, relation, WithAggregation(only), WithAggregateOnly(true)); err != nil {
+		t.Fatal(err)
+	}
+	both := NewAggregator(plan)
+	matches, _, err := Run(a, relation, WithAggregation(both))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) < len(relation.Events())/5 {
+		t.Fatalf("only %d matches: the stream does not exercise the fold", len(matches))
+	}
+	want := mustStats(only)
+	if got := mustStats(both); !bytes.Equal(got, want) {
+		t.Fatalf("materializing and aggregate-only stats differ:\n%s\n%s", got, want)
+	}
+	compareStats(t, plan, parseStats(t, want), refAggregate(a, plan, matches), "fold order")
+
+	for cut := 1; cut < relation.Len(); cut++ {
+		ag := NewAggregator(plan)
+		r := New(a, WithAggregation(ag), WithAggregateOnly(true))
+		for i := 0; i < cut; i++ {
+			if _, err := r.Step(relation.Event(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := r.SnapshotBytes()
+		if err != nil {
+			t.Fatalf("cut %d: snapshot: %v", cut, err)
+		}
+		restoredAg := NewAggregator(plan)
+		restored, err := RestoreRunnerBytes(a, snap, WithAggregation(restoredAg), WithAggregateOnly(true))
+		if err != nil {
+			t.Fatalf("cut %d: restore: %v", cut, err)
+		}
+		for i := cut; i < relation.Len(); i++ {
+			if _, err := restored.Step(relation.Event(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restored.Flush()
+		if got := mustStats(restoredAg); !bytes.Equal(got, want) {
+			t.Fatalf("cut %d: restored run's stats diverge:\n got %s\nwant %s", cut, got, want)
+		}
 	}
 }

@@ -355,7 +355,6 @@ type instance struct {
 	state       int32
 	curSet      int32      // highest event set pattern with a binding
 	buf         *node      // match buffer β; nil in the start state
-	agg         *aggNode   // aggregation accumulator; nil without a plan
 	minT        event.Time // earliest bound event time (minT(β))
 	maxT        event.Time // latest bound event time
 	prevSetsMax event.Time // max event time over sets < curSet
@@ -366,14 +365,13 @@ const noTime = event.Time(math.MinInt64)
 // Runner executes one SES automaton incrementally. It is not safe for
 // concurrent use; create one Runner per goroutine.
 type Runner struct {
-	a        *automaton.Automaton
-	cfg      config
-	insts    []instance
-	scratch  []instance
-	arena    nodeArena
-	aggArena aggArena
-	metrics  Metrics
-	done     bool
+	a       *automaton.Automaton
+	cfg     config
+	insts   []instance
+	scratch []instance
+	arena   nodeArena
+	metrics Metrics
+	done    bool
 	// clock is the time of the last event stepped (noTime before the
 	// first). Step refuses an earlier event: every window argument in
 	// this file, chunk retirement included, rests on time order.
@@ -383,6 +381,12 @@ type Runner struct {
 	// calls (event counts during the first pass, fill cursors during
 	// the second).
 	buildScratch []int
+
+	// foldChain and foldVals are foldAccepted's scratch: an accepted
+	// instance's buffer oldest binding last, and its per-slot
+	// accumulator.
+	foldChain []*node
+	foldVals  []aggVal
 
 	// matchBuf backs the slice returned by Step/StepBlock/Flush; it is
 	// reused across calls (the Match values themselves reference the
@@ -471,7 +475,6 @@ func (r *Runner) Reset() {
 	r.insts = r.insts[:0]
 	r.stepMatches = r.stepMatches[:0]
 	r.arena.reset()
-	r.aggArena.reset()
 	if r.cfg.agg != nil {
 		r.cfg.agg.reset()
 	}
@@ -505,6 +508,9 @@ func (r *Runner) StepBlock(blk event.Block) ([]Match, error) {
 	var err error
 	for i := 0; i < blk.Len() && err == nil; i++ {
 		matches, err = r.stepInto(blk.At(i), matches)
+	}
+	if r.cfg.agg != nil {
+		r.cfg.agg.wake()
 	}
 	return r.keepMatchBuf(matches), err
 }
@@ -697,7 +703,7 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 // metric is bumped here, since callers count appended matches.
 func (r *Runner) emitAccepted(inst *instance, matches []Match) []Match {
 	if r.cfg.agg != nil {
-		r.cfg.agg.fold(inst.agg)
+		r.foldAccepted(inst)
 	}
 	if r.cfg.aggOnly {
 		r.metrics.Matches++
@@ -805,9 +811,6 @@ func (r *Runner) consume(inst *instance, e *event.Event, out []instance) []insta
 			minT:  inst.minT,
 			maxT:  e.Time,
 		}
-		if r.cfg.agg != nil && r.cfg.agg.plan.perInstance {
-			child.agg = r.aggArena.extend(r.cfg.agg.plan, inst.agg, int32(t.Var), e)
-		}
 		if child.minT == noTime {
 			child.minT = e.Time
 		}
@@ -836,14 +839,7 @@ func (r *Runner) consume(inst *instance, e *event.Event, out []instance) []insta
 		if r.cfg.emitOnAccept && t.Target == r.a.Accept {
 			// First-match alerting: emit immediately and terminate the
 			// lineage instead of waiting for expiry.
-			if r.cfg.agg != nil {
-				r.cfg.agg.fold(child.agg)
-			}
-			if r.cfg.aggOnly {
-				r.metrics.Matches++
-			} else {
-				r.stepMatches = append(r.stepMatches, r.buildMatch(&child))
-			}
+			r.stepMatches = r.emitAccepted(&child, r.stepMatches)
 			continue
 		}
 		out = append(out, child)
@@ -992,7 +988,11 @@ func (r *Runner) Flush() []Match {
 	if r.done {
 		return nil
 	}
-	return r.keepMatchBuf(r.flushInto(r.takeMatchBuf()))
+	matches := r.flushInto(r.takeMatchBuf())
+	if r.cfg.agg != nil {
+		r.cfg.agg.wake()
+	}
+	return r.keepMatchBuf(matches)
 }
 
 // flushInto ends the input, appending the matches of the accepting

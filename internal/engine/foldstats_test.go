@@ -71,26 +71,25 @@ func TestMergeFoldStatsProperty(t *testing.T) {
 		plan := foldPlan(t, having)
 		full := NewAggregator(plan)
 		parts := []*Aggregator{NewAggregator(plan), NewAggregator(plan), NewAggregator(plan)}
-		ar := &aggArena{}
-		nodes := 5 + rng.Intn(40)
-		for i := 0; i < nodes; i++ {
-			n := ar.new(len(plan.slots))
-			n.part = event.Int(int64(1 + rng.Intn(5)))
+		matches := 5 + rng.Intn(40)
+		for i := 0; i < matches; i++ {
+			key := event.Int(int64(1 + rng.Intn(5)))
+			vals := make([]aggVal, len(plan.slots))
 			for s := range plan.slots {
 				if rng.Intn(4) == 0 {
 					continue // this match contributed nothing to the slot
 				}
 				cnt := int64(1 + rng.Intn(3))
 				if plan.slots[s].isFloat {
-					n.vals[s] = aggVal{n: cnt, f: floats[rng.Intn(len(floats))]}
+					vals[s] = aggVal{n: cnt, f: floats[rng.Intn(len(floats))]}
 				} else {
-					n.vals[s] = aggVal{n: cnt, i: int64(rng.Intn(10) - 3)}
+					vals[s] = aggVal{n: cnt, i: int64(rng.Intn(10) - 3)}
 				}
 			}
-			full.fold(n)
+			full.fold(key, vals)
 			// parts[2] stays empty some iterations, covering the merge of
 			// a partition that saw no matches.
-			parts[rng.Intn(2+iter%2)].fold(n)
+			parts[rng.Intn(2+iter%2)].fold(key, vals)
 		}
 		docs := make([][]byte, len(parts))
 		var verSum uint64
@@ -130,13 +129,11 @@ func TestMergeFoldStatsCrossPartitionHaving(t *testing.T) {
 	}
 	plan := foldPlan(t, having)
 	a1, a2 := NewAggregator(plan), NewAggregator(plan)
-	ar := &aggArena{}
 	for _, ag := range []*Aggregator{a1, a2} {
-		n := ar.new(len(plan.slots))
-		n.part = event.Int(7)
-		n.vals[0] = aggVal{n: 1, f: 2.5} // sum(V)
-		n.vals[1] = aggVal{n: 1, f: 2.5} // avg(V)
-		ag.fold(n)
+		vals := make([]aggVal, len(plan.slots))
+		vals[0] = aggVal{n: 1, f: 2.5} // sum(V)
+		vals[1] = aggVal{n: 1, f: 2.5} // avg(V)
+		ag.fold(event.Int(7), vals)
 	}
 	for i, ag := range []*Aggregator{a1, a2} {
 		local, _, _ := ag.Stats(0)

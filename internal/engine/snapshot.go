@@ -66,12 +66,9 @@ type snapAggGroup struct {
 	Vals  []snapAggVal `json:"vals"`
 }
 
-// snapAgg is the serialized Aggregator state. Only group state is
-// written: the per-instance accumulator nodes are derived data and are
-// rebuilt from the instances' match buffers on restore, by replaying
-// each buffer's bindings in chronological order — the same fold
-// sequence the incremental path performed, so restored accumulators
-// are bit-identical.
+// snapAgg is the serialized Aggregator state: its groups. Instances
+// carry no aggregate state — a restored instance that accepts is folded
+// from its restored match buffer, like any other.
 type snapAgg struct {
 	Ver    uint64         `json:"ver"`
 	Groups []snapAggGroup `json:"groups"`
@@ -289,7 +286,6 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 		if err := r.cfg.agg.foldSection(snap.Agg, false); err != nil {
 			return nil, err
 		}
-		r.rebuildAggNodes()
 	}
 	return r, nil
 }
@@ -319,8 +315,7 @@ func (r *Runner) restoreInstances(sis []snapInstance, nodes []*node) error {
 }
 
 // snapshotState captures the aggregator's group state for
-// WriteSnapshot. Per-instance accumulator nodes are not captured; they
-// are derived from the match buffers on restore.
+// WriteSnapshot.
 func (ag *Aggregator) snapshotState() *snapAgg {
 	ag.mu.Lock()
 	defer ag.mu.Unlock()
@@ -392,34 +387,6 @@ func (ag *Aggregator) foldSection(sa *snapAgg, merge bool) error {
 	ag.ver += sa.Ver
 	ag.wakeLocked()
 	return nil
-}
-
-// rebuildAggNodes reconstructs the per-instance accumulator nodes from
-// the restored match buffers, replaying each buffer's bindings oldest
-// to newest — the same fold sequence the incremental path performed,
-// so the rebuilt accumulators are bit-identical to the originals.
-func (r *Runner) rebuildAggNodes() {
-	plan := r.cfg.agg.plan
-	if !plan.perInstance {
-		return
-	}
-	var chain []*node
-	for i := range r.insts {
-		chain = chain[:0]
-		for n := r.insts[i].buf; n != nil; n = n.prev {
-			chain = append(chain, n)
-		}
-		var an *aggNode
-		for j := len(chain) - 1; j >= 0; j-- {
-			an = r.aggArena.extend(plan, an, chain[j].varIdx, chain[j].ev)
-		}
-		r.insts[i].agg = an
-	}
-	if r.keyed != nil {
-		for _, s := range r.keyed.subs {
-			s.rebuildAggNodes()
-		}
-	}
 }
 
 // RestoreRunnerBytes is RestoreRunner over an in-memory snapshot.

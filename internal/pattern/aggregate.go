@@ -11,8 +11,8 @@ import (
 // the GRETA-style event-trend aggregation direction of Poppe et al.
 // ("Event Trend Aggregation Under Rich Event Matching Semantics"):
 // instead of enumerating the (potentially exponential) match set of a
-// Kleene-heavy pattern, the engine folds counts and sums into
-// accumulators carried on automaton instances and emits only the
+// Kleene-heavy pattern, the engine folds the counts and sums of each
+// accepted match into per-partition groups and emits only the
 // aggregate. The clause is declarative:
 //
 //	AGGREGATE count, sum(p.Dose), max(W)
@@ -110,9 +110,8 @@ func (h HavingCond) String() string {
 }
 
 // MaxEventAggregates bounds the distinct event-fed aggregates (sum,
-// min, max — across AGGREGATE and HAVING) of one pattern, so that
-// per-instance accumulators have a small fixed size on the engine's
-// hot path.
+// min, max — across AGGREGATE and HAVING) of one pattern, so that a
+// match's and a group's accumulators have a small fixed size.
 const MaxEventAggregates = 8
 
 // AggSpec is the aggregation clause of a pattern: the output items,
