@@ -17,6 +17,8 @@
 package ses_test
 
 import (
+	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -336,5 +338,41 @@ func BenchmarkKeyedRunner(b *testing.B) {
 		if _, _, err := engine.Run(a, d.Rel, engine.WithFilter(true), engine.WithPartitionKey("ID")); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSupervise measures Query.Supervise on the running-example
+// query over the small D1, fed from a goroutine one event at a time:
+// with the default in-memory checkpoints, with recovery off, and
+// persisting a checkpoint file every 256 events and at the end.
+func BenchmarkSupervise(b *testing.B) {
+	d := datasets(b, 1)[0]
+	q, err := ses.Compile(q1Text, d.Rel.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  ses.SuperviseConfig
+	}{
+		{"recoverable", ses.SuperviseConfig{}},
+		{"unrecoverable", ses.SuperviseConfig{MaxRestarts: -1}},
+		{"file", ses.SuperviseConfig{CheckpointPath: filepath.Join(b.TempDir(), "q1.ckpt")}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, sup, err := q.Supervise(context.Background(), feed(d.Rel), c.cfg, ses.WithFilter(true))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for range out {
+				}
+				if err := sup.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.Rel.Len()), "ns/event")
+		})
 	}
 }

@@ -100,12 +100,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/replica"
 )
 
@@ -176,40 +176,13 @@ func main() {
 	}
 }
 
-// parseSchema parses "name:type,name:type,..." into a schema.
-func parseSchema(spec string) (*ses.Schema, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("-schema is required (e.g. 'ID:int,L:string,V:float,U:string')")
-	}
-	var fields []ses.Field
-	for _, part := range strings.Split(spec, ",") {
-		name, typ, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema field %q: want name:type", part)
-		}
-		var t ses.Type
-		switch strings.ToLower(strings.TrimSpace(typ)) {
-		case "string", "str", "text":
-			t = ses.TypeString
-		case "int", "integer", "int64":
-			t = ses.TypeInt
-		case "float", "float64", "double", "real":
-			t = ses.TypeFloat
-		default:
-			return nil, fmt.Errorf("schema field %q: unknown type %q", name, typ)
-		}
-		fields = append(fields, ses.Field{Name: strings.TrimSpace(name), Type: t})
-	}
-	return ses.NewSchema(fields...)
-}
-
 // run starts the server and blocks until a termination signal drains
 // it. When ready is non-nil it receives the resolved listen address
 // once the server accepts connections (used by tests).
 func run(o options, logw *os.File, ready chan<- string) error {
-	schema, err := parseSchema(o.schemaSpec)
+	schema, err := event.ParseSchema(o.schemaSpec)
 	if err != nil {
-		return err
+		return fmt.Errorf("-schema: %w", err)
 	}
 	if o.follow != "" && o.walDir == "" {
 		return fmt.Errorf("-follow requires -wal-dir (the follower appends the leader's records to its own WAL)")

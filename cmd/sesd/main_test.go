@@ -10,21 +10,6 @@ import (
 	"time"
 )
 
-func TestParseSchema(t *testing.T) {
-	s, err := parseSchema("ID:int, L:string, V:float, U:string")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.String(); got != "ID:int, L:string, V:float, U:string" {
-		t.Fatalf("schema = %q", got)
-	}
-	for _, spec := range []string{"", "ID", "ID:bogus", "ID:int,ID:int", "bad.name:int"} {
-		if _, err := parseSchema(spec); err == nil {
-			t.Errorf("parseSchema(%q) succeeded, want error", spec)
-		}
-	}
-}
-
 // TestHTTPServerTimeouts: slow-header and idle connections are bounded;
 // responses are not (TestRunSmoke holds a follow stream across several
 // idle timeouts).
@@ -169,25 +154,34 @@ func TestRunSmokeWAL(t *testing.T) {
 	if !strings.Contains(body, `"backfill":true`) {
 		t.Fatalf("backfill registration response: %s", body)
 	}
+	// waitQuery polls the query until its status shows the event count
+	// and no catch-up in progress.
+	waitQuery := func(events string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get(base + "/queries/smoke")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if strings.Contains(string(b), events) && !strings.Contains(string(b), `"catching_up":true`) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("backfill query never caught up: %s", b)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// The live event goes in only once catch-up has handed off: a
+	// feeder still reading the WAL would replay it as well.
+	waitQuery(`"events":2`)
 	post("/events", `{"time": 3000, "attrs": {"ID": 1, "L": "B", "V": 0, "U": "WHO-Tox"}}`)
 
 	// The query must see all three events: two replayed, one live.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/queries/smoke")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if strings.Contains(string(b), `"events":3`) && !strings.Contains(string(b), `"catching_up":true`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backfill query never caught up: %s", b)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitQuery(`"events":3`)
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

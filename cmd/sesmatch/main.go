@@ -40,23 +40,26 @@
 // their counts and sums, HAVING applied) instead of match lines.
 // -partition, -checkpoint and -maximal do not apply to aggregate runs.
 //
-// With -checkpoint, evaluation runs incrementally and persists its
-// state (atomically, via rename) every -checkpoint-every events; a run
-// that crashed or was killed can be repeated with -resume added and
-// will skip the already-consumed prefix of the input, emitting only
-// the matches not yet completed at the last checkpoint. Matches are
-// printed when evaluation finishes, so matches completed before the
-// checkpoint appear on the original (completed) run's output, not the
-// resumed run's; use the supervised streaming API (Query.Supervise)
-// when every match must be delivered across crashes.
+// With -checkpoint, evaluation runs through Query.Supervise, which
+// numbers the input events by position, recovers from panics, and
+// persists its checkpoint (atomically, via rename) every
+// -checkpoint-every events and at the end of input; a run repeated
+// with -resume added skips the input the checkpoint covers (for a bare
+// Runner.WriteSnapshot file, the events it counts) and emits only the
+// matches not yet completed there. Matches are printed when evaluation
+// finishes, so matches completed before the checkpoint appear on the
+// original run's output, not the resumed run's; use Query.Supervise
+// directly when every match must be delivered across crashes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro"
+	"repro/internal/resilience"
 )
 
 // options collects the command line configuration of one run.
@@ -201,7 +204,7 @@ func run(o options) error {
 	case q.HasAggregate():
 		aggData, m, err = q.Aggregate(rel, opts...)
 	case o.checkpoint != "":
-		matches, m, err = runCheckpointed(q, rel, o, opts)
+		matches, m, err = runSupervised(q, rel, o, opts)
 	case o.partition != "":
 		matches, m, err = q.MatchPartitioned(rel, o.partition, opts...)
 	default:
@@ -258,80 +261,41 @@ func run(o options) error {
 	return nil
 }
 
-// runCheckpointed evaluates the query incrementally, persisting the
-// runner state to o.checkpoint every o.checkpointEvery events. With
-// o.resume, evaluation restores the checkpointed state first and skips
-// the input events it already consumed, so only matches that were
-// still pending at the checkpoint are emitted.
-func runCheckpointed(q *ses.Query, rel *ses.Relation, o options, opts []ses.Option) ([]ses.Match, ses.Metrics, error) {
-	if q.Variants() != 1 {
-		return nil, ses.Metrics{}, fmt.Errorf("-checkpoint does not support queries with optional variables")
+// runSupervised evaluates the query through Query.Supervise, which
+// checkpoints to o.checkpoint every o.checkpointEvery events and at the
+// end of input. With o.resume it restores that checkpoint and is fed
+// only the input events after the position it covers.
+func runSupervised(q *ses.Query, rel *ses.Relation, o options, opts []ses.Option) ([]ses.Match, ses.Metrics, error) {
+	cfg := ses.SuperviseConfig{CheckpointPath: o.checkpoint, CheckpointEvery: o.checkpointEvery, Resume: o.resume}
+	start, err := resilience.ResumeSeq(cfg)
+	if err != nil {
+		return nil, ses.Metrics{}, err
 	}
-	var r *ses.Runner
-	if o.resume {
-		f, err := os.Open(o.checkpoint)
-		switch {
-		case err == nil:
-			r, err = q.RestoreRunner(f, opts...)
-			f.Close()
-			if err != nil {
-				return nil, ses.Metrics{}, fmt.Errorf("resuming from %s: %w", o.checkpoint, err)
-			}
-		case os.IsNotExist(err):
-			r = q.Runner(opts...) // nothing to resume yet: cold start
-		default:
-			return nil, ses.Metrics{}, err
-		}
-	} else {
-		r = q.Runner(opts...)
-	}
-
-	every := o.checkpointEvery
-	if every <= 0 {
-		every = 1000
-	}
-	save := func() error {
-		tmp := o.checkpoint + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := r.WriteSnapshot(f); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		return os.Rename(tmp, o.checkpoint)
-	}
-
-	// EventsProcessed doubles as the position in the input relation:
-	// every relation event is one Step call.
-	start := int(r.Metrics().EventsProcessed)
 	if start > rel.Len() {
 		return nil, ses.Metrics{}, fmt.Errorf("checkpoint has consumed %d events but the input has only %d", start, rel.Len())
 	}
-	var matches []ses.Match
-	for i := start; i < rel.Len(); i++ {
-		ms, err := r.Step(rel.Event(i))
-		if err != nil {
-			return nil, r.Metrics(), err
-		}
-		matches = append(matches, ms...)
-		if (i+1-start)%every == 0 {
-			if err := save(); err != nil {
-				return nil, r.Metrics(), fmt.Errorf("checkpoint: %w", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // stops the feeder if the run ends early
+	// A few dozen events of slack let the feeder run ahead in bursts,
+	// with fewer goroutine switches than an unbuffered handoff.
+	in := make(chan ses.Event, 64)
+	go func() {
+		defer close(in)
+		for i := start; i < rel.Len(); i++ {
+			select {
+			case in <- *rel.Event(i):
+			case <-ctx.Done():
+				return
 			}
 		}
+	}()
+	out, sup, err := q.Supervise(ctx, in, cfg, opts...)
+	if err != nil {
+		return nil, ses.Metrics{}, err
 	}
-	// Final snapshot, so a later -resume run knows the input was fully
-	// consumed and only replays the flush.
-	if err := save(); err != nil {
-		return nil, r.Metrics(), fmt.Errorf("checkpoint: %w", err)
+	var matches []ses.Match
+	for m := range out {
+		matches = append(matches, m)
 	}
-	matches = append(matches, r.Flush()...)
-	return matches, r.Metrics(), nil
+	return matches, sup.Metrics(), sup.Err()
 }

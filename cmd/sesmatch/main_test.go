@@ -271,3 +271,74 @@ func TestRunResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunSupervisedMatchesPlain: the -checkpoint path emits a plain
+// run's matches, and a -resume run, from the supervisor's checkpoint
+// envelope or from a bare Runner.WriteSnapshot file, skips exactly the
+// events the checkpoint covers: the matches completed before the cut
+// and those the resumed run emits are together the plain run's.
+func TestRunSupervisedMatchesPlain(t *testing.T) {
+	rel := paperdata.Relation()
+	q, err := ses.Compile(paperdata.QueryQ1Text, rel.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(ms []ses.Match) string {
+		var b strings.Builder
+		for _, m := range ms {
+			b.WriteString(m.String() + "\n")
+		}
+		return b.String()
+	}
+	plain, _, err := q.Match(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	got, _, err := runSupervised(q, rel, options{checkpoint: filepath.Join(dir, "full.ckpt"), checkpointEvery: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) == 0 || render(got) != render(plain) {
+		t.Fatalf("-checkpoint run:\n%swant the plain run's:\n%s", render(got), render(plain))
+	}
+
+	// Cut the input in half: step the first half by hand for the
+	// matches completed before the cut, and checkpoint it both ways.
+	cut := rel.Len() / 2
+	half := ses.NewRelation(rel.Schema())
+	r := q.Runner()
+	var before []ses.Match
+	for i := 0; i < cut; i++ {
+		half.MustAppend(rel.Event(i).Time, rel.Event(i).Attrs...)
+		ms, err := r.Step(rel.Event(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, ms...)
+	}
+	bare := filepath.Join(dir, "bare.ckpt")
+	f, err := os.Create(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	envelope := filepath.Join(dir, "envelope.ckpt")
+	if _, _, err := runSupervised(q, half, options{checkpoint: envelope, checkpointEvery: 5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range map[string]string{"envelope": envelope, "bare snapshot": bare} {
+		after, _, err := runSupervised(q, rel, options{checkpoint: path, resume: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if combined := append(append([]ses.Match{}, before...), after...); render(combined) != render(plain) {
+			t.Errorf("resume from the %s: before the cut and after it:\n%swant the plain run's:\n%s", name, render(combined), render(plain))
+		}
+	}
+}

@@ -45,12 +45,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/resilience"
 )
 
@@ -83,33 +83,6 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: httpReadHeaderTimeout, IdleTimeout: httpIdleTimeout}
 }
 
-// parseSchema parses "name:type,name:type,..." into a schema.
-func parseSchema(spec string) (*ses.Schema, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("-schema is required (e.g. 'ID:int,L:string,V:float,U:string')")
-	}
-	var fields []ses.Field
-	for _, part := range strings.Split(spec, ",") {
-		name, typ, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema field %q: want name:type", part)
-		}
-		var t ses.Type
-		switch strings.ToLower(strings.TrimSpace(typ)) {
-		case "string", "str", "text":
-			t = ses.TypeString
-		case "int", "integer", "int64":
-			t = ses.TypeInt
-		case "float", "float64", "double", "real":
-			t = ses.TypeFloat
-		default:
-			return nil, fmt.Errorf("schema field %q: unknown type %q", name, typ)
-		}
-		fields = append(fields, ses.Field{Name: strings.TrimSpace(name), Type: t})
-	}
-	return ses.NewSchema(fields...)
-}
-
 // run starts the router and blocks until a termination signal. When
 // ready is non-nil it receives the resolved listen address once the
 // router accepts connections (used by tests).
@@ -117,9 +90,9 @@ func run(addr, clusterFile, schemaSpec string, inflight int, healthEvery time.Du
 	if clusterFile == "" {
 		return fmt.Errorf("-cluster is required (the membership file)")
 	}
-	schema, err := parseSchema(schemaSpec)
+	schema, err := event.ParseSchema(schemaSpec)
 	if err != nil {
-		return err
+		return fmt.Errorf("-schema: %w", err)
 	}
 	m, err := cluster.LoadMembership(clusterFile)
 	if err != nil {

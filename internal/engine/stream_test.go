@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/automaton"
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/paperdata"
@@ -17,8 +18,20 @@ import (
 )
 
 // The library's one channel API is the supervised pipeline
-// (resilience.Supervise); the tests below hold it to the runner's
-// Step/Flush semantics.
+// (resilience.SuperviseEvents behind ses.Query.Supervise); the tests
+// below hold it to the runner's Step/Flush semantics.
+
+// supervise is resilience.SuperviseEvents for a run whose checkpoint,
+// if any, is readable.
+func supervise(t *testing.T, ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	in <-chan event.Event, cfg resilience.Config) (<-chan engine.Match, *resilience.Supervisor) {
+	t.Helper()
+	out, sup, err := resilience.SuperviseEvents(ctx, a, opts, in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, sup
+}
 
 // sendAll sends evs on a fresh channel and closes it.
 func sendAll(evs []event.Event) <-chan event.Event {
@@ -43,7 +56,7 @@ func TestStreamMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, sup := resilience.Supervise(context.Background(), a, nil, sendAll(relation.Events()), resilience.Config{})
+	out, sup := supervise(t, context.Background(), a, nil, sendAll(relation.Events()), resilience.Config{})
 	var streamed []engine.Match
 	for m := range out {
 		streamed = append(streamed, m)
@@ -75,7 +88,8 @@ var streamWrappers = []streamWrapper{
 
 // start supervises the two-step pattern over in. prestep events are
 // stepped by hand first and the run resumes from the runner's snapshot,
-// the way a runner stepped outside a channel joins one.
+// the way a runner stepped outside a channel joins one; its events are
+// numbered on from the snapshot's.
 func (w streamWrapper) start(t *testing.T, ctx context.Context, within event.Duration, in <-chan event.Event, prestep []event.Event) (<-chan engine.Match, *resilience.Supervisor) {
 	a := engine.CompileForTest(t, engine.SeqPatternForTest(t, within), engine.SimpleSchemaForTest())
 	cfg := w.cfg
@@ -95,7 +109,7 @@ func (w streamWrapper) start(t *testing.T, ctx context.Context, within event.Dur
 			t.Fatal(err)
 		}
 	}
-	return resilience.Supervise(ctx, a, nil, in, cfg)
+	return supervise(t, ctx, a, nil, in, cfg)
 }
 
 // TestStreamLoop drives the supervised stream loop through each
@@ -147,10 +161,11 @@ func TestStreamLoop(t *testing.T) {
 		},
 		{
 			// In order, C@6 and B@1 are late behind A@10; within a slack
-			// of 5 only B@1 is.
+			// of 5 only B@1 is. Events are numbered by arrival, refused
+			// ones included.
 			name: "disorder", within: 100, closed: true,
 			input:    []event.Event{mkEvent(10, "A"), mkEvent(6, "C"), mkEvent(1, "B"), mkEvent(12, "B")},
-			want:     map[bool][]string{false: {"{x/e0, y/e1}"}, true: {"{x/e1, y/e2}"}},
+			want:     map[bool][]string{false: {"{x/e0, y/e3}"}, true: {"{x/e0, y/e3}"}},
 			wantLate: map[bool]int64{false: 2, true: 1},
 		},
 		{
@@ -234,7 +249,7 @@ func TestStreamErrConcurrentPoll(t *testing.T) {
 	in := make(chan event.Event)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, sup := resilience.Supervise(ctx, a, nil, in, resilience.Config{})
+	out, sup := supervise(t, ctx, a, nil, in, resilience.Config{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -255,8 +270,8 @@ func TestStreamErrConcurrentPoll(t *testing.T) {
 }
 
 // TestStreamReorderedMatchesBatch: shuffling the Figure 1 relation
-// within a generous slack and supervising it with that Slack yields the
-// same matches as batch evaluation of the sorted relation, with no dead
+// within a generous slack and supervising it with that Slack, each
+// event keeping its sorted position as its Seq, yields the same matches as batch evaluation of the sorted relation, with no dead
 // letter.
 func TestStreamReorderedMatchesBatch(t *testing.T) {
 	a := engine.CompileForTest(t, paperdata.QueryQ1(), paperdata.Schema())
@@ -272,11 +287,21 @@ func TestStreamReorderedMatchesBatch(t *testing.T) {
 	events[6], events[7] = events[7], events[6]
 	events[10], events[11] = events[11], events[10]
 
-	out, sup := resilience.Supervise(context.Background(), a, nil, sendAll(events),
+	// Each event keeps its position in the sorted relation as its Seq,
+	// the way a source stamps its offsets, so the matches compare with
+	// batch ones.
+	in := make(chan event.Block)
+	go func() {
+		defer close(in)
+		for i := range events {
+			in <- event.Block{Events: events[i : i+1]}
+		}
+	}()
+	out, sup := resilience.Supervise(context.Background(), a, nil, in,
 		resilience.Config{Slack: 7 * 24 * event.Hour})
 	var streamed []engine.Match
-	for m := range out {
-		streamed = append(streamed, m)
+	for ms := range out {
+		streamed = append(streamed, ms...)
 	}
 	if err := sup.Err(); err != nil {
 		t.Fatal(err)
@@ -316,7 +341,7 @@ func TestShardedOutOfOrderInput(t *testing.T) {
 	}
 
 	var reasons []error
-	out, sup := resilience.Supervise(context.Background(), a, []engine.Option{engine.WithPartitionKey("ID")},
+	out, sup := supervise(t, context.Background(), a, []engine.Option{engine.WithPartitionKey("ID")},
 		sendAll([]event.Event{ev(10, 1, "A"), ev(5, 2, "B")}),
 		resilience.Config{DeadLetter: func(_ event.Event, reason error) { reasons = append(reasons, reason) }})
 	for range out {
@@ -348,7 +373,7 @@ func TestShardedCancellation(t *testing.T) {
 			}
 		}
 	}()
-	out, sup := resilience.Supervise(ctx, a, []engine.Option{engine.WithPartitionKey("ID")}, in, resilience.Config{})
+	out, sup := supervise(t, ctx, a, []engine.Option{engine.WithPartitionKey("ID")}, in, resilience.Config{})
 	cancel()
 	done := make(chan struct{})
 	go func() {

@@ -266,6 +266,27 @@ func ParseType(s string) (Type, error) {
 	return 0, fmt.Errorf("event: unknown field type %q", s)
 }
 
+// ParseSchema parses a "name:type,name:type,..." spec, each type a
+// ParseType name, into a schema.
+func ParseSchema(spec string) (*Schema, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, fmt.Errorf("event: empty schema spec (want name:type,...)")
+	}
+	var fields []Field
+	for _, part := range strings.Split(spec, ",") {
+		name, typ, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("event: schema field %q: want name:type", part)
+		}
+		t, err := ParseType(typ)
+		if err != nil {
+			return nil, err
+		}
+		fields = append(fields, Field{Name: strings.TrimSpace(name), Type: t})
+	}
+	return NewSchema(fields...)
+}
+
 // Kind returns the value kind produced by fields of this type.
 func (t Type) Kind() Kind {
 	switch t {

@@ -223,6 +223,21 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 	}
 }
 
+func TestParseSchema(t *testing.T) {
+	s, err := ParseSchema("ID:int, L:string, V:float, U:string")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.String(); got != "ID:int, L:string, V:float, U:string" {
+		t.Fatalf("schema = %q", got)
+	}
+	for _, spec := range []string{"", "ID", "ID:bogus", "ID:int,ID:int", "bad.name:int"} {
+		if _, err := ParseSchema(spec); err == nil {
+			t.Errorf("ParseSchema(%q) succeeded, want error", spec)
+		}
+	}
+}
+
 func TestParseTypeAndValue(t *testing.T) {
 	for _, c := range []struct {
 		in   string

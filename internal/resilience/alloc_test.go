@@ -13,7 +13,7 @@ import (
 )
 
 // TestSuperviseBlocksAllocations bounds what a warmed slack-0
-// SuperviseBlocks pipeline allocates per delivered event when it steps
+// Supervise pipeline allocates per delivered event when it steps
 // 256-event routed blocks: well under one object, because a block is
 // admitted, stepped and kept for replay by reference. Copying each
 // event out of its block, as the pipeline once did, costs one object
@@ -51,7 +51,7 @@ func TestSuperviseBlocksAllocations(t *testing.T) {
 	}
 
 	in := make(chan event.Block)
-	out, s := SuperviseBlocks(context.Background(), a, nil, in, Config{})
+	out, s := Supervise(context.Background(), a, nil, in, Config{})
 	matches := make(chan int)
 	go func() {
 		n := 0

@@ -67,21 +67,6 @@ func routeBlocks(rng *rand.Rand, evs []event.Event, bs int) ([]event.Block, []ev
 	return blocks, selected
 }
 
-// perMatch flattens SuperviseBlocks' block channel into the per-match
-// channel of Supervise, so one harness drives and compares both.
-func perMatch(out <-chan []engine.Match, s *Supervisor) (<-chan engine.Match, *Supervisor) {
-	flat := make(chan engine.Match)
-	go func() {
-		defer close(flat)
-		for ms := range out {
-			for _, m := range ms {
-				flat <- m
-			}
-		}
-	}()
-	return flat, s
-}
-
 // pipelineOutcome is everything a supervised run exposes.
 type pipelineOutcome struct {
 	matches     []string
@@ -93,23 +78,10 @@ type pipelineOutcome struct {
 	metrics     engine.Metrics
 }
 
-// canonicalMatch renders m with every bound event's Seq replaced by its
-// ID attribute, its source position: Supervise numbers events by
-// position in what it stepped, SuperviseBlocks keeps the feeder's
-// numbers, and the two agree on every other byte.
+// canonicalMatch renders m as its MatchJSON line, Seq included: every
+// pipeline here keeps the Seq its feeder stamped.
 func canonicalMatch(m engine.Match) string {
-	c := m
-	c.Bindings = make([]engine.Binding, len(m.Bindings))
-	for i, b := range m.Bindings {
-		evs := make([]*event.Event, len(b.Events))
-		for j, e := range b.Events {
-			cp := *e
-			cp.Seq = int(cp.Attrs[0].Int64())
-			evs[j] = &cp
-		}
-		c.Bindings[i] = engine.Binding{Var: b.Var, Group: b.Group, Events: evs}
-	}
-	out, err := engine.MatchJSON(c, testSchema())
+	out, err := engine.MatchJSON(m, testSchema())
 	if err != nil {
 		return err.Error()
 	}
@@ -119,7 +91,7 @@ func canonicalMatch(m engine.Match) string {
 // runPipeline drives one supervised pipeline to the end of its input
 // and collects its outcome; run starts it with the given config.
 func runPipeline(t *testing.T, cfg Config, panicAt []int64,
-	run func(Config) (<-chan engine.Match, *Supervisor)) pipelineOutcome {
+	run func(Config) (<-chan []engine.Match, *Supervisor)) pipelineOutcome {
 	t.Helper()
 	var o pipelineOutcome
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "q.ckpt")
@@ -134,8 +106,10 @@ func runPipeline(t *testing.T, cfg Config, panicAt []int64,
 		cfg.faultHook = NewChaosSource(never, ChaosConfig{PanicAfter: panicAt}).FaultHook
 	}
 	out, s := run(cfg)
-	for m := range out {
-		o.matches = append(o.matches, canonicalMatch(m))
+	for ms := range out {
+		for _, m := range ms {
+			o.matches = append(o.matches, canonicalMatch(m))
+		}
 	}
 	if err := s.Err(); err != nil {
 		o.err = err.Error()
@@ -146,13 +120,13 @@ func runPipeline(t *testing.T, cfg Config, panicAt []int64,
 	return o
 }
 
-// TestSuperviseBlocksIsSupervise: SuperviseBlocks stepping routed Idx
-// blocks — with schema-invalid, sentinel and late events inside them,
+// TestSuperviseBlocksIsSupervise: Supervise stepping routed Idx blocks
+// — with schema-invalid, sentinel and late events inside them,
 // checkpoint cadences that do not divide the block size, chaos panics
-// striking mid-block, and a Fail-policy cap — delivers exactly what
-// Supervise delivers over the same events one at a time: the same
-// match bytes, dead letters, checkpoints, restarts, on-disk watermark,
-// error and Metrics.
+// striking mid-block, and a Fail-policy cap — delivers exactly what it
+// delivers over the same events one at a time, as one-event blocks
+// carrying the same Seq: the same match bytes, dead letters,
+// checkpoints, restarts, on-disk watermark, error and Metrics.
 func TestSuperviseBlocksIsSupervise(t *testing.T) {
 	a := testAutomaton(t, 12)
 	cases := []struct {
@@ -181,25 +155,11 @@ func TestSuperviseBlocksIsSupervise(t *testing.T) {
 				}
 				blocks, selected := routeBlocks(rng, refusalStream(rng, 300, refuseUntil, burst), bs)
 
-				want := runPipeline(t, tc.cfg, tc.panicAt, func(cfg Config) (<-chan engine.Match, *Supervisor) {
-					in := make(chan event.Event)
-					go func() {
-						defer close(in)
-						for _, e := range selected {
-							in <- e
-						}
-					}()
-					return Supervise(context.Background(), a, tc.opts, in, cfg)
+				want := runPipeline(t, tc.cfg, tc.panicAt, func(cfg Config) (<-chan []engine.Match, *Supervisor) {
+					return Supervise(context.Background(), a, tc.opts, oneEventBlocks(selected), cfg)
 				})
-				got := runPipeline(t, tc.cfg, tc.panicAt, func(cfg Config) (<-chan engine.Match, *Supervisor) {
-					in := make(chan event.Block)
-					go func() {
-						defer close(in)
-						for _, b := range blocks {
-							in <- b
-						}
-					}()
-					return perMatch(SuperviseBlocks(context.Background(), a, tc.opts, in, cfg))
+				got := runPipeline(t, tc.cfg, tc.panicAt, func(cfg Config) (<-chan []engine.Match, *Supervisor) {
+					return Supervise(context.Background(), a, tc.opts, sendBlocks(blocks), cfg)
 				})
 
 				if len(want.matches) == 0 || len(want.deadLetters) == 0 || want.checkpoints == 0 {
@@ -209,25 +169,25 @@ func TestSuperviseBlocksIsSupervise(t *testing.T) {
 				t.Logf("%d matches, %d dead letters, %d checkpoints, %d restarts, watermark %s",
 					len(want.matches), len(want.deadLetters), want.checkpoints, want.restarts, want.watermark)
 				if tc.fail != strings.Contains(want.err, "exceed the cap") {
-					t.Fatalf("Supervise ended with %q", want.err)
+					t.Fatalf("the one-event run ended with %q", want.err)
 				}
 				if len(tc.panicAt) > 0 && want.restarts == 0 {
 					t.Fatal("no injected panic struck")
 				}
 				if g, w := strings.Join(got.matches, "\n"), strings.Join(want.matches, "\n"); g != w {
-					t.Errorf("matches differ\nSuperviseBlocks (%d):\n%s\nSupervise (%d):\n%s", len(got.matches), g, len(want.matches), w)
+					t.Errorf("matches differ\nrouted blocks (%d):\n%s\none-event blocks (%d):\n%s", len(got.matches), g, len(want.matches), w)
 				}
 				if fmt.Sprint(got.deadLetters) != fmt.Sprint(want.deadLetters) {
-					t.Errorf("dead letters differ\nSuperviseBlocks: %v\nSupervise:       %v", got.deadLetters, want.deadLetters)
+					t.Errorf("dead letters differ\nrouted blocks:    %v\none-event blocks: %v", got.deadLetters, want.deadLetters)
 				}
 				if got.checkpoints != want.checkpoints || got.restarts != want.restarts ||
 					got.watermark != want.watermark || got.err != want.err {
-					t.Errorf("SuperviseBlocks: %d checkpoints, %d restarts, watermark %s, err %q\nSupervise:       %d checkpoints, %d restarts, watermark %s, err %q",
+					t.Errorf("routed blocks:    %d checkpoints, %d restarts, watermark %s, err %q\none-event blocks: %d checkpoints, %d restarts, watermark %s, err %q",
 						got.checkpoints, got.restarts, got.watermark, got.err,
 						want.checkpoints, want.restarts, want.watermark, want.err)
 				}
 				if got.metrics != want.metrics {
-					t.Errorf("Metrics differ\nSuperviseBlocks: %+v\nSupervise:       %+v", got.metrics, want.metrics)
+					t.Errorf("Metrics differ\nrouted blocks:    %+v\none-event blocks: %+v", got.metrics, want.metrics)
 				}
 			})
 		}
@@ -235,7 +195,7 @@ func TestSuperviseBlocksIsSupervise(t *testing.T) {
 }
 
 // TestSuperviseBlocksKeyedChaos: a keyed runner (engine.WithPartitionKey)
-// on a SuperviseBlocks pipeline recovers from chaos panics striking
+// on a Supervise pipeline recovers from chaos panics striking
 // mid-block — restoring its keyed checkpoint and replaying — with the
 // output of a fault-free run, which is the keyed runner's own.
 func TestSuperviseBlocksKeyedChaos(t *testing.T) {
@@ -250,15 +210,8 @@ func TestSuperviseBlocksKeyedChaos(t *testing.T) {
 	}
 	blocks, selected := routeBlocks(rng, evs, 16)
 	run := func(panicAt []int64) pipelineOutcome {
-		return runPipeline(t, Config{CheckpointEvery: 5}, panicAt, func(cfg Config) (<-chan engine.Match, *Supervisor) {
-			in := make(chan event.Block)
-			go func() {
-				defer close(in)
-				for _, b := range blocks {
-					in <- b
-				}
-			}()
-			return perMatch(SuperviseBlocks(context.Background(), a, opts, in, cfg))
+		return runPipeline(t, Config{CheckpointEvery: 5}, panicAt, func(cfg Config) (<-chan []engine.Match, *Supervisor) {
+			return Supervise(context.Background(), a, opts, sendBlocks(blocks), cfg)
 		})
 	}
 	calm, chaos := run(nil), run([]int64{9, 40, 41, 77, 130})
@@ -292,47 +245,35 @@ func TestSuperviseBlocksKeyedChaos(t *testing.T) {
 }
 
 // TestUnrecoverableRunCutsNoCheckpoint: with recovery off and no
-// checkpoint path, SuperviseBlocks and Supervise cut no checkpoint
+// checkpoint path, routed and one-event feeds cut no checkpoint
 // however small the cadence, yet deliver the matches and dead letters
 // of a checkpointing run; a panic then ends the stream.
 func TestUnrecoverableRunCutsNoCheckpoint(t *testing.T) {
 	a := testAutomaton(t, 12)
 	rng := rand.New(rand.NewSource(5))
 	blocks, selected := routeBlocks(rng, refusalStream(rng, 300, 300, [2]int{}), 16)
-	supervise := func(cfg Config) (<-chan engine.Match, *Supervisor) {
-		in := make(chan event.Event)
-		go func() {
-			defer close(in)
-			for _, e := range selected {
-				in <- e
-			}
-		}()
-		return Supervise(context.Background(), a, nil, in, cfg)
+	oneEvent := func(cfg Config) (<-chan []engine.Match, *Supervisor) {
+		return Supervise(context.Background(), a, nil, oneEventBlocks(selected), cfg)
 	}
-	superviseBlocks := func(cfg Config) (<-chan engine.Match, *Supervisor) {
-		in := make(chan event.Block)
-		go func() {
-			defer close(in)
-			for _, b := range blocks {
-				in <- b
-			}
-		}()
-		return perMatch(SuperviseBlocks(context.Background(), a, nil, in, cfg))
+	routed := func(cfg Config) (<-chan []engine.Match, *Supervisor) {
+		return Supervise(context.Background(), a, nil, sendBlocks(blocks), cfg)
 	}
-	want := runPipeline(t, Config{CheckpointEvery: 5}, nil, supervise)
+	want := runPipeline(t, Config{CheckpointEvery: 5}, nil, oneEvent)
 	if len(want.matches) == 0 || len(want.deadLetters) == 0 || want.checkpoints == 0 {
 		t.Fatalf("the case exercises too little: %d matches, %d dead letters, %d checkpoints",
 			len(want.matches), len(want.deadLetters), want.checkpoints)
 	}
-	for name, run := range map[string]func(Config) (<-chan engine.Match, *Supervisor){
-		"Supervise": supervise, "SuperviseBlocks": superviseBlocks,
+	for name, run := range map[string]func(Config) (<-chan []engine.Match, *Supervisor){
+		"one-event": oneEvent, "routed": routed,
 	} {
 		var got pipelineOutcome
 		out, s := run(Config{MaxRestarts: -1, CheckpointEvery: 5, DeadLetter: func(e event.Event, reason error) {
 			got.deadLetters = append(got.deadLetters, fmt.Sprintf("%v:%v", e.Attrs[0], reason))
 		}})
-		for m := range out {
-			got.matches = append(got.matches, canonicalMatch(m))
+		for ms := range out {
+			for _, m := range ms {
+				got.matches = append(got.matches, canonicalMatch(m))
+			}
 		}
 		if err := s.Err(); err != nil || s.Checkpoints() != 0 {
 			t.Errorf("%s: err %v, %d checkpoints, want none", name, err, s.Checkpoints())

@@ -1,7 +1,10 @@
 package resilience
 
 import (
+	"bufio"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -27,8 +30,6 @@ type ckptState struct {
 	// it is accounted for: consumed into the runner snapshot, buffered
 	// in the reorderer state, or deterministically dead-lettered.
 	srcLast int64
-	// arrival continues the reorderer tie-break counter.
-	arrival int64
 	// reorder restores the in-flight buffered events.
 	reorder engine.ReordererState
 	// runner is the embedded engine snapshot (engine.SnapshotBytes).
@@ -41,7 +42,7 @@ func encodeCheckpoint(schema *event.Schema, st ckptState) []byte {
 	buf := make([]byte, 0, len(ckptMagic)+len(st.runner)+len(st.reorder.Buffered)*32+64)
 	buf = append(buf, ckptMagic...)
 	buf = binary.AppendVarint(buf, st.srcLast)
-	buf = binary.AppendVarint(buf, st.arrival)
+	buf = binary.AppendVarint(buf, 0) // a retired counter's slot, kept so older envelopes decode
 	if st.reorder.Seen {
 		buf = append(buf, 1)
 	} else {
@@ -77,7 +78,7 @@ func decodeCheckpoint(schema *event.Schema, data []byte) (st ckptState, ok bool,
 		return bad("source offset")
 	}
 	data = data[n:]
-	if st.arrival, n = binary.Varint(data); n <= 0 {
+	if _, n = binary.Varint(data); n <= 0 {
 		return bad("arrival counter")
 	}
 	data = data[n:]
@@ -128,28 +129,56 @@ func decodeCheckpoint(schema *event.Schema, data []byte) (st ckptState, ok bool,
 // CheckpointOffset reports the source-offset watermark recorded in the
 // checkpoint file at path: every source event with offset at or below
 // the returned value is covered by the checkpoint, so a replaying
-// feeder should resume at watermark+1. ok is false when the file does
-// not exist, is a legacy (pre-WAL) checkpoint, or records no watermark
-// — the feeder must then replay from the query's registration offset.
+// feeder should resume at watermark+1. For a checkpoint written through
+// ses.Query.Supervise that is the arrival position of the last event
+// received. ok is false when the file does not exist, is a legacy
+// (pre-WAL) checkpoint, or records no watermark — the feeder must then
+// replay from the query's registration offset. Only the header is read.
 func CheckpointOffset(path string) (watermark int64, ok bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, false, nil
+	w, err := lastPosition(path, false)
+	return w, w >= 0, err
+}
+
+// ResumeSeq returns the Seq the feeder of a run with cfg stamps on its
+// first event: with Resume, one past the watermark of CheckpointPath's
+// envelope or a bare runner snapshot's EventsProcessed; otherwise 0.
+func ResumeSeq(cfg Config) (int, error) {
+	if !cfg.Resume || cfg.CheckpointPath == "" {
+		return 0, nil
+	}
+	w, err := lastPosition(cfg.CheckpointPath, true)
+	return int(w) + 1, err
+}
+
+// lastPosition reads the position of the last event the checkpoint at
+// path covers from an envelope's header or, with bare, from a bare
+// snapshot; it is -1 when there is none.
+func lastPosition(path string, bare bool) (int64, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return -1, nil
+	} else if err != nil {
+		return -1, err
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	if magic, _ := r.Peek(len(ckptMagic)); string(magic) != ckptMagic {
+		if !bare {
+			return -1, nil
 		}
-		return 0, false, err
+		// The metrics of engine.Runner.WriteSnapshot's document.
+		var snap struct {
+			Metrics engine.Metrics `json:"metrics"`
+		}
+		if err := json.NewDecoder(r).Decode(&snap); err != nil {
+			return -1, fmt.Errorf("resilience: reading checkpoint %s: %w", path, err)
+		}
+		return snap.Metrics.EventsProcessed - 1, nil
 	}
-	// Only the header is needed; schema-dependent parts come later in
-	// the layout, so a nil schema never gets dereferenced here.
-	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		return 0, false, nil
+	r.Discard(len(ckptMagic))
+	v, err := binary.ReadVarint(r)
+	if err != nil {
+		return -1, fmt.Errorf("resilience: corrupt checkpoint %s: source offset", path)
 	}
-	v, n := binary.Varint(data[len(ckptMagic):])
-	if n <= 0 {
-		return 0, false, fmt.Errorf("resilience: corrupt checkpoint %s: source offset", path)
-	}
-	if v < 0 {
-		return 0, false, nil
-	}
-	return v, true, nil
+	return max(v, -1), nil
 }

@@ -2,10 +2,12 @@ package resilience
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +19,6 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 	schema := testSchema()
 	want := ckptState{
 		srcLast: 41,
-		arrival: 17,
 		reorder: engine.ReordererState{
 			Buffered: []event.Event{
 				{Seq: 3, Time: 30, Attrs: []event.Value{event.Int(1), event.String("A"), event.Float(0.5)}},
@@ -29,24 +30,30 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 		runner: []byte("opaque runner snapshot"),
 	}
 	data := encodeCheckpoint(schema, want)
-	got, v2, err := decodeCheckpoint(schema, data)
-	if err != nil || !v2 {
-		t.Fatalf("decode: v2=%v err=%v", v2, err)
-	}
-	if got.srcLast != want.srcLast || got.arrival != want.arrival ||
-		got.reorder.MaxSeen != want.reorder.MaxSeen || got.reorder.Seen != want.reorder.Seen {
-		t.Fatalf("header mismatch: got %+v", got)
-	}
-	if string(got.runner) != string(want.runner) {
-		t.Fatalf("runner payload mismatch")
-	}
-	if len(got.reorder.Buffered) != 2 {
-		t.Fatalf("buffered = %d, want 2", len(got.reorder.Buffered))
-	}
-	for i, e := range got.reorder.Buffered {
-		w := want.reorder.Buffered[i]
-		if e.Seq != w.Seq || e.Time != w.Time || !reflect.DeepEqual(e.Attrs, w.Attrs) {
-			t.Fatalf("buffered[%d] = %+v, want %+v", i, e, w)
+	// Older writers kept an arrival counter in the slot after the source
+	// offset; such an envelope decodes to the same state.
+	slot := len(ckptMagic) + len(binary.AppendVarint(nil, want.srcLast))
+	older := append(binary.AppendVarint(slices.Clone(data[:slot]), 17), data[slot+1:]...)
+	for _, data := range [][]byte{data, older} {
+		got, v2, err := decodeCheckpoint(schema, data)
+		if err != nil || !v2 {
+			t.Fatalf("decode: v2=%v err=%v", v2, err)
+		}
+		if got.srcLast != want.srcLast ||
+			got.reorder.MaxSeen != want.reorder.MaxSeen || got.reorder.Seen != want.reorder.Seen {
+			t.Fatalf("header mismatch: got %+v", got)
+		}
+		if string(got.runner) != string(want.runner) {
+			t.Fatalf("runner payload mismatch")
+		}
+		if len(got.reorder.Buffered) != 2 {
+			t.Fatalf("buffered = %d, want 2", len(got.reorder.Buffered))
+		}
+		for i, e := range got.reorder.Buffered {
+			w := want.reorder.Buffered[i]
+			if e.Seq != w.Seq || e.Time != w.Time || !reflect.DeepEqual(e.Attrs, w.Attrs) {
+				t.Fatalf("buffered[%d] = %+v, want %+v", i, e, w)
+			}
 		}
 	}
 }
@@ -115,7 +122,7 @@ func TestResumeFromV2WithBufferedEvents(t *testing.T) {
 	// B in the reorderer buffer, and watermark srcLast=1.
 	in := make(chan event.Event)
 	ctx, cancel := context.WithCancel(context.Background())
-	out, s := Supervise(ctx, a, nil, in, Config{
+	out, s := supervise(t, ctx, a, nil, in, Config{
 		Slack:           5,
 		CheckpointEvery: 1,
 		CheckpointPath:  ckpt,
@@ -143,7 +150,7 @@ func TestResumeFromV2WithBufferedEvents(t *testing.T) {
 	// B@9 and complete the A→B match entirely from checkpoint state.
 	empty := make(chan event.Event)
 	close(empty)
-	out2, s2 := Supervise(context.Background(), a, nil, empty, Config{
+	out2, s2 := supervise(t, context.Background(), a, nil, empty, Config{
 		Slack:          5,
 		CheckpointPath: ckpt,
 		Resume:         true,
@@ -175,23 +182,21 @@ func TestResumeSlackZeroStepsBufferedEvents(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "held-back.ckpt")
 	held := event.Event{Seq: 1, Time: 9, Attrs: []event.Value{event.Int(2), event.String("B"), event.Float(0)}}
-	if err := os.WriteFile(ckpt, encodeCheckpoint(testSchema(), ckptState{srcLast: 1, arrival: 2, runner: snap,
+	if err := os.WriteFile(ckpt, encodeCheckpoint(testSchema(), ckptState{srcLast: 1, runner: snap,
 		reorder: engine.ReordererState{Buffered: []event.Event{held}, MaxSeen: 9, Seen: true}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan event.Block, 1)
-	in <- event.Block{Events: []event.Event{
+	in := sendBlocks([]event.Block{{Events: []event.Event{
 		{Seq: 2, Time: 5, Attrs: []event.Value{event.Int(3), event.String("A"), event.Float(0)}},
 		{Seq: 3, Time: 200, Attrs: []event.Value{event.Int(4), event.String("C"), event.Float(0)}},
-	}}
-	close(in)
+	}}})
 	var reasons []error
-	out, s := perMatch(SuperviseBlocks(context.Background(), a, nil, in, Config{
+	out, s := Supervise(context.Background(), a, nil, in, Config{
 		CheckpointPath: ckpt,
 		Resume:         true,
 		DeadLetter:     func(e event.Event, reason error) { reasons = append(reasons, reason) },
-	}))
-	got := collect(out)
+	})
+	got := collectBlocks(out)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,54 @@ func feed(rel *event.Relation) <-chan event.Event {
 	return ch
 }
 
+// supervise is SuperviseEvents for a run whose checkpoint, if any,
+// is readable.
+func supervise(t testing.TB, ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	in <-chan event.Event, cfg Config) (<-chan engine.Match, *Supervisor) {
+	t.Helper()
+	out, s, err := SuperviseEvents(ctx, a, opts, in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, s
+}
+
+// sendBlocks sends blocks on a fresh channel and closes it.
+func sendBlocks(blocks []event.Block) <-chan event.Block {
+	in := make(chan event.Block)
+	go func() {
+		defer close(in)
+		for _, b := range blocks {
+			in <- b
+		}
+	}()
+	return in
+}
+
+// oneEventBlocks sends each of evs as a one-event block, keeping its
+// Seq, and closes the channel.
+func oneEventBlocks(evs []event.Event) <-chan event.Block {
+	blocks := make([]event.Block, len(evs))
+	for i := range evs {
+		blocks[i] = event.Block{Events: evs[i : i+1]}
+	}
+	return sendBlocks(blocks)
+}
+
 func collect(out <-chan engine.Match) []string {
 	var got []string
 	for m := range out {
 		got = append(got, m.String())
+	}
+	return got
+}
+
+func collectBlocks(out <-chan []engine.Match) []string {
+	var got []string
+	for ms := range out {
+		for _, m := range ms {
+			got = append(got, m.String())
+		}
 	}
 	return got
 }
@@ -99,7 +143,16 @@ func TestTortureChaosWithinSlack(t *testing.T) {
 		PanicAfter:    []int64{50, 120},
 	})
 	ckpt := filepath.Join(t.TempDir(), "torture.ckpt")
-	out, s := Supervise(context.Background(), a, nil, chaos.Events(), Config{
+	// Each event keeps its relation Seq, its source offset, through
+	// duplication and reordering, as a WAL's would.
+	in := make(chan event.Block)
+	go func() {
+		defer close(in)
+		for e := range chaos.Events() {
+			in <- event.Block{Events: []event.Event{e}}
+		}
+	}()
+	out, s := Supervise(context.Background(), a, nil, in, Config{
 		Slack:           16,
 		DedupWindow:     32,
 		CheckpointEvery: 16,
@@ -107,7 +160,7 @@ func TestTortureChaosWithinSlack(t *testing.T) {
 		MaxRestarts:     10,
 		faultHook:       chaos.FaultHook,
 	})
-	got := collect(out)
+	got := collectBlocks(out)
 
 	if err := s.Err(); err != nil {
 		t.Fatalf("supervised run failed: %v", err)
@@ -149,7 +202,7 @@ func TestTortureDegradedReportsShedding(t *testing.T) {
 	rel.MustAppend(100, event.Int(1), event.String("B"), event.Float(0))
 
 	opts := []engine.Option{engine.WithMaxInstances(10), engine.WithOverloadPolicy(engine.DropOldest)}
-	out, s := Supervise(context.Background(), a, opts, feed(rel), Config{})
+	out, s := supervise(t, context.Background(), a, opts, feed(rel), Config{})
 	got := collect(out)
 
 	if err := s.Err(); err != nil {
@@ -168,7 +221,7 @@ func TestTortureDegradedReportsShedding(t *testing.T) {
 	// Contrast: the paper-exact Fail policy gives up instead, and the
 	// supervisor must surface that as a terminal error (deterministic
 	// errors are not retried).
-	out2, s2 := Supervise(context.Background(), a,
+	out2, s2 := supervise(t, context.Background(), a,
 		[]engine.Option{engine.WithMaxInstances(10)}, feed(rel), Config{})
 	collect(out2)
 	if err := s2.Err(); err == nil || !strings.Contains(err.Error(), "exceed the cap") {
@@ -192,7 +245,7 @@ func TestSupervisorDeadLetters(t *testing.T) {
 	close(in)
 
 	var reasons []error
-	out, s := Supervise(context.Background(), a, nil, in, Config{
+	out, s := supervise(t, context.Background(), a, nil, in, Config{
 		Slack:      5,
 		DeadLetter: func(e event.Event, reason error) { reasons = append(reasons, reason) },
 	})
@@ -222,7 +275,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 		PanicAfter: []int64{3, 4, 5, 6, 7, 8},
 	})
 	restarts := 0
-	out, s := Supervise(context.Background(), a, nil, chaos.Events(), Config{
+	out, s := supervise(t, context.Background(), a, nil, chaos.Events(), Config{
 		MaxRestarts: 2,
 		Backoff:     1, // keep the test fast
 		faultHook:   chaos.FaultHook,
@@ -249,7 +302,7 @@ func TestSupervisorResume(t *testing.T) {
 	rel := tortureRelation(t, 64)
 	ckpt := filepath.Join(t.TempDir(), "resume.ckpt")
 
-	out1, s1 := Supervise(context.Background(), a, nil, feed(rel), Config{
+	out1, s1 := supervise(t, context.Background(), a, nil, feed(rel), Config{
 		CheckpointEvery: 8,
 		CheckpointPath:  ckpt,
 	})
@@ -257,15 +310,15 @@ func TestSupervisorResume(t *testing.T) {
 	if err := s1.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if s1.Checkpoints() != 8 {
-		t.Fatalf("Checkpoints = %d, want 8 (64 events / 8)", s1.Checkpoints())
+	if s1.Checkpoints() != 9 {
+		t.Fatalf("Checkpoints = %d, want 9 (64 events / 8, and the drain checkpoint)", s1.Checkpoints())
 	}
 
 	// The persisted snapshot is the state after the last checkpoint;
 	// a resumed supervisor starts from there.
 	empty := make(chan event.Event)
 	close(empty)
-	out2, s2 := Supervise(context.Background(), a, nil, empty, Config{
+	out2, s2 := supervise(t, context.Background(), a, nil, empty, Config{
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
@@ -282,10 +335,15 @@ func TestSupervisorResume(t *testing.T) {
 	if err := writeFileAtomic(bad, []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	out3, s3 := Supervise(context.Background(), a, nil, empty, Config{CheckpointPath: bad, Resume: true})
-	collect(out3)
+	badCfg := Config{CheckpointPath: bad, Resume: true}
+	if _, _, err := SuperviseEvents(context.Background(), a, nil, empty, badCfg); err == nil {
+		t.Errorf("SuperviseEvents: corrupt checkpoint must fail the resume")
+	}
+	out3, s3 := Supervise(context.Background(), a, nil, oneEventBlocks(nil), badCfg)
+	for range out3 {
+	}
 	if err := s3.Err(); err == nil {
-		t.Errorf("corrupt checkpoint must fail the resume")
+		t.Errorf("Supervise: corrupt checkpoint must fail the resume")
 	}
 }
 
@@ -295,7 +353,7 @@ func TestSupervisorCancellation(t *testing.T) {
 	a := testAutomaton(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan event.Event) // never closed: only cancellation can end the run
-	out, s := Supervise(ctx, a, nil, in, Config{})
+	out, s := supervise(t, ctx, a, nil, in, Config{})
 	cancel()
 	collect(out) // must return: the channel closes on cancellation
 	if err := s.Err(); err != context.Canceled {
@@ -354,7 +412,7 @@ func TestSupervisorRegistry(t *testing.T) {
 		DupProb:    0.3,
 	})
 	reg := obs.NewRegistry()
-	out, s := Supervise(context.Background(), a, nil, chaos.Events(), Config{
+	out, s := supervise(t, context.Background(), a, nil, chaos.Events(), Config{
 		Slack:           5,
 		DedupWindow:     5,
 		CheckpointEvery: 8,
@@ -398,7 +456,7 @@ func TestSupervisorSentinelDeadLetter(t *testing.T) {
 	in <- event.Event{Time: 2, Attrs: []event.Value{event.Int(1), event.String("B"), event.Float(0)}}
 	close(in)
 	var reasons []error
-	out, s := Supervise(context.Background(), a, nil, in, Config{
+	out, s := supervise(t, context.Background(), a, nil, in, Config{
 		DeadLetter: func(e event.Event, reason error) { reasons = append(reasons, reason) },
 	})
 	got := collect(out)
@@ -419,7 +477,7 @@ func TestSupervisorSentinelDeadLetter(t *testing.T) {
 func TestSupervisorProgress(t *testing.T) {
 	a := testAutomaton(t, 10)
 	in := make(chan event.Event)
-	out, s := Supervise(context.Background(), a, nil, in, Config{})
+	out, s := supervise(t, context.Background(), a, nil, in, Config{})
 	done := make(chan struct{})
 	go func() { collect(out); close(done) }()
 

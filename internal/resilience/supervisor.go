@@ -38,9 +38,10 @@ var (
 	ErrSentinelTime = errors.New("resilience: event timestamp is a reserved sentinel")
 )
 
-// Config parameterizes Supervise. The zero value gives a working
-// supervisor: no reorder slack, checkpoint every 256 events, at most 3
-// restarts with 10ms..2s exponential backoff, and silent dead-letter.
+// Config parameterizes Supervise and SuperviseEvents. The zero value
+// gives a working supervisor: no reorder slack, checkpoint every 256
+// events, at most 3 restarts with 10ms..2s exponential backoff, and
+// silent dead-letter.
 type Config struct {
 	// Slack is the reorder slack: events may arrive up to Slack time
 	// units later than any already-seen event. Later ones go to the
@@ -57,12 +58,15 @@ type Config struct {
 	// A run without recovery or CheckpointPath cuts no checkpoint.
 	CheckpointEvery int
 	// CheckpointPath, when non-empty, additionally persists every
-	// checkpoint to this file (written atomically via rename), so a
-	// restarted process can resume with Resume.
+	// checkpoint to this file (written atomically via rename), plus a
+	// final one when the input channel closes, before the end-of-input
+	// flush, so a restarted process can resume with Resume and skip the
+	// entire consumed input.
 	CheckpointPath string
 	// Resume makes the supervisor restore initial state from
 	// CheckpointPath if the file exists. The caller is responsible for
-	// feeding only events not yet consumed by the checkpointed run.
+	// feeding only events not yet consumed by the checkpointed run: those
+	// from ResumeSeq on.
 	Resume bool
 	// MaxRestarts caps recoveries over the stream's lifetime; 0 means
 	// the default of 3, negative disables recovery entirely; with no
@@ -97,11 +101,6 @@ type Config struct {
 	// of the serving layer — export distinguishable series instead of
 	// cumulative ones.
 	MetricLabels []string
-	// CheckpointOnDrain takes a final checkpoint to CheckpointPath when
-	// the input channel closes, before the end-of-input flush. A
-	// process that drains its supervisors on shutdown can then restart
-	// with Resume and skip the entire consumed input.
-	CheckpointOnDrain bool
 }
 
 // Supervisor reports the health of a supervised stream. All methods
@@ -250,84 +249,85 @@ type panicError struct{ val interface{} }
 func (p panicError) Error() string { return fmt.Sprintf("resilience: pipeline panic: %v", p.val) }
 
 // Supervise runs a resilient streaming evaluation of the automaton
-// over in and returns the match channel plus a Supervisor handle.
+// over a channel of shared, immutable event blocks and returns the
+// match channel plus a Supervisor handle.
 //
-// Each event becomes a one-event block, its Seq renumbered to its
-// position in the stepped stream, and takes the path SuperviseBlocks
-// describes. The runner is checkpointed every CheckpointEvery stepped
-// events; a panic in the step path is recovered by restoring the last
-// checkpoint, deterministically replaying the blocks stepped since —
-// suppressing matches already delivered — and retrying, with capped
-// exponential backoff between consecutive recoveries. A run with
-// recovery off (MaxRestarts < 0) and no CheckpointPath cuts no
-// checkpoint and keeps no block for replay.
-// Deterministic engine errors (e.g. the Fail overload policy tripping)
-// terminate the stream after the matches of the events before the
-// failing one. The match channel closes on end of input (after a final
-// flush), on ctx cancellation, or on a terminal error; consult
-// Supervisor.Err afterwards.
-func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	in <-chan event.Event, cfg Config) (<-chan engine.Match, *Supervisor) {
-	s := newSupervisor(cfg)
-	out := make(chan engine.Match)
-	go func() {
-		defer close(out)
-		s.run(ctx, a, opts, in, nil, cfg, func(ms []engine.Match) bool {
-			for _, m := range ms {
-				select {
-				case out <- m:
-					s.emitted.Add(1)
-				case <-ctx.Done():
-					s.fail(ctx.Err())
-					return false
-				}
-			}
-			return true
-		})
-	}()
-	return out, s
-}
-
-// SuperviseBlocks is Supervise over a channel of shared, immutable
-// event blocks, the serving layer's routed fan-out. One pass over a
-// block runs the schema, sentinel and lateness checks (refusals
-// dead-letter); the block is stepped with Runner.StepBlock, narrowed
-// with Idx only where an event was refused, and held by reference for
-// replay until the next checkpoint: no event is copied. A Reorderer
-// exists only when Slack or DedupWindow is positive; at slack 0 an
-// event is late when earlier than the last one stepped. Matches, dead
-// letters, checkpoints and restarts are those of Supervise.
+// One pass over a block runs the schema, sentinel and lateness checks
+// (refusals dead-letter); the block is stepped with Runner.StepBlock,
+// narrowed with Idx only where an event was refused, and held by
+// reference for replay until the next checkpoint: no event is copied.
+// A Reorderer exists only when Slack or DedupWindow is positive; at
+// slack 0 an event is late when earlier than the last one stepped.
+//
+// The runner is checkpointed every CheckpointEvery stepped events, and
+// to CheckpointPath, when set, once more at the end of input; a panic
+// in the step path is recovered by restoring the last checkpoint,
+// deterministically replaying the blocks stepped since — suppressing
+// matches already delivered — and retrying, with capped exponential
+// backoff between consecutive recoveries. A run with recovery off
+// (MaxRestarts < 0) and no CheckpointPath cuts no checkpoint and keeps
+// no block for replay. Deterministic engine errors (e.g. the Fail
+// overload policy tripping) terminate the stream after the matches of
+// the events before the failing one. The match channel closes on end
+// of input (after a final flush), on ctx cancellation, or on a
+// terminal error; consult Supervisor.Err afterwards.
 //
 // Matches leave a block at a time: each stepped sub-block (a block is
 // split only where a checkpoint falls inside it) that completes any
 // match is one send of a non-empty slice the receiver owns, and
 // Emitted rises by its length once the receiver has taken it.
 //
-// Block mode keeps each event's Seq as stamped by the feeder, its
-// global stream position, so matches are the same whether the query
-// received the full stream or a routed sub-stream of it. Seq must
-// increase strictly across delivered events (stream positions and WAL
-// offsets do); a checkpoint cut inside a block records the Seq of the
-// last event it covers as its watermark.
-func SuperviseBlocks(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+// Each event keeps the Seq its feeder stamped, its stream position, so
+// matches are the same whether the query received the full stream or a
+// routed sub-stream of it. Seq must increase strictly across delivered
+// events (stream positions and WAL offsets do); a checkpoint cut inside
+// a block records the Seq of the last event it covers as its watermark.
+func Supervise(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
 	in <-chan event.Block, cfg Config) (<-chan []engine.Match, *Supervisor) {
 	s := newSupervisor(cfg)
 	out := make(chan []engine.Match)
 	go func() {
 		defer close(out)
-		s.run(ctx, a, opts, nil, in, cfg, func(ms []engine.Match) bool {
+		run(s, ctx, a, opts, in, func(b event.Block) event.Block { return b }, cfg, func(ms []engine.Match) bool {
 			// The runner reuses ms at its next step: the receiver gets a copy.
-			select {
-			case out <- slices.Clone(ms):
-				s.emitted.Add(int64(len(ms)))
-				return true
-			case <-ctx.Done():
-				s.fail(ctx.Err())
-				return false
-			}
+			return deliver(ctx, s, out, slices.Clone(ms), len(ms))
 		})
 	}()
 	return out, s
+}
+
+// SuperviseEvents is Supervise for a caller that sends single events
+// and takes single matches, ses.Query.Supervise's. It numbers the
+// events by arrival from ResumeSeq(cfg), refused ones included, the way
+// the serving layer numbers its stream, and steps each as a one-event
+// block. Matches are handed over one at a time, and a block counts as
+// delivered — in Emitted, and so in any checkpoint cut after it — only
+// once the receiver has taken each of them. The error is ResumeSeq's.
+func SuperviseEvents(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	in <-chan event.Event, cfg Config) (<-chan engine.Match, *Supervisor, error) {
+	seq, err := ResumeSeq(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := newSupervisor(cfg)
+	out := make(chan engine.Match)
+	go func() {
+		defer close(out)
+		number := func(e event.Event) event.Block {
+			e.Seq = seq
+			seq++
+			return event.Block{Events: []event.Event{e}}
+		}
+		run(s, ctx, a, opts, in, number, cfg, func(ms []engine.Match) bool {
+			for _, m := range ms {
+				if !deliver(ctx, s, out, m, 1) {
+					return false
+				}
+			}
+			return true
+		})
+	}()
+	return out, s, nil
 }
 
 func newSupervisor(cfg Config) *Supervisor {
@@ -339,6 +339,20 @@ func newSupervisor(cfg Config) *Supervisor {
 	return s
 }
 
+// deliver sends v, which carries n matches, on out and counts them as
+// emitted; it returns false, having recorded the cause, when ctx is
+// done first.
+func deliver[T any](ctx context.Context, s *Supervisor, out chan<- T, v T, n int) bool {
+	select {
+	case out <- v:
+		s.emitted.Add(int64(n))
+		return true
+	case <-ctx.Done():
+		s.fail(ctx.Err())
+		return false
+	}
+}
+
 // subBlock returns the selected events [lo, hi) of b.
 func subBlock(b event.Block, lo, hi int) event.Block {
 	if b.Idx != nil {
@@ -347,16 +361,12 @@ func subBlock(b event.Block, lo, hi int) event.Block {
 	return event.Block{Events: b.Events[lo:hi]}
 }
 
-// run drives the pipeline until the input ends, ctx is done or the
-// stream fails, handing each stepped block's new matches to send; send
-// returns false, having recorded the cause, when ctx is done first.
-func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []engine.Option,
-	inEv <-chan event.Event, inBlk <-chan event.Block, cfg Config, send func([]engine.Match) bool) {
-	// Block-mode inputs arrive pre-numbered by global stream position;
-	// keep those numbers so matches are byte-identical across full and
-	// routed delivery (see SuperviseBlocks).
-	preserveSeq := inBlk != nil
-
+// run drives s's pipeline over the blocks block makes of what in
+// delivers until the input ends, ctx is done or the stream fails,
+// handing each stepped block's new matches to send; send returns false,
+// having recorded the cause, when ctx is done first.
+func run[T any](s *Supervisor, ctx context.Context, a *automaton.Automaton, opts []engine.Option,
+	in <-chan T, block func(T) event.Block, cfg Config, send func([]engine.Match) bool) {
 	maxRestarts := cfg.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = 3
@@ -379,30 +389,31 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	// for one: it cuts none and keeps no block for replay.
 	checkpointing := cfg.MaxRestarts >= 0 || cfg.CheckpointPath != ""
 
+	// ckpt is the restart baseline. Recovery is possible from the very
+	// first event without an eager initial snapshot: nil means "the
+	// runner's initial state", which a restart rebuilds with engine.New —
+	// identical to restoring a snapshot taken before any event. A resumed
+	// run's baseline is the snapshot already read from disk, and resumed
+	// holds the rest of its envelope.
 	runner := engine.New(a, opts...)
-	var resumed *ckptState
-	var baseline []byte // the resumed snapshot, the restart baseline until the first checkpoint
+	var ckpt []byte
+	resumed := ckptState{srcLast: -1}
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if data, err := os.ReadFile(cfg.CheckpointPath); err == nil {
-			st, v2, derr := decodeCheckpoint(a.Schema, data)
-			if derr != nil {
-				s.fail(fmt.Errorf("resilience: resuming from %s: %w", cfg.CheckpointPath, derr))
-				return
-			}
+			st, v2, err := decodeCheckpoint(a.Schema, data)
 			// Legacy checkpoints are bare runner snapshots; v2 wraps the
 			// snapshot with the source watermark and reorderer state.
-			snap := data
+			ckpt = data
 			if v2 {
-				snap = st.runner
-				resumed = &st
+				ckpt, resumed = st.runner, st
 			}
-			restored, err := engine.RestoreRunnerBytes(a, snap, opts...)
+			if err == nil {
+				runner, err = engine.RestoreRunnerBytes(a, ckpt, opts...)
+			}
 			if err != nil {
 				s.fail(fmt.Errorf("resilience: resuming from %s: %w", cfg.CheckpointPath, err))
 				return
 			}
-			runner = restored
-			baseline = snap
 		} else if !errors.Is(err, os.ErrNotExist) {
 			s.fail(err)
 			return
@@ -435,37 +446,27 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	}
 	hw := event.MinTime
 
-	// arrival numbers events for the reorderer's stable tie-break;
 	// srcLast is the source offset (event.Seq as stamped by the feeder,
 	// e.g. a WAL offset) of the last event received. pending is what a
 	// resumed reorderer state buffers when this run has no reorderer.
-	arrival, srcLast := 0, int64(-1)
+	srcLast := resumed.srcLast
 	var pending []event.Event
-	if resumed != nil {
-		arrival, srcLast = int(resumed.arrival), resumed.srcLast
-		if ro != nil {
-			ro.RestoreState(resumed.reorder)
-		} else {
-			if resumed.reorder.Seen {
-				hw = resumed.reorder.MaxSeen
-			}
-			pending = resumed.reorder.Buffered
+	if ro != nil {
+		ro.RestoreState(resumed.reorder)
+	} else {
+		if resumed.reorder.Seen {
+			hw = resumed.reorder.MaxSeen
 		}
+		pending = resumed.reorder.Buffered
 	}
 
-	// Recovery is possible from the very first event without an eager
-	// initial snapshot: nil ckpt means "the runner's initial state",
-	// which a restart rebuilds with engine.New — identical to restoring
-	// a snapshot taken before any event. A resumed run's baseline is
-	// the checkpoint bytes already read from disk. replay holds the
-	// blocks stepped since (stepped events); emittedSince of their
-	// matches are delivered.
-	ckpt := baseline
 	if s.o != nil {
 		// The initial snapshot starts the checkpoint-age clock without
-		// counting toward Checkpoints(), which reports periodic saves.
+		// counting toward Checkpoints(), which reports the ones cut.
 		s.o.lastCkpt.Store(time.Now().UnixNano())
 	}
+	// replay holds the blocks stepped since the last checkpoint (stepped
+	// events); emittedSince of their matches are delivered.
 	var replay []event.Block
 	stepped, emittedSince := 0, 0
 
@@ -511,7 +512,6 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		if cfg.CheckpointPath != "" {
 			st := ckptState{
 				srcLast: watermark,
-				arrival: int64(arrival),
 				reorder: engine.ReordererState{MaxSeen: hw, Seen: hw != event.MinTime},
 				runner:  data,
 			}
@@ -599,19 +599,12 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	// feed steps an admitted block and, when checkpointing, cuts the
 	// periodic checkpoints: exactly every ckptEvery stepped events,
 	// splitting the block, with the Seq of the last one as the
-	// watermark, in block mode without a reorderer; otherwise at the end
-	// of the block that reaches the count, with the last event received
+	// watermark, without a reorderer; with one, at the end of the
+	// release batch that reaches the count, with the last event received
 	// as the watermark (the reorderer's checkpointed buffer holds the
-	// rest). In event mode blk is the pipeline's own and its events are
-	// numbered by position.
-	exact := preserveSeq && ro == nil && checkpointing
+	// rest).
+	exact := ro == nil && checkpointing
 	feed := func(blk event.Block) bool {
-		if !preserveSeq {
-			base := int(runner.Metrics().EventsProcessed)
-			for i := range blk.Events {
-				blk.Events[i].Seq = base + i
-			}
-		}
 		for lo, n := 0, blk.Len(); lo < n; {
 			hi := n
 			if exact {
@@ -679,12 +672,6 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 				if !admit(&e, event.MinTime) {
 					continue
 				}
-				if !preserveSeq {
-					// Arrival order for the reorderer's stable tie-break;
-					// a preserved Seq already is in arrival order.
-					e.Seq = arrival
-				}
-				arrival++
 				if !feed(event.Block{Events: slices.Clone(ro.Push(e))}) {
 					return false
 				}
@@ -726,20 +713,18 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 		return
 	}
 	for {
-		var blk event.Block
+		var v T
 		var ok bool
 		select {
 		case <-ctx.Done():
 			s.fail(ctx.Err())
 			return
-		case e, open := <-inEv:
-			blk, ok = event.Block{Events: []event.Event{e}}, open
-		case blk, ok = <-inBlk:
+		case v, ok = <-in:
 		}
 		if !ok {
 			break
 		}
-		if !receive(blk) {
+		if !receive(block(v)) {
 			return
 		}
 	}
@@ -749,7 +734,7 @@ func (s *Supervisor) run(ctx context.Context, a *automaton.Automaton, opts []eng
 	if ro != nil && !feed(event.Block{Events: slices.Clone(ro.Drain())}) {
 		return
 	}
-	if cfg.CheckpointOnDrain && cfg.CheckpointPath != "" && !saveCheckpoint(srcLast) {
+	if cfg.CheckpointPath != "" && !saveCheckpoint(srcLast) {
 		return
 	}
 	replay = append(replay, event.Block{})

@@ -11,9 +11,12 @@
 // event earlier than the stream high-water reaches only the queries
 // with reorder slack), behind
 // which an independent per-query pipeline evaluates the automaton: a
-// supervised runner (resilience.SuperviseBlocks: schema validation,
+// supervised runner (resilience.Supervise: schema validation,
 // reorder slack, checkpoint/replay crash recovery), keyed by an
-// attribute (engine.WithPartitionKey) when the spec names one.
+// attribute (engine.WithPartitionKey) when the spec names one. Every
+// event keeps its stream position as its Seq, the numbering
+// ses.Query.Supervise gives a library stream by arrival, so a late
+// event shifts no other event's seq in either.
 // Matches leave the pipeline a stepped block at a time and are encoded
 // into one reused buffer by an engine.MatchEncoder, which renders each
 // bound event once per block and copies those bytes into every later
@@ -32,7 +35,7 @@
 //
 // Shutdown is graceful: Drain stops admission, closes every mailbox,
 // waits for the pipelines to flush their windows (emitting the
-// end-of-input matches of Definition 2), checkpoints the runners to
-// the checkpoint directory, and persists the query set as
-// a manifest from which a restarted server resumes.
+// end-of-input matches of Definition 2), each having checkpointed to
+// the checkpoint directory as its input ended, and persists the query
+// set as a manifest from which a restarted server resumes.
 package server

@@ -779,10 +779,9 @@ func (s *Server) startPipeline(spec QuerySpec, auto *automaton.Automaton, fp str
 	if s.cfg.CheckpointDir != "" {
 		rcfg.CheckpointPath = filepath.Join(s.cfg.CheckpointDir, spec.ID+".ckpt")
 		rcfg.Resume = true
-		rcfg.CheckpointOnDrain = true
 	}
 	q.startPipe = func() {
-		out, sup := resilience.SuperviseBlocks(ctx, auto, opts, q.mailbox, rcfg)
+		out, sup := resilience.Supervise(ctx, auto, opts, q.mailbox, rcfg)
 		q.sup.Store(sup)
 		close(q.started)
 		go s.collect(q, out)
@@ -1071,9 +1070,9 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 	// can never have delivered an event the restarted server cannot
 	// replay. The assigned offsets ride in the events' Seq fields.
 	// Without a WAL the positions come from a plain ingest counter:
-	// block-mode pipelines preserve incoming Seq, so every query's
-	// matches carry global stream positions regardless of how the
-	// stream was routed to it. Under Ownership the sequence numbers
+	// pipelines keep incoming Seq, so every query's matches carry
+	// global stream positions regardless of how the stream was routed
+	// to it. Under Ownership the sequence numbers
 	// arrived with the events and are persisted verbatim.
 	if s.wal != nil {
 		off, err := s.wal.AppendBatch(events)

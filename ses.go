@@ -277,7 +277,9 @@ const SnapshotVersion = engine.SnapshotVersion
 // Resilience re-exports: supervised streams. See package
 // internal/resilience for full documentation.
 type (
-	// SuperviseConfig parameterizes Query.Supervise.
+	// SuperviseConfig parameterizes Query.Supervise. A stream with a
+	// CheckpointPath is also checkpointed when its input ends, at the
+	// arrival position of its last event.
 	SuperviseConfig = resilience.Config
 	// StreamSupervisor reports the health of a supervised stream.
 	StreamSupervisor = resilience.Supervisor
@@ -576,12 +578,17 @@ func (q *Query) RestoreRunner(rd io.Reader, opts ...Option) (*Runner, error) {
 // panics. Late and malformed events go to cfg.DeadLetter instead of
 // ending the stream. See SuperviseConfig for the knobs and
 // StreamSupervisor for the health counters.
+//
+// Events are numbered by arrival from 0 (on resume, from just after
+// the checkpoint's position), refused ones included, as sesd numbers
+// its stream, and each goes to the supervisor as a one-event block.
+// Matches are handed over one at a time: a checkpoint never covers a
+// match the caller has not taken.
 func (q *Query) Supervise(ctx context.Context, in <-chan Event, cfg SuperviseConfig, opts ...Option) (<-chan Match, *StreamSupervisor, error) {
 	if len(q.autos) != 1 {
 		return nil, nil, fmt.Errorf("ses: Supervise does not support optional variables (%d variants)", len(q.autos))
 	}
-	out, sup := resilience.Supervise(ctx, q.autos[0], opts, in, cfg)
-	return out, sup, nil
+	return resilience.SuperviseEvents(ctx, q.autos[0], opts, in, cfg)
 }
 
 // UnionRunner is an incremental evaluator over a query's variant
