@@ -45,11 +45,14 @@
 //	                       §8); requires -partition
 //	-partition N           with -cluster: the partition id this node
 //	                       serves. The node adopts the partition's
-//	                       keyspace slice: ingest switches to
-//	                       router-assigned explicit sequence numbers,
-//	                       events hashing outside the slice are
-//	                       refused with 421, and duplicate deliveries
-//	                       are dropped idempotently.
+//	                       keyspace slice: events keep the sequence
+//	                       numbers the router assigned instead of
+//	                       being numbered by the node, events hashing
+//	                       outside the slice are refused with 421, and
+//	                       duplicate deliveries are dropped
+//	                       idempotently. A -wal-dir holding segments
+//	                       from before WAL records carried their
+//	                       sequence number is refused.
 //
 // The HTTP API (see docs/OPERATIONS.md for the full reference):
 //

@@ -266,38 +266,46 @@ type bindingKey struct {
 	Seq int
 }
 
+// bindingSet is the set of (variable, event) bindings of a match: the
+// identity Definition 2 gives it.
+type bindingSet map[bindingKey]bool
+
+// bindingsOf returns m's binding set.
+func bindingsOf(m Match) bindingSet {
+	ks := make(bindingSet, m.EventCount())
+	for _, b := range m.Bindings {
+		for _, e := range b.Events {
+			ks[bindingKey{Var: b.Var, Seq: e.Seq}] = true
+		}
+	}
+	return ks
+}
+
+// properSubset reports whether a is a proper subset of b.
+func properSubset(a, b bindingSet) bool {
+	if len(a) >= len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // dropSubsets marks matches (among idxs, which share a start time)
 // whose binding set is a proper subset of another's. It reports
 // whether anything was marked.
 func dropSubsets(matches []Match, idxs []int, drop []bool) bool {
-	keysOf := func(m Match) map[bindingKey]bool {
-		ks := make(map[bindingKey]bool, m.EventCount())
-		for _, b := range m.Bindings {
-			for _, e := range b.Events {
-				ks[bindingKey{Var: b.Var, Seq: e.Seq}] = true
-			}
-		}
-		return ks
-	}
-	subset := func(a, b map[bindingKey]bool) bool {
-		if len(a) >= len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	keys := make([]map[bindingKey]bool, len(idxs))
+	keys := make([]bindingSet, len(idxs))
 	for i, idx := range idxs {
-		keys[i] = keysOf(matches[idx])
+		keys[i] = bindingsOf(matches[idx])
 	}
 	any := false
 	for i, idx := range idxs {
 		for j := range idxs {
-			if i != j && subset(keys[i], keys[j]) {
+			if i != j && properSubset(keys[i], keys[j]) {
 				drop[idx] = true
 				any = true
 				break

@@ -136,38 +136,21 @@ func RunUnion(autos []*automaton.Automaton, rel *event.Relation, opts ...Option)
 func filterVariantSubsets(perVariant [][]Match) []Match {
 	type tagged struct {
 		variant int
-		keys    map[string]bool
+		keys    bindingSet
 	}
 	var entries []tagged
 	var flat []Match
 	for vi, ms := range perVariant {
 		for _, m := range ms {
-			keys := make(map[string]bool)
-			for _, b := range m.Bindings {
-				for _, e := range b.Events {
-					keys[fmt.Sprintf("%s/%d", b.Var, e.Seq)] = true
-				}
-			}
-			entries = append(entries, tagged{variant: vi, keys: keys})
+			entries = append(entries, tagged{variant: vi, keys: bindingsOf(m)})
 			flat = append(flat, m)
 		}
-	}
-	subset := func(a, b map[string]bool) bool {
-		if len(a) >= len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
 	}
 	out := flat[:0:0]
 	for i, e := range entries {
 		dropped := false
 		for j, o := range entries {
-			if i != j && e.variant != o.variant && subset(e.keys, o.keys) {
+			if i != j && e.variant != o.variant && properSubset(e.keys, o.keys) {
 				dropped = true
 				break
 			}

@@ -292,7 +292,6 @@ func (p *Puller) pullOnce(ctx context.Context) (int, error) {
 	}
 
 	schema := p.srv.Schema()
-	explicit := p.srv.WAL().ExplicitSeq()
 	body := bufio.NewReaderSize(resp.Body, 64*1024)
 	var buf []byte
 	batch := make([]event.Event, 0, p.opt.BatchSize)
@@ -323,12 +322,7 @@ func (p *Puller) pullOnce(ctx context.Context) (int, error) {
 			return applied, fmt.Errorf("replica: segment stream interrupted: %w", err)
 		}
 		buf = payload[:0]
-		var e event.Event
-		if explicit {
-			e, err = wal.DecodeEventSeq(payload, schema)
-		} else {
-			e, err = wal.DecodeEvent(payload, schema)
-		}
+		e, err := wal.DecodeEvent(payload, schema)
 		if err != nil {
 			return applied, fmt.Errorf("%w: undecodable record from leader: %v", ErrDiverged, err)
 		}

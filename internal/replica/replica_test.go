@@ -203,7 +203,7 @@ func TestReplicationByteIdentity(t *testing.T) {
 	p, stop := startPuller(t, follower.srv, pullerOpts(leader.ts.URL))
 
 	// Register a second query while the follower is already tailing:
-	// the manifest sync must pick it up with its offset fence.
+	// the manifest sync must pick it up with its fence.
 	if _, err := leader.srv.AddQuery(testSpecs[1]); err != nil {
 		t.Fatal(err)
 	}

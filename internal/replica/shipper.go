@@ -2,10 +2,11 @@
 // layer by shipping the leader's WAL to followers over HTTP.
 //
 // The match stream of a server is a deterministic function of its
-// ordered event log: offsets stamp Seq, Seq drives evaluation, and
-// matches are encoded once in arrival order. Replicating the log
-// therefore replicates the service — a follower that appends the
-// leader's records at the same offsets and runs the same queries
+// ordered event log: each record carries its seq, Seq drives
+// evaluation, and matches are encoded once in arrival order.
+// Replicating the log therefore replicates the service — a follower
+// that appends the leader's records at the same offsets and seqs and
+// runs the same queries
 // produces byte-identical match streams, which is what makes failover
 // safe to verify (the follower's output is a prefix of what a single
 // node would have produced).
@@ -57,7 +58,7 @@ type Manifest struct {
 	// Schema is the canonical rendering of the event schema; a
 	// follower refuses a leader whose schema differs from its own.
 	Schema string `json:"schema"`
-	// Queries is the registered query set with offset fences.
+	// Queries is the registered query set with fence seqs.
 	Queries []server.ReplicatedQuery `json:"queries"`
 }
 
@@ -193,7 +194,6 @@ func (sh *Shipper) handleWAL(w http.ResponseWriter, r *http.Request) {
 	rd := sh.log.NewReader(from)
 	defer rd.Close()
 	schema := sh.srv.Schema()
-	explicit := sh.log.ExplicitSeq()
 	var payload, frame []byte
 	shipped := 0
 	for {
@@ -205,15 +205,10 @@ func (sh *Shipper) handleWAL(w http.ResponseWriter, r *http.Request) {
 			// follower's next request gets the proper status code.
 			break
 		}
-		// An explicit-seq log (cluster ownership) ships the persisted
-		// sequence number with each record; the follower's own log runs
-		// in the same mode, so the cluster-global numbering survives
-		// failover.
-		if explicit {
-			payload = wal.EncodeEventSeq(payload[:0], schema, &e)
-		} else {
-			payload = wal.EncodeEvent(payload[:0], schema, &e)
-		}
+		// Each record ships with its seq (a legacy segment's record with
+		// its offset), so the follower numbers the stream as the leader
+		// did and the numbering survives failover.
+		payload = wal.EncodeEvent(payload[:0], schema, &e)
 		frame = wal.EncodeFrame(frame[:0], payload)
 		if _, err := w.Write(frame); err != nil {
 			return // follower went away

@@ -37,7 +37,10 @@ type ckptState struct {
 }
 
 // encodeCheckpoint renders the v2 envelope. Buffered events are
-// encoded with the WAL event codec over the automaton's schema.
+// encoded with the WAL event codec over the automaton's schema, laid
+// out as seq, body length, body: the envelope predates WAL payloads
+// that begin with the seq, and keeps its layout so that older
+// checkpoints restore.
 func encodeCheckpoint(schema *event.Schema, st ckptState) []byte {
 	buf := make([]byte, 0, len(ckptMagic)+len(st.runner)+len(st.reorder.Buffered)*32+64)
 	buf = append(buf, ckptMagic...)
@@ -52,11 +55,11 @@ func encodeCheckpoint(schema *event.Schema, st ckptState) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(st.reorder.Buffered)))
 	var scratch []byte
 	for i := range st.reorder.Buffered {
-		e := &st.reorder.Buffered[i]
-		buf = binary.AppendVarint(buf, int64(e.Seq))
-		scratch = wal.EncodeEvent(scratch[:0], schema, e)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
+		scratch = wal.EncodeEvent(scratch[:0], schema, &st.reorder.Buffered[i])
+		_, n := binary.Varint(scratch)
+		buf = append(buf, scratch[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(len(scratch)-n))
+		buf = append(buf, scratch[n:]...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.runner)))
 	return append(buf, st.runner...)
@@ -99,24 +102,23 @@ func decodeCheckpoint(schema *event.Schema, data []byte) (st ckptState, ok bool,
 	}
 	data = data[n:]
 	st.reorder.Buffered = make([]event.Event, 0, nbuf)
+	var rec []byte
 	for i := uint64(0); i < nbuf; i++ {
-		seq, n := binary.Varint(data)
-		if n <= 0 {
+		_, sn := binary.Varint(data)
+		if sn <= 0 {
 			return bad("buffered event seq")
 		}
-		data = data[n:]
-		plen, n := binary.Uvarint(data)
-		if n <= 0 || plen > uint64(len(data)-n) {
+		plen, n := binary.Uvarint(data[sn:])
+		if n <= 0 || plen > uint64(len(data)-sn-n) {
 			return bad("buffered event length")
 		}
-		data = data[n:]
-		e, err := wal.DecodeEvent(data[:plen], schema)
+		rec = append(append(rec[:0], data[:sn]...), data[sn+n:sn+n+int(plen)]...)
+		e, err := wal.DecodeEvent(rec, schema)
 		if err != nil {
 			return ckptState{}, false, fmt.Errorf("resilience: corrupt checkpoint: %w", err)
 		}
-		e.Seq = int(seq)
 		st.reorder.Buffered = append(st.reorder.Buffered, e)
-		data = data[plen:]
+		data = data[sn+n+int(plen):]
 	}
 	rlen, n := binary.Uvarint(data)
 	if n <= 0 || rlen != uint64(len(data)-n) {

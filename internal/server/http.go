@@ -217,9 +217,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := map[string]int{"ingested": n}
 	if s.cfg.Ownership != nil {
-		// Under explicit-seq ingest the batch may shrink: events at or
-		// below the node's sequence high-water are duplicate deliveries
-		// from a router retry, dropped idempotently.
+		// A routed batch may shrink: events at or below the node's
+		// sequence high-water are duplicate deliveries from a router
+		// retry, dropped idempotently.
 		resp["deduped"] = received - n
 	}
 	writeJSON(w, http.StatusOK, resp)

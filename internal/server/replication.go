@@ -126,12 +126,13 @@ func (s *Server) Promote() (int64, error) {
 }
 
 // ApplyReplicated appends records shipped from the leader to the local
-// WAL and fans them out to the registered queries, exactly as Ingest
-// would have on the leader. It requires follower mode (ErrNotFollower
-// otherwise — a writable server accepting replicated records would
-// interleave two write sources in one log) and a WAL. The events'
-// local offsets must equal their leader offsets, which holds when the
-// puller requests records from the local tail.
+// WAL, with the seqs the leader gave them, and fans them out to the
+// registered queries, exactly as Ingest did on the leader. It requires
+// follower mode (ErrNotFollower otherwise — a writable server
+// accepting replicated records would interleave two write sources in
+// one log) and a WAL. The events' local offsets must equal their
+// leader offsets, which holds when the puller requests records from
+// the local tail.
 func (s *Server) ApplyReplicated(events []event.Event) (int, error) {
 	if !s.repl.readOnly.Load() {
 		return 0, ErrNotFollower
@@ -139,42 +140,36 @@ func (s *Server) ApplyReplicated(events []event.Event) (int, error) {
 	if s.wal == nil {
 		return 0, ErrNoWAL
 	}
-	return s.dispatch(slices.Clone(events)) // the puller reuses its batch slice
+	return s.dispatch(slices.Clone(events), true) // the puller reuses its batch slice
 }
 
 // ReplicatedQuery is one entry of the leader's query manifest as
-// shipped to followers: the spec plus the WAL offset fence it was
-// registered at, which the follower mirrors so both nodes evaluate
-// the query over the same record range.
+// shipped to followers: the spec plus the query's fence seq (Fence)
+// and backfill flag (Backfill), which the follower mirrors so both
+// nodes evaluate the query over the same records. Entries from older
+// leaders carry their fences under the names fenceJSON resolves.
 type ReplicatedQuery struct {
 	// Spec is the query's registration spec.
 	Spec QuerySpec `json:"spec"`
-	// RegisteredAt is the leader's WAL offset fence for the query.
-	RegisteredAt int64 `json:"registered_at"`
-	// RegisteredSeq is the same fence in sequence coordinates; it
-	// diverges from RegisteredAt only on explicit-seq (cluster) logs.
-	RegisteredSeq int64 `json:"registered_seq,omitempty"`
-	// Backfill echoes whether the query was registered against
-	// retained history.
-	Backfill bool `json:"backfill,omitempty"`
+	fenceJSON
 }
 
-// ReplicatedQueries renders the registered queries with their offset
-// fences, in registration order — the manifest a follower mirrors.
+// ReplicatedQueries renders the registered queries with their fences,
+// in registration order — the manifest a follower mirrors.
 func (s *Server) ReplicatedQueries() []ReplicatedQuery {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]ReplicatedQuery, 0, len(s.order))
 	for _, id := range s.order {
 		q := s.queries[id]
-		out = append(out, ReplicatedQuery{Spec: q.spec, RegisteredAt: q.registeredAt, RegisteredSeq: q.fenceSeq, Backfill: q.backfill})
+		out = append(out, ReplicatedQuery{Spec: q.spec, fenceJSON: fenceJSON{Fence: q.fence, Backfill: q.backfill}})
 	}
 	return out
 }
 
 // SyncReplicatedQueries reconciles the follower's registry against the
 // leader's manifest: missing queries are registered at the leader's
-// offset fence (catching up from the local WAL), queries the leader no
+// fence (catching up from the local WAL), queries the leader no
 // longer has are removed. Specs already registered are left running —
 // a spec change under the same id is reported as an error, since the
 // follower cannot atomically swap a running pipeline. It requires
@@ -207,18 +202,8 @@ func (s *Server) SyncReplicatedQueries(queries []ReplicatedQuery) error {
 		if _, ok := s.lookup(rq.Spec.ID); ok {
 			continue
 		}
-		reg := registration{
-			registeredAt: rq.RegisteredAt,
-			fenceSeq:     rq.RegisteredSeq,
-			catchUp:      true,
-			replayFrom:   rq.RegisteredAt,
-			backfill:     rq.Backfill,
-		}
-		if reg.fenceSeq == 0 && s.cfg.Ownership == nil {
-			// Manifests from pre-cluster leaders carry no sequence fence;
-			// offsets are the sequence numbers there.
-			reg.fenceSeq = reg.registeredAt
-		}
+		fence := rq.fence()
+		reg := registration{fence: fence, catchUp: true, replayFrom: fence, backfill: rq.Backfill}
 		if _, err := s.addQuery(rq.Spec, reg); err != nil && !errors.Is(err, ErrDuplicate) {
 			errs = append(errs, fmt.Errorf("server: replicating query %q: %w", rq.Spec.ID, err))
 		}

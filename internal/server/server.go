@@ -101,13 +101,14 @@ type Config struct {
 	// When nil the server creates a private cache.
 	Automata *AutomatonCache
 	// Ownership, when non-nil, declares the slice of the cluster
-	// keyspace this server owns and switches ingest into explicit
-	// sequence mode: every ingested event must carry a router-assigned
-	// global sequence number (strictly increasing; duplicates from
-	// router retries are dropped idempotently), its partition key must
-	// hash into the owned slot range (ErrNotOwned otherwise), and the
-	// WAL — when enabled — persists the sequence with each record so
-	// replay and replication keep the cluster-global numbering.
+	// keyspace this server owns: every ingested event must carry a
+	// router-assigned global seq (strictly increasing; duplicates from
+	// router retries are dropped idempotently) instead of being
+	// numbered by the server, and its partition key must hash into the
+	// owned slot range (ErrNotOwned otherwise). The WAL persists each
+	// record's seq either way, so replay and replication keep the
+	// cluster-global numbering; a WAL that still holds segments from
+	// before records carried their seq is refused.
 	Ownership *cluster.Ownership
 }
 
@@ -164,16 +165,13 @@ type Server struct {
 	// full fan-out; it is the reference the routing identity tests
 	// compare against (set through export_test.go only). Guarded by mu.
 	broadcast bool
-	// ingestSeq numbers the stream positions stamped into dispatched
-	// events when no WAL assigns offsets; guarded by ingestMu.
-	ingestSeq int64
 	// ownKeyIdx is the schema index of the ownership partition key
 	// (-1 without Ownership).
 	ownKeyIdx int
-	// lastSeq is the highest explicit sequence number dispatched or
-	// recovered (-1 before the first); written under ingestMu, read
-	// lock-free by /healthz and the dedupe gate. Meaningful only with
-	// Ownership.
+	// lastSeq is the highest seq dispatched or recovered from the WAL
+	// (-1 before the first): an unsequenced batch is numbered on from
+	// it, and a sequenced one is deduplicated against it. Written under
+	// ingestMu, read lock-free by /healthz.
 	lastSeq atomic.Int64
 	// lastTime is the highest event time dispatched (MinInt64 before
 	// the first): the stream high-water lateness is judged against, and
@@ -232,18 +230,12 @@ type queryState struct {
 	lifecycle sync.Once
 	startPipe func()
 
-	// registeredAt is the WAL offset fence assigned at registration:
-	// live fan-out covers offsets >= registeredAt for a query that
-	// started live, and a restarted server rebuilds the query's state
-	// from this offset when no checkpoint narrows the replay.
-	registeredAt int64
-	// fenceSeq is the same fence in sequence-number coordinates: live
-	// blocks whose events carry Seq below it are narrowed away
-	// (deliverBlock). It equals registeredAt on a non-explicit log,
-	// where offsets are the sequence numbers; under Config.Ownership
-	// the two coordinate systems diverge and the fence is stamped from
-	// the explicit-seq high-water instead.
-	fenceSeq int64
+	// fence is the seq the query's stream starts at, assigned at
+	// registration: the next seq for a live query, the oldest retained
+	// one for a backfill. Live blocks are narrowed to seqs at or above
+	// it (deliverBlock), and a restarted server rebuilds the query's
+	// state from it when no checkpoint narrows the replay.
+	fence int64
 	// backfill records that the query was registered against retained
 	// history (AddQueryBackfill).
 	backfill bool
@@ -251,9 +243,6 @@ type queryState struct {
 	// mailbox, replaying the WAL; live fan-out skips the query until
 	// the feeder hands off at the tail.
 	catchingUp atomic.Bool
-	// lastFed is the highest WAL offset the feeder has delivered
-	// (-1 before the first).
-	lastFed atomic.Int64
 	// replayLag is the number of WAL records between the feeder's
 	// position and the tail; 0 once live.
 	replayLag atomic.Int64
@@ -458,16 +447,17 @@ func New(cfg Config) (*Server, error) {
 			RetainBytes:       cfg.WALRetainBytes,
 			RetainAge:         cfg.WALRetainAge,
 			UnshippedCapBytes: cfg.WALUnshippedCapBytes,
-			ExplicitSeq:       cfg.Ownership != nil,
 			Registry:          cfg.Registry,
 		})
 		if err != nil {
 			cancel()
 			return nil, err
 		}
-		if cfg.Ownership != nil {
-			s.lastSeq.Store(s.wal.LastSeq())
+		if cfg.Ownership != nil && s.wal.Legacy() {
+			s.Close()
+			return nil, fmt.Errorf("server: WAL %s holds segments written before records carried their seq; a partition node needs router-assigned seqs", cfg.WALDir)
 		}
+		s.lastSeq.Store(s.wal.LastSeq())
 	}
 	if cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
@@ -480,32 +470,18 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		for _, spec := range m.Queries {
-			reg := registration{
-				registeredAt: m.offsetOf(spec.ID),
-				fenceSeq:     m.seqOf(spec.ID),
-				backfill:     m.backfillOf(spec.ID),
-			}
-			if reg.fenceSeq == 0 && cfg.Ownership == nil {
-				// Pre-cluster manifests carry no sequence fence; offsets
-				// are the sequence numbers there.
-				reg.fenceSeq = reg.registeredAt
-			}
+			reg := registration{fence: m.Offsets[spec.ID].fence(), backfill: m.Offsets[spec.ID].Backfill}
 			if s.wal != nil {
 				// Replay the query's un-checkpointed suffix from the
-				// server's own log: the query resumes at the watermark
+				// server's own log: the query resumes after the watermark
 				// persisted in its checkpoint, or without one rebuilds
-				// from its registration offset.
+				// from its fence.
 				reg.catchUp = true
-				reg.replayFrom = reg.registeredAt
+				reg.replayFrom = reg.fence
 				ckpt := filepath.Join(cfg.CheckpointDir, spec.ID+".ckpt")
 				if w, ok, err := resilience.CheckpointOffset(ckpt); err != nil {
 					s.Close()
 					return nil, fmt.Errorf("server: restoring query %q: %w", spec.ID, err)
-				} else if ok && s.wal.ExplicitSeq() {
-					// The checkpoint watermark is an explicit sequence
-					// number, not a replay offset: replay the full
-					// registration suffix and filter by sequence.
-					reg.skipBelowSeq = w + 1
 				} else if ok {
 					reg.replayFrom = w + 1
 				}
@@ -538,30 +514,22 @@ func (s *Server) compile(spec QuerySpec) (*automaton.Automaton, *engine.AggPlan,
 }
 
 // registration carries how a query enters the registry: live at the
-// current WAL tail, or catching up from a replay offset.
+// stream's next seq, or catching up from a replay seq.
 type registration struct {
-	// registeredAt is the WAL offset fence recorded for the query
-	// (ignored without a WAL). For a live registration the caller
-	// leaves it to be stamped under the ingest lock.
-	registeredAt int64
-	// fenceSeq is the registration fence in sequence coordinates; like
-	// registeredAt it is stamped under the ingest lock when stampFence
-	// is set.
-	fenceSeq int64
-	// catchUp starts a feeder that streams the WAL from replayFrom into
-	// the mailbox before handing off to live fan-out.
+	// fence is the query's fence seq (queryState.fence). For a new
+	// registration the caller leaves it to be stamped under the ingest
+	// lock.
+	fence int64
+	// catchUp starts a feeder that streams the WAL from the first
+	// record with seq >= replayFrom into the mailbox before handing off
+	// to live fan-out.
 	catchUp    bool
 	replayFrom int64
-	// skipBelowSeq filters the catch-up replay: records with a sequence
-	// number below it are read past without delivery (0 delivers
-	// everything). Explicit-seq checkpoint resumption sets it, because
-	// a checkpoint watermark is a sequence, not a replay offset.
-	skipBelowSeq int64
-	// backfill marks an AddQueryBackfill registration (cosmetic: it is
-	// reported in QueryInfo and persisted in the manifest).
+	// backfill marks an AddQueryBackfill registration: its fence and
+	// replay start are the oldest retained seq.
 	backfill bool
-	// stampFence assigns registeredAt = the WAL tail under the ingest
-	// lock — the exact first offset the query will see live.
+	// stampFence assigns the fence under the ingest lock, where the
+	// stream cannot move.
 	stampFence bool
 }
 
@@ -605,12 +573,7 @@ func (s *Server) AddQueryBackfill(spec QuerySpec) (QueryInfo, error) {
 	if s.wal == nil {
 		return QueryInfo{}, ErrNoWAL
 	}
-	info, err := s.addQuery(spec, registration{
-		catchUp:    true,
-		replayFrom: s.wal.FirstOffset(),
-		backfill:   true,
-		stampFence: true,
-	})
+	info, err := s.addQuery(spec, registration{catchUp: true, backfill: true, stampFence: true})
 	if err == nil {
 		s.backfills.Inc()
 	}
@@ -637,9 +600,9 @@ func (s *Server) addQuery(spec QuerySpec, reg registration) (QueryInfo, error) {
 	fp := auto.Fingerprint()
 
 	// The ingest lock fences the registration against in-flight
-	// batches: while held, the WAL tail cannot move, so registeredAt
-	// is exactly the first offset the query sees live (or, for a
-	// catch-up query, the offset its feeder replays up to).
+	// batches: while held, the stream cannot move, so a live query's
+	// fence is exactly the first seq it sees live, and a catch-up
+	// feeder hands off at the tail it freezes under the same lock.
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	s.mu.Lock()
@@ -657,37 +620,26 @@ func (s *Server) addQuery(spec QuerySpec, reg registration) (QueryInfo, error) {
 		auto = other.auto
 	}
 
-	if reg.stampFence && s.wal != nil {
+	if reg.stampFence {
 		if reg.backfill {
 			// A backfill query's history starts at the oldest retained
-			// offset; restarts rebuild from there.
-			reg.registeredAt = reg.replayFrom
+			// record; restarts rebuild from there.
+			reg.fence = s.wal.FirstSeq()
+			reg.replayFrom = reg.fence
 		} else {
-			reg.registeredAt = s.wal.NextOffset()
+			reg.fence = s.lastSeq.Load() + 1
 		}
-		if s.cfg.Ownership != nil {
-			// In sequence coordinates the live fence is the next global
-			// sequence: everything at or below lastSeq is history (the
-			// backfill feeder's domain), everything above arrives live.
-			reg.fenceSeq = s.lastSeq.Load() + 1
-		} else {
-			reg.fenceSeq = reg.registeredAt
-		}
-	} else if reg.stampFence {
-		reg.fenceSeq = reg.registeredAt
 	}
 	q, err := s.startPipeline(spec, auto, fp, plan)
 	if err != nil {
 		return QueryInfo{}, err
 	}
-	q.registeredAt = reg.registeredAt
-	q.fenceSeq = reg.fenceSeq
+	q.fence = reg.fence
 	q.backfill = reg.backfill
-	q.lastFed.Store(reg.replayFrom - 1)
 	if reg.catchUp && s.wal != nil {
 		q.catchingUp.Store(true)
 		s.feeders.Add(1)
-		go s.catchUp(q, reg.replayFrom, reg.skipBelowSeq-1)
+		go s.catchUp(q, reg.replayFrom)
 	}
 	s.queries[spec.ID] = q
 	s.order = append(s.order, spec.ID)
@@ -992,15 +944,17 @@ func (s *Server) ingestOwned(events []event.Event) (int, error) {
 	if err := s.writeGate(); err != nil {
 		return 0, err
 	}
-	return s.dispatch(events)
+	return s.dispatch(events, s.cfg.Ownership != nil)
 }
 
 // dispatch validates, persists and fans out a batch — the shared core
 // of Ingest (leader write path) and ApplyReplicated (follower apply
-// path). It takes ownership of events: the slice is stamped in place
-// and published to every query as one immutable block, so the caller
-// must neither read nor reuse it afterwards.
-func (s *Server) dispatch(events []event.Event) (int, error) {
+// path). A sequenced batch (routed by a cluster router, or replicated)
+// keeps the seqs it carries; any other is numbered on from LastSeq. It
+// takes ownership of events: the slice is stamped in place and
+// published to every query as one immutable block, so the caller must
+// neither read nor reuse it afterwards.
+func (s *Server) dispatch(events []event.Event, sequenced bool) (int, error) {
 	own := s.cfg.Ownership
 	for i := range events {
 		if err := s.cfg.Schema.Check(events[i].Attrs); err != nil {
@@ -1014,9 +968,9 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 				return 0, fmt.Errorf("%w: event %d hashes to slot %d, this node owns [%d,%d)",
 					ErrNotOwned, i, slot, own.Lo, own.Hi)
 			}
-			if events[i].Seq < 0 {
-				return 0, fmt.Errorf("server: event %d: explicit-seq ingest requires a non-negative seq, got %d", i, events[i].Seq)
-			}
+		}
+		if sequenced && events[i].Seq < 0 {
+			return 0, fmt.Errorf("server: event %d: sequenced ingest requires a non-negative seq, got %d", i, events[i].Seq)
 		}
 	}
 
@@ -1034,12 +988,13 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 	// at or before this batch.
 	snap := s.routeSnap()
 
-	// Under Ownership the batch carries router-assigned sequence
-	// numbers: duplicate deliveries (a router retrying a sub-batch the
-	// node already acknowledged before its peer failed over) are
-	// dropped idempotently, and the fresh suffix must be strictly
-	// increasing.
-	if own != nil {
+	// A sequenced batch carries its seqs: duplicate deliveries (a
+	// router retrying a sub-batch the node already acknowledged before
+	// its peer failed over) are dropped idempotently, and the fresh
+	// suffix must be strictly increasing. Any other batch is numbered on
+	// from the last seq, so every query's matches carry global stream
+	// positions however the stream was routed to it.
+	if sequenced {
 		last := s.lastSeq.Load()
 		received := len(events)
 		kept := events[:0]
@@ -1058,39 +1013,27 @@ func (s *Server) dispatch(events []event.Event) (int, error) {
 			return 0, nil
 		}
 		events = kept
+	} else {
+		next := int(s.lastSeq.Load()) + 1
+		for i := range events {
+			events[i].Seq = next + i
+		}
 	}
 
 	// Decode once, share everywhere: the batch becomes one immutable
-	// block, the offsets are stamped into its Seq fields, and every query
-	// receives a reference to — or an index slice over — this one
-	// allocation.
+	// block and every query receives a reference to — or an index slice
+	// over — this one allocation.
 	//
 	// Durability before fan-out: the batch is appended (and, per the
-	// fsync policy, persisted) before any query sees it, so a crash
-	// can never have delivered an event the restarted server cannot
-	// replay. The assigned offsets ride in the events' Seq fields.
-	// Without a WAL the positions come from a plain ingest counter:
-	// pipelines keep incoming Seq, so every query's matches carry
-	// global stream positions regardless of how the stream was routed
-	// to it. Under Ownership the sequence numbers
-	// arrived with the events and are persisted verbatim.
+	// fsync policy, persisted) with its seqs before any query sees it,
+	// so a crash can never have delivered an event the restarted server
+	// cannot replay.
 	if s.wal != nil {
-		off, err := s.wal.AppendBatch(events)
-		if err != nil {
+		if _, err := s.wal.AppendBatch(events); err != nil {
 			return 0, err
 		}
-		if own == nil {
-			for i := range events {
-				events[i].Seq = int(off + int64(i))
-			}
-		}
-	} else if own == nil {
-		for i := range events {
-			events[i].Seq = int(s.ingestSeq) + i
-		}
-		s.ingestSeq += int64(len(events))
 	}
-	if own != nil {
+	if len(events) > 0 {
 		s.lastSeq.Store(int64(events[len(events)-1].Seq))
 	}
 	// Lateness is judged once, on the stream: an event earlier than the
@@ -1134,17 +1077,16 @@ func (s *Server) deliverBlock(q *queryState, blk event.Block) {
 		// delivers them in offset order and hands off at the tail.
 		return
 	}
-	if s.wal != nil && q.fenceSeq > 0 && blk.Len() > 0 &&
-		int64(blk.At(0).Seq) < q.fenceSeq {
-		// Part of the block lies below the query's offset fence. On a
-		// leader this cannot happen (the fence is stamped at the tail
-		// under the ingest lock); on a follower a replicated query may
-		// be fenced past the local tail, and records below the fence
-		// belong to history the leader-side query never saw. Narrow the
-		// block to the fenced suffix.
+	if blk.Len() > 0 && int64(blk.At(0).Seq) < q.fence {
+		// Part of the block lies below the query's fence. On a leader
+		// this cannot happen (the fence is stamped at the tail under the
+		// ingest lock); on a follower a replicated query may be fenced
+		// past the local tail, and records below the fence belong to
+		// history the leader-side query never saw. Narrow the block to
+		// the fenced suffix.
 		ix := make([]int32, 0, blk.Len())
 		for i := 0; i < blk.Len(); i++ {
-			if int64(blk.At(i).Seq) >= q.fenceSeq {
+			if int64(blk.At(i).Seq) >= q.fence {
 				if blk.Idx != nil {
 					ix = append(ix, blk.Idx[i])
 				} else {
@@ -1266,9 +1208,9 @@ func (s *Server) drain(ctx context.Context) error {
 // owns the whole keyspace (non-cluster deployment).
 func (s *Server) Ownership() *cluster.Ownership { return s.cfg.Ownership }
 
-// LastSeq returns the highest explicit sequence number dispatched or
-// recovered (-1 before the first); only meaningful with Ownership.
-// Routers probe it at startup to resume the global numbering.
+// LastSeq returns the highest seq dispatched or recovered from the WAL
+// (-1 before the first): the position of the newest event in the
+// stream. Routers probe it at startup to resume the global numbering.
 func (s *Server) LastSeq() int64 { return s.lastSeq.Load() }
 
 // LastTime returns the highest event time dispatched, or (false) when
@@ -1280,7 +1222,7 @@ func (s *Server) LastTime() (int64, bool) {
 }
 
 // Deduped returns the number of events dropped as duplicate deliveries
-// under explicit-seq ingest.
+// of sequenced batches.
 func (s *Server) Deduped() int64 { return s.deduped.Load() }
 
 // Close stops the server immediately, cancelling every pipeline
@@ -1294,33 +1236,46 @@ func (s *Server) Close() {
 
 // manifest is the persisted query set, written to
 // CheckpointDir/queries.json. Offsets (absent in manifests written
-// before the WAL existed) records each query's registration fence and
-// backfill flag, so a restart knows where its state rebuild begins.
+// before the WAL existed) records each query's fence and backfill
+// flag, so a restart knows where its state rebuild begins.
 type manifest struct {
-	Queries []QuerySpec               `json:"queries"`
-	Offsets map[string]manifestOffset `json:"offsets,omitempty"`
+	Queries []QuerySpec          `json:"queries"`
+	Offsets map[string]fenceJSON `json:"offsets,omitempty"`
 }
 
-// manifestOffset is the per-query durability record in the manifest.
-type manifestOffset struct {
-	// Registered is the WAL offset fence assigned at registration.
-	Registered int64 `json:"registered"`
-	// Seq is the registration fence in sequence coordinates (equal to
-	// Registered on non-explicit logs; absent in older manifests).
-	Seq int64 `json:"seq,omitempty"`
-	// Backfill echoes that the query was registered against history.
-	Backfill bool `json:"backfill,omitempty"`
+// fenceJSON is a query's fence and backfill flag as any version
+// persisted them, in the manifest and, beside the spec, in the
+// replication manifest (ReplicatedQuery). This version writes Fence,
+// the query's fence seq. Versions whose WAL records did not all carry
+// their seq wrote an offset fence (registered, registered_at) and,
+// where seq and offset could differ, a seq fence (seq,
+// registered_seq); fence resolves those. Readers call fence after
+// plain decoding: a custom unmarshaler would cost five allocations per
+// query on every manifest sync of a follower.
+type fenceJSON struct {
+	Fence         int64 `json:"fence"`
+	Backfill      bool  `json:"backfill,omitempty"`
+	Registered    int64 `json:"registered,omitempty"`
+	Seq           int64 `json:"seq,omitempty"`
+	RegisteredAt  int64 `json:"registered_at,omitempty"`
+	RegisteredSeq int64 `json:"registered_seq,omitempty"`
 }
 
-// offsetOf returns the recorded registration offset of a query (0 for
-// pre-WAL manifests).
-func (m manifest) offsetOf(id string) int64 { return m.Offsets[id].Registered }
-
-// seqOf returns the recorded sequence fence of a query.
-func (m manifest) seqOf(id string) int64 { return m.Offsets[id].Seq }
-
-// backfillOf returns the recorded backfill flag of a query.
-func (m manifest) backfillOf(id string) bool { return m.Offsets[id].Backfill }
+// fence resolves the fence seq. Of an older version's two fences the
+// seq one is taken where it was written; for a backfill the offset one
+// is, because there the seq fence marked the live handoff rather than
+// where the query's history began, and no record below that offset was
+// retained even then.
+func (f fenceJSON) fence() int64 {
+	off, seq := max(f.Registered, f.RegisteredAt), max(f.Seq, f.RegisteredSeq)
+	switch {
+	case seq != 0 && !f.Backfill:
+		return seq
+	case off != 0:
+		return off
+	}
+	return f.Fence
+}
 
 // saveManifestLocked persists the registered specs in registration
 // order. Called with s.mu held; a no-op without a checkpoint dir.
@@ -1330,13 +1285,13 @@ func (s *Server) saveManifestLocked() error {
 	}
 	m := manifest{Queries: make([]QuerySpec, 0, len(s.order))}
 	if s.wal != nil {
-		m.Offsets = make(map[string]manifestOffset, len(s.order))
+		m.Offsets = make(map[string]fenceJSON, len(s.order))
 	}
 	for _, id := range s.order {
 		q := s.queries[id]
 		m.Queries = append(m.Queries, q.spec)
 		if m.Offsets != nil {
-			m.Offsets[id] = manifestOffset{Registered: q.registeredAt, Seq: q.fenceSeq, Backfill: q.backfill}
+			m.Offsets[id] = fenceJSON{Fence: q.fence, Backfill: q.backfill}
 		}
 	}
 	data, err := json.MarshalIndent(m, "", "  ")

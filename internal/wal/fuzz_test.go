@@ -19,8 +19,9 @@ import (
 func FuzzRecover(f *testing.F) {
 	schema := testSchema(f)
 
-	// Seed with a real two-record segment plus adversarial variants:
-	// torn tails, a flipped payload bit, a torn header, and garbage.
+	// Seed with a real two-record segment, the same records in a legacy
+	// (seq-less) segment, and adversarial variants: torn tails, a
+	// flipped payload bit, a torn header, and garbage.
 	seedDir := f.TempDir()
 	l, err := Open(Options{Dir: seedDir, Schema: schema, Fsync: FsyncNever})
 	if err != nil {
@@ -37,6 +38,7 @@ func FuzzRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	f.Add(legacySegment(schema, 0, []event.Event{mkEvent(1), mkEvent(2)}))
 	f.Add(valid[:len(valid)-3]) // torn tail mid-record
 	f.Add(valid[:5])            // torn header
 	flipped := append([]byte(nil), valid...)

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/event"
 )
 
-// ErrTruncated reports that a requested offset has been reclaimed by
-// retention; the caller's earliest option is Log.FirstOffset.
+// ErrTruncated reports that a requested position has been reclaimed
+// by retention; the caller's earliest option is Log.FirstOffset.
 var ErrTruncated = errors.New("wal: offset reclaimed by retention")
 
 // Reader streams records from a Log in offset order. It chases the
@@ -20,10 +21,14 @@ var ErrTruncated = errors.New("wal: offset reclaimed by retention")
 // safe for concurrent use, but any number of Readers may run alongside
 // a writer.
 type Reader struct {
-	l    *Log
-	off  int64 // offset of the next record to return
-	file File
-	buf  []byte
+	l   *Log
+	off int64 // offset of the next record to read
+	// min is the lowest seq returned: a Reader built by ReaderAtSeq
+	// reads past the records before its target.
+	min    int64
+	tagged bool // the open segment's records carry their seq
+	file   File
+	buf    []byte
 }
 
 // NewReader returns a Reader positioned at offset from. Positions at
@@ -37,15 +42,38 @@ func (l *Log) NewReader(from int64) *Reader {
 	return &Reader{l: l, off: from, buf: make([]byte, 0, 256)}
 }
 
-// Offset returns the offset of the next record Next will return.
+// ReaderAtSeq returns a Reader positioned at the first record whose
+// seq is at least s, by a search over the segments' first seqs and a
+// linear skip within the segment found. Past the tail the Reader waits
+// for the first such record to be appended. When s lies below the
+// oldest retained record and retention has reclaimed a prefix of the
+// log, records at or above s may be gone: the Reader then starts at the
+// oldest retained record and the error is ErrTruncated.
+func (l *Log) ReaderAtSeq(s int64) (*Reader, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	from, err := l.first.Load(), error(nil)
+	i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].seq > s })
+	switch {
+	case l.actN > 0 && l.actSeq <= s:
+		from = l.actBase
+	case i > 0:
+		from = l.sealed[i-1].base
+	case from > 0:
+		err = ErrTruncated
+	}
+	r := l.NewReader(from)
+	r.min = s
+	return r, err
+}
+
+// Offset returns the offset of the next record Next will read.
 func (r *Reader) Offset() int64 { return r.off }
 
 // Next returns the next committed record and its offset. io.EOF means
 // the reader is caught up with the writer (retry later); ErrTruncated
 // means the offset was reclaimed by retention; any other error is
-// corruption or I/O failure. Under an explicit-seq log the returned
-// event's Seq carries the persisted sequence number; otherwise it is
-// the record offset.
+// corruption or I/O failure.
 func (r *Reader) Next() (int64, event.Event, error) {
 	attrs := make([]event.Value, r.l.opt.Schema.NumFields())
 	off, seq, t, err := r.NextInto(attrs)
@@ -59,9 +87,7 @@ func (r *Reader) Next() (int64, event.Event, error) {
 // caller-provided slice (len == schema fields, or nil to skip
 // attribute materialization), avoiding the per-record allocation:
 // batch replay cuts rows from a shared block arena instead of
-// re-boxing every event. The returned seq is the record's persisted
-// sequence number under an explicit-seq log and the record offset
-// otherwise, so callers can stamp event.Seq uniformly.
+// re-boxing every event. It returns the record's offset and seq.
 func (r *Reader) NextInto(attrs []event.Value) (int64, int64, event.Time, error) {
 	for {
 		if r.off >= r.l.NextOffset() {
@@ -88,16 +114,15 @@ func (r *Reader) NextInto(attrs []event.Value) (int64, int64, event.Time, error)
 			return 0, 0, 0, fmt.Errorf("record %d: %w", r.off, err)
 		}
 		r.buf = payload[:0]
-		seq := r.off
-		if r.l.opt.ExplicitSeq {
-			var rest []byte
-			seq, rest, err = splitSeq(payload)
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("record %d: %w", r.off, err)
-			}
-			payload = rest
+		seq, body, err := splitRecord(payload, r.tagged, r.off)
+		if err == nil && seq < r.min {
+			r.off++
+			continue
 		}
-		t, err := decodeEventBody(payload, r.l.opt.Schema, attrs)
+		var t event.Time
+		if err == nil {
+			t, err = decodeEventBody(body, r.l.opt.Schema, attrs)
+		}
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("record %d: %w", r.off, err)
 		}
@@ -123,7 +148,7 @@ func (r *Reader) open() error {
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, _, err := readHeader(f, r.l.opt.Schema, r.l.opt.ExplicitSeq); err != nil {
+	if _, _, r.tagged, err = readHeader(f, r.l.opt.Schema); err != nil {
 		f.Close()
 		return err
 	}

@@ -12,14 +12,23 @@ import (
 
 // Segment file layout:
 //
-//	header := magic | schemaLen u16 | schema | base i64 | crc u32
-//	record := length u32 | crc u32 | payload
+//	header  := magic | schemaLen u16 | schema "#seq" | base i64 | crc u32
+//	record  := length u32 | crc u32 | payload
+//	payload := seq varint | time varint | attribute values
 //
 // All fixed-width integers are little-endian. The header crc is the
 // CRC32C of everything before it; a record's crc is the CRC32C of its
 // payload. Record offsets are implicit: the i-th record of a segment
 // has offset base+i, which is what keeps the log dense and lets a
-// reader locate any offset from the segment file names alone.
+// reader locate any offset from the segment file names alone. A
+// record's seq is its stream position, stamped by the server or by a
+// cluster router: it increases strictly along the log and may skip
+// values, and it is what readers position by and match streams render.
+//
+// Segments written before records carried their seq have the bare
+// schema in their header and payloads without the seq varint; such a
+// segment is still read, each record's seq being its offset, but never
+// appended to.
 const (
 	segMagic = "SESWAL1\n"
 
@@ -40,13 +49,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // former must abort Open, never trigger truncation.
 var errSchemaMismatch = fmt.Errorf("wal: schema mismatch")
 
-// EncodeEvent appends the canonical WAL payload encoding of e — its
-// occurrence time followed by the schema's attribute values, without
-// framing or sequence number — to dst and returns the extended slice.
-// The encoding is schema-relative: DecodeEvent needs the same schema
-// to reverse it. It is shared with the resilience layer, which embeds
-// reorderer-buffered events in supervisor checkpoints.
+// EncodeEvent appends the WAL record payload of e — its seq, its
+// occurrence time and the schema's attribute values, without framing —
+// to dst and returns the extended slice. The encoding is
+// schema-relative: DecodeEvent needs the same schema to reverse it. The
+// replication shipper puts the same payload on the wire, and the
+// resilience layer embeds it in supervisor checkpoints.
 func EncodeEvent(dst []byte, schema *event.Schema, e *event.Event) []byte {
+	dst = binary.AppendVarint(dst, int64(e.Seq))
 	dst = binary.AppendVarint(dst, int64(e.Time))
 	for i := 0; i < schema.NumFields(); i++ {
 		v := e.Attrs[i]
@@ -65,30 +75,42 @@ func EncodeEvent(dst []byte, schema *event.Schema, e *event.Event) []byte {
 }
 
 // DecodeEvent reverses EncodeEvent over the given schema. The payload
-// must be consumed exactly; trailing bytes are corruption. The
-// returned event has Seq zero — callers stamp the record's offset.
+// must be consumed exactly; trailing bytes are corruption.
 func DecodeEvent(data []byte, schema *event.Schema) (event.Event, error) {
-	attrs := make([]event.Value, schema.NumFields())
-	t, err := decodeEventBody(data, schema, attrs)
+	seq, body, err := splitRecord(data, true, 0)
 	if err != nil {
 		return event.Event{}, err
 	}
-	return event.Event{Time: t, Attrs: attrs}, nil
+	attrs := make([]event.Value, schema.NumFields())
+	t, err := decodeEventBody(body, schema, attrs)
+	if err != nil {
+		return event.Event{}, err
+	}
+	return event.Event{Seq: int(seq), Time: t, Attrs: attrs}, nil
 }
 
-// validateEvent checks that data is a well-formed EncodeEvent payload
-// for the schema without materializing any attribute values. Recovery
-// scans that only establish how far the log is intact use it to avoid
-// allocating an event per record just to discard it.
-func validateEvent(data []byte, schema *event.Schema) error {
-	_, err := decodeEventBody(data, schema, nil)
-	return err
+// splitRecord returns a record payload's seq and the event body after
+// it. A record of a legacy (untagged) segment carries no seq: its seq
+// is its offset off.
+func splitRecord(data []byte, tagged bool, off int64) (int64, []byte, error) {
+	if !tagged {
+		return off, data, nil
+	}
+	seq, n := binary.Varint(data)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("wal: truncated event sequence")
+	}
+	if seq < 0 {
+		return 0, nil, fmt.Errorf("wal: negative event sequence %d", seq)
+	}
+	return seq, data[n:], nil
 }
 
-// decodeEventBody walks one event payload over the schema, storing
-// decoded attribute values into attrs when it is non-nil (attrs must
-// then have schema.NumFields() entries). A nil attrs validates the
-// payload shape only — no per-attribute allocation happens.
+// decodeEventBody walks one event body (time and attributes) over the
+// schema, storing decoded attribute values into attrs when it is
+// non-nil (attrs must then have schema.NumFields() entries). A nil
+// attrs validates the body's shape only — no per-attribute allocation
+// happens, so recovery scans allocate no event per record.
 func decodeEventBody(data []byte, schema *event.Schema, attrs []event.Value) (event.Time, error) {
 	t, n := binary.Varint(data)
 	if n <= 0 {
@@ -131,58 +153,9 @@ func decodeEventBody(data []byte, schema *event.Schema, attrs []event.Value) (ev
 	return event.Time(t), nil
 }
 
-// seqSchemaSuffix marks segment headers of logs written in explicit
-// sequence mode (Options.ExplicitSeq): every record payload is
-// prefixed with a varint sequence number assigned by the producer
-// (a cluster router) instead of deriving sequence from offset. The
-// marker makes the two encodings mutually unreadable, so a log can
-// never be silently reopened in the wrong mode.
+// seqSchemaSuffix tags the schema string in the header of a segment
+// whose records carry their seq; its absence marks a legacy segment.
 const seqSchemaSuffix = "#seq"
-
-// EncodeEventSeq is EncodeEvent for explicit-seq logs: the payload is
-// the event's global sequence number (varint) followed by the
-// canonical event encoding.
-func EncodeEventSeq(dst []byte, schema *event.Schema, e *event.Event) []byte {
-	dst = binary.AppendVarint(dst, int64(e.Seq))
-	return EncodeEvent(dst, schema, e)
-}
-
-// DecodeEventSeq reverses EncodeEventSeq; the returned event carries
-// the persisted sequence number.
-func DecodeEventSeq(data []byte, schema *event.Schema) (event.Event, error) {
-	seq, rest, err := splitSeq(data)
-	if err != nil {
-		return event.Event{}, err
-	}
-	e, err := DecodeEvent(rest, schema)
-	if err != nil {
-		return event.Event{}, err
-	}
-	e.Seq = int(seq)
-	return e, nil
-}
-
-// splitSeq peels the varint sequence prefix off an explicit-seq
-// payload.
-func splitSeq(data []byte) (int64, []byte, error) {
-	seq, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wal: truncated event sequence")
-	}
-	if seq < 0 {
-		return 0, nil, fmt.Errorf("wal: negative event sequence %d", seq)
-	}
-	return seq, data[n:], nil
-}
-
-// validateEventSeq is validateEvent for explicit-seq payloads.
-func validateEventSeq(data []byte, schema *event.Schema) error {
-	_, rest, err := splitSeq(data)
-	if err != nil {
-		return err
-	}
-	return validateEvent(rest, schema)
-}
 
 // EncodeFrame appends one framed record (length, CRC32C, payload) to
 // dst and returns the extended slice. The replication shipper uses it
@@ -205,13 +178,9 @@ func appendFrame(dst, payload []byte) []byte {
 }
 
 // encodeHeader renders a segment header for the given schema and base
-// offset. Explicit-seq logs tag the embedded schema string so the two
-// payload encodings cannot be confused.
-func encodeHeader(schema *event.Schema, base int64, explicitSeq bool) []byte {
-	s := schema.String()
-	if explicitSeq {
-		s += seqSchemaSuffix
-	}
+// offset.
+func encodeHeader(schema *event.Schema, base int64) []byte {
+	s := schema.String() + seqSchemaSuffix
 	buf := make([]byte, 0, len(segMagic)+2+len(s)+8+4)
 	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
@@ -221,37 +190,39 @@ func encodeHeader(schema *event.Schema, base int64, explicitSeq bool) []byte {
 }
 
 // readHeader reads and validates a segment header from r, returning
-// the declared base offset and the header's byte length.
-func readHeader(r io.Reader, schema *event.Schema, explicitSeq bool) (base int64, size int64, err error) {
+// the declared base offset, the header's byte length and whether the
+// segment's records carry their seq (false for a legacy segment).
+func readHeader(r io.Reader, schema *event.Schema) (base, size int64, tagged bool, err error) {
 	fixed := make([]byte, len(segMagic)+2)
 	if _, err := io.ReadFull(r, fixed); err != nil {
-		return 0, 0, fmt.Errorf("wal: segment header: %w", err)
+		return 0, 0, false, fmt.Errorf("wal: segment header: %w", err)
 	}
 	if string(fixed[:len(segMagic)]) != segMagic {
-		return 0, 0, fmt.Errorf("wal: bad segment magic %q", fixed[:len(segMagic)])
+		return 0, 0, false, fmt.Errorf("wal: bad segment magic %q", fixed[:len(segMagic)])
 	}
 	schemaLen := int(binary.LittleEndian.Uint16(fixed[len(segMagic):]))
 	rest := make([]byte, schemaLen+8+4)
 	if _, err := io.ReadFull(r, rest); err != nil {
-		return 0, 0, fmt.Errorf("wal: segment header: %w", err)
+		return 0, 0, false, fmt.Errorf("wal: segment header: %w", err)
 	}
 	sum := crc32.Checksum(fixed, castagnoli)
 	sum = crc32.Update(sum, castagnoli, rest[:schemaLen+8])
 	if sum != binary.LittleEndian.Uint32(rest[schemaLen+8:]) {
-		return 0, 0, fmt.Errorf("wal: segment header CRC mismatch")
+		return 0, 0, false, fmt.Errorf("wal: segment header CRC mismatch")
 	}
-	want := schema.String()
-	if explicitSeq {
-		want += seqSchemaSuffix
+	got, want := rest[:schemaLen], schema.String()
+	tagged = len(got) == len(want)+len(seqSchemaSuffix) && string(got[len(want):]) == seqSchemaSuffix
+	if tagged {
+		got = got[:len(want)]
 	}
-	if got := string(rest[:schemaLen]); got != want {
-		return 0, 0, fmt.Errorf("%w: segment has (%s), log opened with (%s)", errSchemaMismatch, got, want)
+	if string(got) != want {
+		return 0, 0, false, fmt.Errorf("%w: segment has (%s), log opened with (%s)", errSchemaMismatch, rest[:schemaLen], want)
 	}
 	base = int64(binary.LittleEndian.Uint64(rest[schemaLen : schemaLen+8]))
 	if base < 0 {
-		return 0, 0, fmt.Errorf("wal: negative segment base offset %d", base)
+		return 0, 0, false, fmt.Errorf("wal: negative segment base offset %d", base)
 	}
-	return base, int64(len(fixed) + len(rest)), nil
+	return base, int64(len(fixed) + len(rest)), tagged, nil
 }
 
 // readFrame reads one framed record payload from r into buf

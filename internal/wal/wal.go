@@ -7,8 +7,10 @@
 //
 // Offsets are dense: the record appended n-th over the log's lifetime
 // has offset firstEverOffset+n, and each segment file is named after
-// the offset of its first record. Crash recovery truncates a torn tail
-// in the newest segment without touching earlier records.
+// the offset of its first record. Each record also carries its seq,
+// the stream position the server numbered it with (see record.go);
+// readers position by either. Crash recovery truncates a torn tail in
+// the newest segment without touching earlier records.
 package wal
 
 import (
@@ -105,15 +107,6 @@ type Options struct {
 	// (e.g. unshipped segments reclaimed over the cap). Defaults to
 	// the standard library logger.
 	Logf func(format string, args ...interface{})
-	// ExplicitSeq switches the log into explicit-sequence mode: every
-	// appended event's Seq field (a cluster-global sequence number
-	// assigned by the router tier) is persisted as a varint prefix of
-	// the record payload and restored on replay, instead of sequence
-	// numbers being implied by record offsets. Offsets remain dense and
-	// node-local; the persisted sequence is what match streams render,
-	// so replay stays byte-identical across a cluster. Segment headers
-	// are tagged, so a log can never be reopened in the other mode.
-	ExplicitSeq bool
 	// FS overrides the filesystem the log talks to; tests inject
 	// faulty implementations here. Nil means the real one (DefaultFS).
 	FS FileSystem
@@ -123,11 +116,13 @@ type Options struct {
 
 // segment describes one sealed (read-only) segment file.
 type segment struct {
-	base  int64 // offset of the first record
-	count int64 // number of records
-	path  string
-	size  int64
-	mtime time.Time
+	base   int64 // offset of the first record
+	count  int64 // number of records
+	seq    int64 // seq of the first record
+	legacy bool  // records carry no seq: each one's seq is its offset
+	path   string
+	size   int64
+	mtime  time.Time
 }
 
 // Log is an append-only segmented event log. Appends are serialized;
@@ -143,9 +138,13 @@ type Log struct {
 	actBase int64
 	actSize int64
 	actN    int64 // records in the active segment
-	scratch []byte
-	pbuf    []byte
-	closed  bool
+	actSeq  int64 // seq of the active segment's first record (actN > 0)
+	// actLegacy marks an active segment recovered from before records
+	// carried their seq; the next append rotates out of it.
+	actLegacy bool
+	scratch   []byte
+	pbuf      []byte
+	closed    bool
 	// failed is the first write-path error; once set, every further
 	// append is refused with it (fail-stop). A partially written batch
 	// may sit on disk as a torn tail, which the next Open truncates —
@@ -164,8 +163,7 @@ type Log struct {
 	floor atomic.Int64
 	// epoch is the fencing epoch persisted in the log's manifest.
 	epoch atomic.Int64
-	// lastSeq is the highest explicit sequence number appended or
-	// recovered (-1 when none); meaningful only under ExplicitSeq.
+	// lastSeq is the highest seq appended or recovered (-1 when none).
 	lastSeq atomic.Int64
 
 	stop chan struct{}
@@ -187,8 +185,8 @@ func segName(base int64) string { return fmt.Sprintf("%016x.wal", base) }
 
 // Open opens (or creates) the log in opt.Dir, recovering from a torn
 // tail by truncating the newest segment back to its last intact
-// record. Earlier segments are trusted wholesale; per-record CRCs
-// still catch silent corruption at read time.
+// record. Of earlier segments only the header and first record are
+// read; per-record CRCs still catch silent corruption at read time.
 func Open(opt Options) (*Log, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("wal: Options.Dir is required")
@@ -220,11 +218,6 @@ func Open(opt Options) (*Log, error) {
 	}
 	if err := l.recover(); err != nil {
 		return nil, err
-	}
-	if opt.ExplicitSeq {
-		if err := l.recoverLastSeq(); err != nil {
-			return nil, err
-		}
 	}
 	if opt.Fsync == FsyncInterval {
 		go l.syncLoop()
@@ -266,27 +259,33 @@ func (l *Log) recover() (err error) {
 	}
 
 	// A crash between creating a new segment and committing its first
-	// record can leave a torn or empty header at the tail; such a file
-	// holds no acknowledged records, so drop it and append to its
-	// predecessor instead.
-	for len(files) > 0 {
+	// record leaves a torn or empty header at the tail, holding no
+	// acknowledged record: it is dropped and its predecessor, which
+	// holds the newest record, appended to. So is an empty legacy
+	// segment, which no append may extend.
+	var tail tailScan
+	for {
 		last := files[len(files)-1]
-		if _, err := l.scanTail(last.path, last.base); err == nil {
-			break
-		} else if errors.Is(err, errSchemaMismatch) {
+		tail, err = l.scanTail(last.path, last.base)
+		if errors.Is(err, errSchemaMismatch) {
 			return err
-		} else if len(files) == 1 {
-			// Sole segment with an unreadable header: no records were
-			// ever acknowledged from it.
-			l.mTruncated.Inc()
-			if err := l.fs.Remove(last.path); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			return l.createSegment(last.base)
 		}
-		l.mTruncated.Inc()
+		if err == nil && (tail.count > 0 || len(files) == 1 && !tail.legacy) {
+			break
+		}
+		if err != nil {
+			l.mTruncated.Inc()
+		}
 		if err := l.fs.Remove(last.path); err != nil {
 			return fmt.Errorf("wal: %w", err)
+		}
+		if len(files) == 1 {
+			if err == nil {
+				// An empty legacy segment: its predecessors' seqs were
+				// their offsets.
+				l.lastSeq.Store(last.base - 1)
+			}
+			return l.createSegment(last.base)
 		}
 		files = files[:len(files)-1]
 	}
@@ -295,25 +294,24 @@ func (l *Log) recover() (err error) {
 	// implied by the next segment's base offset.
 	for i := 0; i < len(files)-1; i++ {
 		f := files[i]
-		if _, hdrErr := l.readBase(f.path); hdrErr != nil {
-			return fmt.Errorf("wal: sealed segment %s: %w", f.path, hdrErr)
+		seq, legacy, err := l.firstSeq(f.path)
+		if err != nil {
+			return fmt.Errorf("wal: sealed segment %s: %w", f.path, err)
 		}
 		fi, _ := l.fs.Stat(f.path)
 		l.sealed = append(l.sealed, segment{
-			base:  f.base,
-			count: files[i+1].base - f.base,
-			path:  f.path,
-			size:  f.size,
-			mtime: fi.ModTime(),
+			base:   f.base,
+			count:  files[i+1].base - f.base,
+			seq:    seq,
+			legacy: legacy,
+			path:   f.path,
+			size:   f.size,
+			mtime:  fi.ModTime(),
 		})
 		l.size.Add(f.size)
 	}
 
 	last := files[len(files)-1]
-	n, err := l.scanTail(last.path, last.base)
-	if err != nil {
-		return err
-	}
 	f, err := l.fs.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -323,78 +321,94 @@ func (l *Log) recover() (err error) {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.active, l.actPath, l.actBase, l.actN, l.actSize = f, last.path, last.base, n, fi.Size()
+	l.active, l.actPath, l.actBase, l.actN, l.actSize = f, last.path, last.base, tail.count, fi.Size()
+	l.actSeq, l.actLegacy = tail.first, tail.legacy
 	l.size.Add(fi.Size())
 	l.first.Store(files[0].base)
-	l.next.Store(last.base + n)
+	l.next.Store(last.base + tail.count)
 	l.segs.Store(int64(len(l.sealed)) + 1)
+	if tail.count > 0 {
+		l.lastSeq.Store(tail.last)
+	}
 	return nil
 }
 
-// readBase validates a segment's header and returns its base offset.
-func (l *Log) readBase(path string) (int64, error) {
+// firstSeq reads the header and first record of a sealed segment and
+// returns that record's seq and whether the segment is legacy.
+func (l *Log) firstSeq(path string) (int64, bool, error) {
 	f, err := l.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	defer f.Close()
-	base, _, err := readHeader(f, l.opt.Schema, l.opt.ExplicitSeq)
-	return base, err
+	base, _, tagged, err := readHeader(f, l.opt.Schema)
+	if err != nil {
+		return 0, false, err
+	}
+	payload, err := readFrame(f, nil)
+	if err != nil {
+		return 0, false, fmt.Errorf("wal: first record: %w", err)
+	}
+	seq, _, err := splitRecord(payload, tagged, base)
+	return seq, !tagged, err
+}
+
+// tailScan is what scanTail learns of the newest segment.
+type tailScan struct {
+	count       int64 // intact records
+	first, last int64 // seqs of the first and last of them
+	legacy      bool
 }
 
 // scanTail walks the frames of the segment at path, truncating the
-// file after the last intact record, and returns the record count. An
-// unreadable header is returned as an error without modifying the file.
-func (l *Log) scanTail(path string, wantBase int64) (count int64, err error) {
+// file after the last intact record. An unreadable header is returned
+// as an error without modifying the file.
+func (l *Log) scanTail(path string, wantBase int64) (tailScan, error) {
 	f, err := l.fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return tailScan{}, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	base, hdrSize, err := readHeader(f, l.opt.Schema, l.opt.ExplicitSeq)
+	base, hdrSize, tagged, err := readHeader(f, l.opt.Schema)
 	if err != nil {
-		return 0, err
+		return tailScan{}, err
 	}
 	if base != wantBase {
-		return 0, fmt.Errorf("wal: segment %s declares base %d", path, base)
+		return tailScan{}, fmt.Errorf("wal: segment %s declares base %d", path, base)
 	}
+	ts := tailScan{legacy: !tagged}
 	good := hdrSize
 	buf := make([]byte, 0, 256)
 	for {
 		payload, err := readFrame(f, buf)
 		if err == io.EOF {
-			break
+			// The file ended exactly on a record boundary.
+			return ts, nil
+		}
+		var seq int64
+		if err == nil {
+			var body []byte
+			if seq, body, err = splitRecord(payload, tagged, base+ts.count); err == nil {
+				_, err = decodeEventBody(body, l.opt.Schema, nil)
+			}
 		}
 		if err != nil {
-			// Torn or corrupt tail: drop it and everything after.
+			// Torn or corrupt tail (stray bytes shorter than a frame
+			// included): drop it and everything after.
 			l.mTruncated.Inc()
 			if terr := f.Truncate(good); terr != nil {
-				return 0, fmt.Errorf("wal: truncating torn tail: %w", terr)
+				return tailScan{}, fmt.Errorf("wal: truncating torn tail: %w", terr)
 			}
-			return count, nil
+			return ts, nil
 		}
-		vErr := error(nil)
-		if l.opt.ExplicitSeq {
-			vErr = validateEventSeq(payload, l.opt.Schema)
-		} else {
-			vErr = validateEvent(payload, l.opt.Schema)
+		if ts.count == 0 {
+			ts.first = seq
 		}
-		if vErr != nil {
-			l.mTruncated.Inc()
-			if terr := f.Truncate(good); terr != nil {
-				return 0, fmt.Errorf("wal: truncating torn tail: %w", terr)
-			}
-			return count, nil
-		}
+		ts.last = seq
 		good += frameSize + int64(len(payload))
-		count++
+		ts.count++
 		buf = payload[:0]
 	}
-	// Stray bytes after the last full frame (a frame header shorter
-	// than frameSize) also get truncated by readFrame's UnexpectedEOF
-	// path above; reaching here means the file ended exactly on a
-	// record boundary.
-	return count, nil
 }
 
 // createSegment creates and activates a fresh segment starting at
@@ -406,7 +420,7 @@ func (l *Log) createSegment(base int64) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := encodeHeader(l.opt.Schema, base, l.opt.ExplicitSeq)
+	hdr := encodeHeader(l.opt.Schema, base)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
@@ -418,6 +432,7 @@ func (l *Log) createSegment(base int64) error {
 		}
 	}
 	l.active, l.actPath, l.actBase, l.actN, l.actSize = f, path, base, 0, int64(len(hdr))
+	l.actLegacy = false
 	l.size.Add(int64(len(hdr)))
 	l.segs.Add(1)
 	if l.first.Load() == 0 && l.next.Load() == 0 {
@@ -436,11 +451,11 @@ func (l *Log) Append(e event.Event) (int64, error) {
 
 // AppendBatch appends events as one write, returning the offset
 // assigned to the first. Offsets are contiguous, so events[i] has
-// offset first+i. In the default mode the events' Seq fields are
-// ignored; under Options.ExplicitSeq each event's Seq is persisted
-// with the record and LastSeq advances to the batch's highest. Once
-// AppendBatch returns, the records are visible to readers (and, under
-// FsyncAlways, on stable storage).
+// offset first+i. Each event's Seq is persisted with its record, and
+// LastSeq advances to the batch's last; seqs must increase along the
+// log for ReaderAtSeq to find them. Once AppendBatch returns, the
+// records are visible to readers (and, under FsyncAlways, on stable
+// storage).
 func (l *Log) AppendBatch(events []event.Event) (first int64, err error) {
 	if len(events) == 0 {
 		return l.next.Load(), nil
@@ -454,7 +469,8 @@ func (l *Log) AppendBatch(events []event.Event) (first int64, err error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log failed, refusing appends: %w", l.failed)
 	}
-	if l.actSize >= l.opt.SegmentBytes && l.actN > 0 {
+	rotated := l.actN > 0 && (l.actSize >= l.opt.SegmentBytes || l.actLegacy)
+	if rotated {
 		if err := l.rotateLocked(); err != nil {
 			l.failLocked(err)
 			return 0, err
@@ -462,11 +478,7 @@ func (l *Log) AppendBatch(events []event.Event) (first int64, err error) {
 	}
 	buf := l.scratch[:0]
 	for i := range events {
-		if l.opt.ExplicitSeq {
-			l.pbuf = EncodeEventSeq(l.pbuf[:0], l.opt.Schema, &events[i])
-		} else {
-			l.pbuf = EncodeEvent(l.pbuf[:0], l.opt.Schema, &events[i])
-		}
+		l.pbuf = EncodeEvent(l.pbuf[:0], l.opt.Schema, &events[i])
 		buf = appendFrame(buf, l.pbuf)
 	}
 	l.scratch = buf[:0]
@@ -493,14 +505,20 @@ func (l *Log) AppendBatch(events []event.Event) (first int64, err error) {
 		l.dirty.Store(true)
 	}
 	first = l.actBase + l.actN
+	if l.actN == 0 {
+		l.actSeq = int64(events[0].Seq)
+	}
 	l.actN += int64(len(events))
 	l.actSize += int64(len(buf))
 	l.size.Add(int64(len(buf)))
 	l.next.Store(l.actBase + l.actN)
-	if l.opt.ExplicitSeq {
-		if s := int64(events[len(events)-1].Seq); s > l.lastSeq.Load() {
-			l.lastSeq.Store(s)
-		}
+	if s := int64(events[len(events)-1].Seq); s > l.lastSeq.Load() {
+		l.lastSeq.Store(s)
+	}
+	if rotated {
+		// Retention runs once the new segment holds a record, so no
+		// crash leaves a log without the record LastSeq recovers from.
+		l.applyRetentionLocked()
 	}
 	l.mAppends.Add(int64(len(events)))
 	l.mBytes.Add(int64(len(buf)))
@@ -508,8 +526,8 @@ func (l *Log) AppendBatch(events []event.Event) (first int64, err error) {
 	return first, nil
 }
 
-// rotateLocked seals the active segment and starts a new one, then
-// applies retention. Caller holds l.mu.
+// rotateLocked seals the active segment and starts a new one. Caller
+// holds l.mu.
 func (l *Log) rotateLocked() error {
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: sealing segment: %w", err)
@@ -519,17 +537,18 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.sealed = append(l.sealed, segment{
-		base:  l.actBase,
-		count: l.actN,
-		path:  l.actPath,
-		size:  l.actSize,
-		mtime: time.Now(),
+		base:   l.actBase,
+		count:  l.actN,
+		seq:    l.actSeq,
+		legacy: l.actLegacy,
+		path:   l.actPath,
+		size:   l.actSize,
+		mtime:  time.Now(),
 	})
 	if err := l.createSegment(l.actBase + l.actN); err != nil {
 		return err
 	}
 	l.mRotations.Inc()
-	l.applyRetentionLocked()
 	return nil
 }
 
@@ -643,32 +662,31 @@ func (l *Log) NextOffset() int64 { return l.next.Load() }
 // reclaimed a segment returns the offset of its first-ever record.
 func (l *Log) FirstOffset() int64 { return l.first.Load() }
 
-// ExplicitSeq reports whether the log persists explicit sequence
-// numbers (Options.ExplicitSeq).
-func (l *Log) ExplicitSeq() bool { return l.opt.ExplicitSeq }
-
-// LastSeq returns the highest explicit sequence number appended or
-// recovered, -1 when the log holds none (or when the records that
-// carried the highest were reclaimed before any were reappended — an
-// empty retained log after reclamation also reports -1, so operators
-// of a cluster should size retention to outlive router restarts).
-// Only meaningful under ExplicitSeq.
+// LastSeq returns the highest seq appended or recovered, -1 when the
+// log has never held a record.
 func (l *Log) LastSeq() int64 { return l.lastSeq.Load() }
 
-// recoverLastSeq restores lastSeq from the newest retained record.
-func (l *Log) recoverLastSeq() error {
-	next, first := l.next.Load(), l.first.Load()
-	if next <= first {
-		return nil
+// FirstSeq returns the seq of the oldest retained record, or
+// LastSeq()+1 when the log holds none.
+func (l *Log) FirstSeq() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case len(l.sealed) > 0:
+		return l.sealed[0].seq
+	case l.actN > 0:
+		return l.actSeq
 	}
-	rd := l.NewReader(next - 1)
-	defer rd.Close()
-	_, seq, _, err := rd.NextInto(nil)
-	if err != nil {
-		return fmt.Errorf("wal: recovering last sequence: %w", err)
-	}
-	l.lastSeq.Store(seq)
-	return nil
+	return l.lastSeq.Load() + 1
+}
+
+// Legacy reports whether the log retains segments written before
+// records carried their seq, whose records' seq is their offset.
+// Legacy segments only ever precede the tagged ones.
+func (l *Log) Legacy() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.actLegacy || len(l.sealed) > 0 && l.sealed[0].legacy
 }
 
 // SizeBytes returns the total on-disk size across all segments.

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -395,14 +398,14 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-// Explicit-sequence mode persists router-assigned Seq fields with the
-// records — gaps and all, since a partition sees only its slice of
-// the global sequence — restores them on replay, and recovers LastSeq
-// from the newest retained record on reopen. Cluster dedupe of
-// redelivered sub-batches depends on all three surviving a restart.
+// Records persist their Seq fields — gaps and all, since a partition
+// sees only its slice of the global sequence — restore them on replay,
+// and the log recovers LastSeq from the newest retained record on
+// reopen. Cluster dedupe of redelivered sub-batches depends on all
+// three surviving a restart.
 func TestExplicitSeqRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Dir: dir, Schema: testSchema(t), Fsync: FsyncNever, ExplicitSeq: true}
+	opt := Options{Dir: dir, Schema: testSchema(t), Fsync: FsyncNever}
 	l := mustOpen(t, opt)
 	if got := l.LastSeq(); got != -1 {
 		t.Fatalf("LastSeq of empty log = %d, want -1", got)
@@ -433,14 +436,10 @@ func TestExplicitSeqRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Segment headers carry the mode tag: a log written with explicit
-	// sequences must not silently reopen in offset-implied mode.
-	if bad, err := Open(Options{Dir: dir, Schema: testSchema(t), Fsync: FsyncNever}); err == nil {
-		bad.Close()
-		t.Fatal("reopening an explicit-seq log in default mode succeeded")
-	}
-
 	l2 := mustOpen(t, opt)
+	if l2.Legacy() {
+		t.Fatal("a log written with per-record seqs reports legacy segments")
+	}
 	if got := l2.LastSeq(); got != 40 {
 		t.Fatalf("LastSeq after reopen = %d, want 40", got)
 	}
@@ -461,5 +460,201 @@ func TestExplicitSeqRoundTrip(t *testing.T) {
 		if got[i].Seq != want[i] {
 			t.Fatalf("event %d after reopen: Seq = %d, want %d", i, got[i].Seq, want[i])
 		}
+	}
+}
+
+// appendSeqs appends one single-record batch per seq, so a small
+// SegmentBytes rotates between them.
+func appendSeqs(t *testing.T, l *Log, seqs ...int) {
+	t.Helper()
+	for i, sq := range seqs {
+		e := mkEvent(i)
+		e.Seq = sq
+		if _, err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ReaderAtSeq lands on the first record whose seq is at least the
+// target, across segment boundaries and seq gaps, and waits at the
+// tail for a target past the last record.
+func TestReaderAtSeq(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Schema: testSchema(t), Fsync: FsyncNever, SegmentBytes: 64})
+	seqs := []int{3, 7, 8, 20, 21, 40}
+	appendSeqs(t, l, seqs...)
+	if l.Segments() < 3 {
+		t.Fatalf("want the records over >= 3 segments, got %d", l.Segments())
+	}
+	for s := int64(0); s <= 45; s++ {
+		r, err := l.ReaderAtSeq(s)
+		if err != nil {
+			t.Fatalf("ReaderAtSeq(%d): %v", s, err)
+		}
+		want := -1
+		for _, sq := range seqs {
+			if int64(sq) >= s {
+				want = sq
+				break
+			}
+		}
+		_, e, err := r.Next()
+		switch {
+		case want < 0 && err != io.EOF:
+			t.Fatalf("ReaderAtSeq(%d) past the tail: got seq %d, err %v; want io.EOF", s, e.Seq, err)
+		case want >= 0 && (err != nil || e.Seq != want):
+			t.Fatalf("ReaderAtSeq(%d): got seq %d, err %v; want seq %d", s, e.Seq, err, want)
+		}
+		r.Close()
+	}
+	if got := l.FirstSeq(); got != 3 {
+		t.Fatalf("FirstSeq = %d, want 3", got)
+	}
+}
+
+// A target below a prefix reclaimed by retention reports ErrTruncated
+// and starts at the oldest retained record; a target at that record
+// (where a backfill starts) reports no gap.
+func TestReaderAtSeqBelowReclaimedPrefix(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Schema: testSchema(t), Fsync: FsyncNever,
+		SegmentBytes: 64, RetainBytes: 200})
+	seqs := make([]int, 40)
+	for i := range seqs {
+		seqs[i] = 10 + 2*i
+	}
+	appendSeqs(t, l, seqs...)
+	if l.FirstOffset() == 0 {
+		t.Fatal("retention never reclaimed a segment")
+	}
+	first := l.FirstSeq()
+	if first <= 10 {
+		t.Fatalf("FirstSeq = %d after reclamation, want > 10", first)
+	}
+	r, err := l.ReaderAtSeq(10)
+	if err != ErrTruncated {
+		t.Fatalf("ReaderAtSeq below the reclaimed prefix: err = %v, want ErrTruncated", err)
+	}
+	if _, e, err := r.Next(); err != nil || int64(e.Seq) != first {
+		t.Fatalf("after ErrTruncated: got seq %d, err %v; want the oldest retained seq %d", e.Seq, err, first)
+	}
+	r.Close()
+	r, err = l.ReaderAtSeq(first)
+	if err != nil {
+		t.Fatalf("ReaderAtSeq(FirstSeq): %v", err)
+	}
+	if _, e, err := r.Next(); err != nil || int64(e.Seq) != first {
+		t.Fatalf("ReaderAtSeq(FirstSeq): got seq %d, err %v", e.Seq, err)
+	}
+	r.Close()
+}
+
+// A log reopened right after a rotation — the new segment holding only
+// its header, as a crash before the first record leaves it — recovers
+// LastSeq from the previous segment, even under a retention budget the
+// rotation alone would exceed.
+func TestReopenAfterRotationKeepsLastSeq(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Dir: dir, Schema: testSchema(t), Fsync: FsyncNever, SegmentBytes: 64, RetainBytes: 1}
+	l := mustOpen(t, opt)
+	appendSeqs(t, l, 5, 9, 12)
+	l.mu.Lock()
+	if err := l.rotateLocked(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	l.Close()
+
+	l2 := mustOpen(t, opt)
+	if got := l2.LastSeq(); got != 12 {
+		t.Fatalf("LastSeq after reopen = %d, want 12", got)
+	}
+	if got := l2.FirstSeq(); got != 12 {
+		t.Fatalf("FirstSeq after reopen = %d, want 12", got)
+	}
+}
+
+// legacySegment renders a segment in the format written before
+// records carried their seq: the bare schema in the header and
+// payloads of time and attributes only.
+func legacySegment(schema *event.Schema, base int64, events []event.Event) []byte {
+	s := schema.String()
+	buf := append([]byte(segMagic), byte(len(s)), byte(len(s)>>8))
+	buf = append(buf, s...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(base))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	for i := range events {
+		payload := EncodeEvent(nil, schema, &events[i])
+		_, n := binary.Varint(payload) // drop the seq
+		buf = appendFrame(buf, payload[n:])
+	}
+	return buf
+}
+
+// writeLegacyLog writes a two-segment legacy log of n records.
+func writeLegacyLog(t testing.TB, dir string, schema *event.Schema, n int) {
+	t.Helper()
+	var evs []event.Event
+	for i := 0; i < n; i++ {
+		evs = append(evs, mkEvent(i))
+	}
+	half := n / 2
+	for base, part := range map[int][]event.Event{0: evs[:half], half: evs[half:]} {
+		if err := os.WriteFile(filepath.Join(dir, segName(int64(base))), legacySegment(schema, int64(base), part), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A log written before records carried their seq reopens with each
+// record's seq equal to its offset; the next append lands in a new
+// tagged segment at seq = last offset + 1.
+func TestLegacySegmentsReadSeqAsOffset(t *testing.T) {
+	dir := t.TempDir()
+	schema := testSchema(t)
+	writeLegacyLog(t, dir, schema, 10)
+	l := mustOpen(t, Options{Dir: dir, Schema: schema, Fsync: FsyncNever})
+	if !l.Legacy() {
+		t.Fatal("Legacy() = false over legacy segments")
+	}
+	if got := l.LastSeq(); got != 9 {
+		t.Fatalf("LastSeq = %d, want 9", got)
+	}
+	got := readAll(t, l, 0)
+	checkEvents(t, got, 0, 10)
+	for i, e := range got {
+		if e.Seq != i {
+			t.Fatalf("legacy record %d: Seq = %d, want its offset", i, e.Seq)
+		}
+	}
+	if r, err := l.ReaderAtSeq(7); err != nil {
+		t.Fatal(err)
+	} else if off, e, err := r.Next(); err != nil || off != 7 || e.Seq != 7 {
+		t.Fatalf("ReaderAtSeq(7) on legacy segments: offset %d seq %d err %v", off, e.Seq, err)
+	} else {
+		r.Close()
+	}
+
+	next := mkEvent(10)
+	next.Seq = int(l.LastSeq()) + 1
+	if off, err := l.Append(next); err != nil || off != 10 {
+		t.Fatalf("append after legacy segments: offset %d, err %v", off, err)
+	}
+	if got := l.Segments(); got != 3 {
+		t.Fatalf("Segments = %d, want the append in a third, tagged segment", got)
+	}
+	l.Close()
+
+	l2 := mustOpen(t, Options{Dir: dir, Schema: schema, Fsync: FsyncNever})
+	got = readAll(t, l2, 0)
+	checkEvents(t, got, 0, 11)
+	if got[10].Seq != 10 || l2.LastSeq() != 10 {
+		t.Fatalf("appended record: Seq %d, LastSeq %d; want 10", got[10].Seq, l2.LastSeq())
+	}
+	hdr, err := os.ReadFile(filepath.Join(dir, segName(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, tagged, err := readHeader(bytes.NewReader(hdr), schema); err != nil || !tagged {
+		t.Fatalf("segment of the appended record: tagged %v, err %v", tagged, err)
 	}
 }
