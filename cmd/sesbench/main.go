@@ -18,12 +18,14 @@
 // With -json FILE the command instead measures a fixed benchmark
 // suite with testing.Benchmark and writes a machine-readable baseline
 // artifact (ns/op, B/op, allocs/op, maxΩ, match counts plus the
-// environment and the regeneration command) to FILE — the file
-// committed as BENCH_baseline.json at the repository root.
+// environment, the regeneration command and the ns/op of a calibration
+// workload that runs no repository code) to FILE — the file committed
+// as BENCH_baseline.json at the repository root.
 //
 // With -baseline FILE the suite is measured and compared against the
-// committed artifact: timing and allocation regressions beyond
-// -tolerance (default 0.25 = +25%) or any drift in the correctness
+// committed artifact: timing regressions beyond -tolerance (default
+// 0.25 = +25%), judged relative to the calibration measured in each
+// artifact, allocation regressions beyond it, or any drift in the correctness
 // fingerprints (match count, maxΩ) fail the run with a non-zero exit —
 // the CI bench gate. -json may be combined to also write the fresh
 // measurement.
@@ -158,6 +160,7 @@ func runGate(basePath, jsonFile, profile string, datasets int, seed int64, toler
 			return err
 		}
 	}
+	fmt.Printf("calibration %.0f ns/op, baseline's %.0f ns/op\n", art.CalibrationNs, base.CalibrationNs)
 	problems := bench.Compare(base, art, tolerance)
 	if len(problems) > 0 {
 		for _, p := range problems {

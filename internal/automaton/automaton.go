@@ -12,7 +12,6 @@
 package automaton
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -56,21 +55,6 @@ type VarInfo struct {
 	filter func(*event.Event) bool
 }
 
-// Satisfiable reports whether e satisfies every constant condition of
-// the variable, via the fused compiled chain when present (always,
-// after Compile) and the interpreted checks otherwise.
-func (v *VarInfo) Satisfiable(e *event.Event) bool {
-	if v.filter != nil {
-		return v.filter(e)
-	}
-	for i := range v.ConstChecks {
-		if !v.ConstChecks[i].Eval(e) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the variable with its Kleene-plus marker.
 func (v VarInfo) String() string {
 	if v.Group {
@@ -86,16 +70,8 @@ type ConstCheck struct {
 	Op    pattern.Op
 	Const event.Value
 
-	// pred is the kind-specialized compiled predicate (set by Compile;
-	// nil on hand-built checks, which fall back to interpreting).
+	// pred is the kind-specialized compiled predicate, set by Compile.
 	pred func(event.Value) event.PredOutcome
-}
-
-// Eval applies the check to an event, collapsing the tri-state to a
-// boolean (mismatches fail). This is the interpreted reference path.
-func (c ConstCheck) Eval(e *event.Event) bool {
-	cmp, err := event.Compare(e.Attrs[c.Attr], c.Const)
-	return err == nil && c.Op.Eval(cmp)
 }
 
 // CmpOp translates a pattern operator to its event-level counterpart
@@ -115,19 +91,6 @@ func CmpOp(op pattern.Op) event.CmpOp {
 	default: // pattern.Ge
 		return event.CmpGe
 	}
-}
-
-// interpOutcome is the uncompiled tri-state evaluation, used by checks
-// constructed outside Compile.
-func interpOutcome(op pattern.Op, a, b event.Value) event.PredOutcome {
-	cmp, err := event.Compare(a, b)
-	switch {
-	case err == nil && op.Eval(cmp):
-		return event.PredPass
-	case err != nil && !errors.Is(err, event.ErrUnordered):
-		return event.PredMismatch
-	}
-	return event.PredFail
 }
 
 // CondCheck is a compiled condition evaluated when an event e is bound
@@ -153,7 +116,6 @@ type CondCheck struct {
 	// pred / pred2 are the kind-specialized compiled predicates, set
 	// by Compile: pred for constant conditions (OtherVar < 0), pred2
 	// for conditions against another binding (including SelfOnly).
-	// nil on hand-built checks, which fall back to interpreting.
 	pred  func(event.Value) event.PredOutcome
 	pred2 func(l, r event.Value) event.PredOutcome
 }
@@ -161,19 +123,13 @@ type CondCheck struct {
 // OutcomeConst evaluates a constant condition (OtherVar < 0) on the
 // event being bound.
 func (c *CondCheck) OutcomeConst(e *event.Event) event.PredOutcome {
-	if c.pred != nil {
-		return c.pred(e.Attrs[c.BindAttr])
-	}
-	return interpOutcome(c.Op, e.Attrs[c.BindAttr], c.Const)
+	return c.pred(e.Attrs[c.BindAttr])
 }
 
 // Outcome2 evaluates a two-operand condition on the bound event's
 // attribute l against the other binding's attribute r.
 func (c *CondCheck) Outcome2(l, r event.Value) event.PredOutcome {
-	if c.pred2 != nil {
-		return c.pred2(l, r)
-	}
-	return interpOutcome(c.Op, l, r)
+	return c.pred2(l, r)
 }
 
 // Transition is δ = (q, v, Θδ): from its source state, binding the
@@ -521,30 +477,9 @@ func compileConds(p *pattern.Pattern, schema *event.Schema, varIdx map[string]in
 // satisfies (vacuously true for variables without constant
 // conditions). Events failing the filter cannot fire any transition
 // and can be skipped without iterating over automaton instances.
-// It runs the fused compiled chains; PassesFilterInterpreted is the
-// uncompiled reference with identical semantics.
 func (a *Automaton) PassesFilter(e *event.Event) bool {
 	for i := range a.Vars {
-		if a.Vars[i].Satisfiable(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// PassesFilterInterpreted is PassesFilter evaluated through the
-// generic event.Compare interpreter, the oracle of the
-// compiled-vs-interpreted identity tests.
-func (a *Automaton) PassesFilterInterpreted(e *event.Event) bool {
-	for i := range a.Vars {
-		ok := true
-		for _, c := range a.Vars[i].ConstChecks {
-			if !c.Eval(e) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if f := a.Vars[i].filter; f == nil || f(e) {
 			return true
 		}
 	}

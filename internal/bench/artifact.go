@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/automaton"
@@ -74,15 +76,40 @@ type ArtifactEntry struct {
 // environment metadata to judge whether two artifacts are comparable,
 // the exact command that regenerates it, and the measurements.
 type Artifact struct {
-	GoVersion  string          `json:"go_version"`
-	GOOS       string          `json:"goos"`
-	GOARCH     string          `json:"goarch"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Profile    string          `json:"profile"`
-	Seed       int64           `json:"seed"`
-	Regenerate string          `json:"regenerate"`
-	Entries    []ArtifactEntry `json:"entries"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Profile    string `json:"profile"`
+	Seed       int64  `json:"seed"`
+	Regenerate string `json:"regenerate"`
+	// CalibrationNs is the ns/op of the calibration workload, measured
+	// in the same process and rounds as the entries. Compare scales
+	// the baseline's ns/op by the ratio of the two artifacts'
+	// calibrations, so the gate judges the code, not the machine.
+	CalibrationNs float64         `json:"calibration_ns_per_op,omitempty"`
+	Entries       []ArtifactEntry `json:"entries"`
 }
+
+// calibration is the gate's yardstick: a fixed workload that runs no
+// repository code. It hashes a buffer, fills a map and sorts a slice,
+// the arithmetic, memory and allocation mix an engine step pays, so
+// its time moves with the machine and not with the code under test.
+var calibration = artifactCase{name: "calibration", run: func() (int64, int, error) {
+	sum := sha256.Sum256(make([]byte, 64<<10))
+	m := make(map[uint32]int)
+	xs := make([]uint32, 4096)
+	x := uint32(sum[0]) | 1
+	for i := range xs {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		xs[i] = x
+		m[x%8192] = i
+	}
+	slices.Sort(xs)
+	return 0, len(m), nil
+}}
 
 // artifactCase is one benchmark of the artifact suite: run returns
 // (maxΩ, matches) for a single evaluation, and is executed b.N times
@@ -376,10 +403,18 @@ func BuildArtifact(cfg chemo.Config, profile string, k int) (*Artifact, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Profile:    profile,
 		Seed:       cfg.Seed,
-		Regenerate: fmt.Sprintf("go run ./cmd/sesbench -json BENCH_baseline.json -profile %s -datasets %d", profile, k),
+		Regenerate: fmt.Sprintf("GOMAXPROCS=%d go run ./cmd/sesbench -json BENCH_baseline.json -profile %s -datasets %d",
+			runtime.GOMAXPROCS(0), profile, k),
 	}
 	best := make([]ArtifactEntry, len(cases))
 	for round := 0; round < artifactRounds; round++ {
+		cal, err := measureCase(calibration)
+		if err != nil {
+			return nil, err
+		}
+		if round == 0 || cal.NsPerOp < art.CalibrationNs {
+			art.CalibrationNs = cal.NsPerOp
+		}
 		for i, c := range cases {
 			e, err := measureCase(c)
 			if err != nil {

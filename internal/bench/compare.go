@@ -9,7 +9,11 @@ import (
 // Compare checks a freshly measured artifact against a committed
 // baseline and returns one message per violation (empty means the gate
 // passes). Timing (ns/op) and allocation (allocs/op) regressions are
-// tolerated up to the given fraction (0.25 = +25%); the correctness
+// tolerated up to the given fraction (0.25 = +25%). Timing is judged
+// relative to the calibration workload when both artifacts carry one:
+// the baseline's ns/op is first scaled by current/baseline calibration
+// time, so a slower or faster machine moves the limit with it, while a
+// slower entry on the same machine does not. The correctness
 // fingerprints — match count and maxΩ — must be exactly equal, and
 // every baseline entry must be present in the current run. Entries
 // only present in the current run pass silently: a freshly added
@@ -22,6 +26,10 @@ func Compare(baseline, current *Artifact, tolerance float64) []string {
 	var problems []string
 	if tolerance < 0 {
 		tolerance = 0
+	}
+	scale := 1.0
+	if baseline.CalibrationNs > 0 && current.CalibrationNs > 0 {
+		scale = current.CalibrationNs / baseline.CalibrationNs
 	}
 	cur := make(map[string]ArtifactEntry, len(current.Entries))
 	for _, e := range current.Entries {
@@ -41,9 +49,9 @@ func Compare(baseline, current *Artifact, tolerance float64) []string {
 			problems = append(problems, fmt.Sprintf("%s: maxOmega changed %d -> %d (correctness fingerprint)",
 				b.Name, b.MaxOmega, c.MaxOmega))
 		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+tolerance) {
-			problems = append(problems, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %+.0f%%)",
-				b.Name, b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), 100*tolerance))
+		if want := b.NsPerOp * scale; want > 0 && c.NsPerOp > want*(1+tolerance) {
+			problems = append(problems, fmt.Sprintf("%s: ns/op %.0f -> %.0f, %+.1f%% against the baseline scaled by calibration ×%.2f (tolerance %+.0f%%)",
+				b.Name, b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/want-1), scale, 100*tolerance))
 		}
 		if b.AllocsPerOp > 0 && float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*(1+tolerance) {
 			problems = append(problems, fmt.Sprintf("%s: allocs/op %d -> %d (%+.1f%%, tolerance %+.0f%%)",

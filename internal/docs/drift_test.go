@@ -110,10 +110,10 @@ var driftPins = map[string][]string{
 // it: surfaces the code no longer ships, which a stale sentence would
 // still advertise.
 var driftBans = map[string][]string{
-	"README.md":              {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune", "SuperviseBlocks", "CheckpointOnDrain", "ExplicitSeq"},
-	"docs/OPERATIONS.md":     {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "`WITHIN` prune", "DisableTauPrune", "ExplicitSeq"},
-	"docs/QUERY_LANGUAGE.md": {"StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune", "SuperviseBlocks", "CheckpointOnDrain"},
-	"DESIGN.md":              {"`WITHIN` prune", "DisableTauPrune"},
+	"README.md":              {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune", "SuperviseBlocks", "CheckpointOnDrain", "ExplicitSeq", "PassesFilterInterpreted", "TestCompiledInterpretedIdentity", "keepChunks"},
+	"docs/OPERATIONS.md":     {"Sharded", "ses_sharded_", "`shards`", `"shards"`, "`WITHIN` prune", "DisableTauPrune", "ExplicitSeq", "PassesFilterInterpreted", "TestCompiledInterpretedIdentity", "keepChunks"},
+	"docs/QUERY_LANGUAGE.md": {"StreamReordered", ".Stream(", "ChaosSource", "`WITHIN` prune", "DisableTauPrune", "SuperviseBlocks", "CheckpointOnDrain", "PassesFilterInterpreted", "TestCompiledInterpretedIdentity", "keepChunks"},
+	"DESIGN.md":              {"`WITHIN` prune", "DisableTauPrune", "PassesFilterInterpreted", "TestCompiledInterpretedIdentity", "keepChunks"},
 }
 
 // TestDocsDriftPins fails when a documented name disappears from the

@@ -7,7 +7,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -166,14 +165,6 @@ type config struct {
 	agg          *Aggregator
 	aggOnly      bool
 	partitionKey string
-	// interpret evaluates conditions through the generic event.Compare
-	// interpreter instead of the compiled predicates. No option sets it:
-	// the interpreter is the oracle of TestCompiledInterpretedIdentity.
-	interpret bool
-	// keepChunks turns chunk retirement off (nodeArena.retire). No option
-	// sets it: a never-retiring runner is the reference the retirement
-	// tests compare match bytes against.
-	keepChunks bool
 }
 
 // Option configures a Runner.
@@ -549,9 +540,7 @@ func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 	matches, err := r.consumeEvent(e, matches)
 	// The step is over: every instance was visited or expired and its
 	// match built, which is the only point at which chunks may retire.
-	if !r.cfg.keepChunks {
-		r.arena.retire(e.Time, r.a.Within)
-	}
+	r.arena.retire(e.Time, r.a.Within)
 	return matches, err
 }
 
@@ -560,7 +549,7 @@ func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 // every instance.
 func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) {
 	r.metrics.EventsProcessed++
-	if r.cfg.filter && !r.passesFilter(e) {
+	if r.cfg.filter && !r.a.PassesFilter(e) {
 		r.metrics.EventsFiltered++
 		// τ-aware sweep: a filtered event cannot fire transitions, but
 		// its timestamp still advances the clock, so instances whose
@@ -722,15 +711,6 @@ func (r *Runner) traceMatches(e *event.Event, matches []Match, from int) {
 	}
 }
 
-// passesFilter applies the Section 4.5 filter through the configured
-// evaluation path.
-func (r *Runner) passesFilter(e *event.Event) bool {
-	if r.cfg.interpret {
-		return r.a.PassesFilterInterpreted(e)
-	}
-	return r.a.PassesFilter(e)
-}
-
 // expire removes every instance whose window has lapsed as of now,
 // appending those that expire in the accepting state to matches. It is
 // the standalone analogue of the expiry check embedded in Step, used
@@ -876,9 +856,6 @@ func (r *Runner) eval(t *automaton.Transition, inst *instance, e *event.Event) b
 			return false
 		}
 	}
-	if r.cfg.interpret {
-		return r.evalInterp(t, inst, e)
-	}
 	for ci := range t.Conds {
 		c := &t.Conds[ci]
 		switch {
@@ -914,44 +891,6 @@ func (r *Runner) eval(t *automaton.Transition, inst *instance, e *event.Event) b
 	return true
 }
 
-// evalInterp evaluates a transition's conditions through the generic
-// event.Compare interpreter, the reference the compiled predicates are
-// tested against. Match results are identical to the compiled path by
-// construction; mismatch accounting is shared so the two stay
-// observably equivalent too.
-func (r *Runner) evalInterp(t *automaton.Transition, inst *instance, e *event.Event) bool {
-	for ci := range t.Conds {
-		c := &t.Conds[ci]
-		left := e.Attrs[c.BindAttr]
-		switch {
-		case c.OtherVar < 0:
-			cmp, err := event.Compare(left, c.Const)
-			if err != nil || !c.Op.Eval(cmp) {
-				r.noteCompareErr(err, t, c, inst, e)
-				return false
-			}
-		case c.SelfOnly:
-			cmp, err := event.Compare(left, e.Attrs[c.OtherAttr])
-			if err != nil || !c.Op.Eval(cmp) {
-				r.noteCompareErr(err, t, c, inst, e)
-				return false
-			}
-		default:
-			for n := inst.buf; n != nil; n = n.prev {
-				if int(n.varIdx) != c.OtherVar {
-					continue
-				}
-				cmp, err := event.Compare(left, n.ev.Attrs[c.OtherAttr])
-				if err != nil || !c.Op.Eval(cmp) {
-					r.noteCompareErr(err, t, c, inst, e)
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // noteOutcome records a failed compiled predicate: incomparable kinds
 // (schema drift) bump CondTypeMismatches and surface in instance
 // tracing rather than pass for an ordinary data-dependent miss.
@@ -968,15 +907,6 @@ func (r *Runner) noteOutcome(oc event.PredOutcome, t *automaton.Transition, c *a
 			FromState: int(inst.state), ToState: t.Target, Var: t.Var,
 			Buffer: c.Source.String()})
 	}
-}
-
-// noteCompareErr is noteOutcome for the interpreted path: a Compare
-// error other than NaN unorderedness is a kind mismatch.
-func (r *Runner) noteCompareErr(err error, t *automaton.Transition, c *automaton.CondCheck, inst *instance, e *event.Event) {
-	if err == nil || errors.Is(err, event.ErrUnordered) {
-		return
-	}
-	r.noteOutcome(event.PredMismatch, t, c, inst, e)
 }
 
 // Flush ends the input and returns the matches of all remaining

@@ -161,46 +161,6 @@ func TestOperationalMaximality(t *testing.T) {
 	}
 }
 
-// TestTiedTimestampsNeedMaximalityFilter documents the corner case the
-// randomised property hunt uncovered: when timestamps collide (as in
-// the duplicated datasets D2-D5), two matches can share their start
-// TIME while one starts at a later tied event and is a proper subset
-// of the other. Definition 2's condition 5 compares minT values, so
-// such subset matches are non-maximal and FilterMaximal removes them.
-func TestTiedTimestampsNeedMaximalityFilter(t *testing.T) {
-	p := pattern.New().
-		Set(pattern.Plus("a"), pattern.Plus("b")).
-		Set(pattern.Var("z")).
-		WhereConst("a", "L", pattern.Eq, event.String("P")).
-		WhereConst("b", "L", pattern.Eq, event.String("Q")).
-		WhereConst("z", "L", pattern.Eq, event.String("Z")).
-		Within(100).MustBuild()
-	a := compile(t, p, simpleSchema())
-	// Two tied Q events at t=0: the lineage starting at the second is
-	// a proper subset of the lineage starting at the first.
-	r := rel(t, "Q@0", "Q@0", "P@1", "Z@2")
-	matches, _, err := Run(a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"{b+/e0, b+/e1, a+/e2, z/e3}": true,
-		"{b+/e1, a+/e2, z/e3}":        true, // proper subset, same minT
-	}
-	if len(matches) != 2 {
-		t.Fatalf("matches = %v", matchStrings(matches))
-	}
-	for _, m := range matches {
-		if !want[m.String()] {
-			t.Fatalf("unexpected match %s", m)
-		}
-	}
-	out := FilterMaximal(matches)
-	if len(out) != 1 || out[0].String() != "{b+/e0, b+/e1, a+/e2, z/e3}" {
-		t.Errorf("FilterMaximal = %v", matchStrings(out))
-	}
-}
-
 // TestEveryMatchSatisfiesDefinition re-checks conditions 1-3 of
 // Definition 2 declaratively on every match of randomised runs.
 func TestEveryMatchSatisfiesDefinition(t *testing.T) {

@@ -3,11 +3,13 @@ package engine
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 )
@@ -91,5 +93,84 @@ func TestSupervisorRegistryNamesReserved(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "ses_resilience_") {
 		t.Error("runner registered resilience-prefixed series")
+	}
+}
+
+// TestCondTypeMismatchCount pins mismatch accounting on a stream whose
+// drifted comparisons are counted by hand. The pattern is ⟨{x},{y}⟩
+// with x.L = 'A', y.L = 'B' AND y.V < 1.5, the filter is off, and the
+// stream is A@0, B@1 (V a string), B@2 (V 1), A@3, B@4 (V a string),
+// B@5 (V NaN), @6 (L a float), B@20 (V a string):
+//   - B@1: the {x/e0} instance checks y.V < 1.5 on a string: 1.
+//   - B@4: the {x/e3} instance does the same: 2.
+//   - B@5: NaN is unordered, a plain miss and no mismatch.
+//   - @6: the float L fails y.L = 'B' for {x/e3} and x.L = 'A' for the
+//     start instance: 4. {x/e0, y/e2} is complete and has no transition.
+//   - B@20: both instances have expired, and the start instance's
+//     x.L = 'A' on "B" is an ordinary miss.
+//
+// Step and StepBlock count the same 4, in Metrics and in the exported
+// counter, with the one match {x/e0, y/e2}.
+func TestCondTypeMismatchCount(t *testing.T) {
+	p := pattern.New().
+		Set(pattern.Var("x")).
+		Set(pattern.Var("y")).
+		WhereConst("x", "L", pattern.Eq, event.String("A")).
+		WhereConst("y", "L", pattern.Eq, event.String("B")).
+		WhereConst("y", "V", pattern.Lt, event.Float(1.5)).
+		Within(10).MustBuild()
+	a := compile(t, p, simpleSchema())
+	drift := event.String("drift")
+	specs := []struct {
+		tm   event.Time
+		l, v event.Value
+	}{
+		{0, event.String("A"), event.Float(0)},
+		{1, event.String("B"), drift},
+		{2, event.String("B"), event.Float(1)},
+		{3, event.String("A"), event.Float(0)},
+		{4, event.String("B"), drift},
+		{5, event.String("B"), event.Float(math.NaN())},
+		{6, event.Float(1.5), event.Float(0)},
+		{20, event.String("B"), drift},
+	}
+	evs := make([]event.Event, len(specs))
+	for i, s := range specs {
+		evs[i] = event.Event{Seq: i, Time: s.tm, Attrs: []event.Value{event.Int(1), s.l, s.v}}
+	}
+	const want = 4
+	for _, block := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		r := New(a, WithMetricsRegistry(reg))
+		var ms []Match
+		if block {
+			got, err := r.StepBlock(event.Block{Events: evs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, got...)
+		} else {
+			for i := range evs {
+				got, err := r.Step(&evs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms = append(ms, got...)
+			}
+		}
+		ms = append(ms, r.Flush()...)
+		if got := fmt.Sprint(matchStrings(ms)); got != "[{x/e0, y/e2}]" {
+			t.Errorf("StepBlock=%v: matches %s, want [{x/e0, y/e2}]", block, got)
+		}
+		if got := r.Metrics().CondTypeMismatches; got != want {
+			t.Errorf("StepBlock=%v: Metrics().CondTypeMismatches = %d, want %d", block, got, want)
+		}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("ses_cond_type_mismatch_total %d\n", want); !strings.Contains(sb.String(), line) {
+			t.Errorf("StepBlock=%v: /metrics lacks %q:\n%s", block, line, sb.String())
+		}
 	}
 }

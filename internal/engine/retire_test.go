@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/event"
@@ -13,8 +13,8 @@ import (
 // which all of them expire and walk both chunks to build their matches,
 // in which its own binding overflows chunk 1 into the filled list, and
 // at whose end both chunks are out of the window and retire. Retiring
-// any earlier in that step would build the matches from zeroed nodes.
-// The reference is a runner that never retires.
+// any earlier in that step would build the matches from zeroed nodes,
+// so every match is checked binding by binding against the stream.
 func TestRetireInAcceptingExpiryStep(t *testing.T) {
 	a := compile(t, seqPattern(t, 10), simpleSchema())
 	var stream []event.Event
@@ -28,46 +28,54 @@ func TestRetireInAcceptingExpiryStep(t *testing.T) {
 	add("B", 1)
 	add("A", 21)
 	add("B", 22)
+	const b1, a21, b22 = nodeChunk, nodeChunk + 1, nodeChunk + 2
 
-	run := func(r *Runner) (out []byte, filledAt21 int) {
-		emit := func(ms []Match) {
-			for _, m := range ms {
-				b, err := MatchJSON(m, a.Schema)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(append(out, b...), '\n')
+	// want[i] is the i-th match: x on the i-th A at time 0 and y on B@1,
+	// then x on A@21 and y on B@22 at the flush.
+	var want [][2]int
+	for i := 0; i < nodeChunk; i++ {
+		want = append(want, [2]int{i, b1})
+	}
+	want = append(want, [2]int{a21, b22})
+
+	r := New(a)
+	var got []Match
+	for i := range stream {
+		if i == a21 && (len(r.arena.filled) != 1 || len(r.arena.chunk) != nodeChunk) {
+			t.Fatalf("before the step at time 21 the arena holds %d filled chunks and %d nodes in the current one, want 1 and %d: the step would not overflow",
+				len(r.arena.filled), len(r.arena.chunk), nodeChunk)
+		}
+		ms, err := r.Step(&stream[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == a21 {
+			if len(ms) != nodeChunk {
+				t.Fatalf("%d instances expired accepting at time 21, want %d", len(ms), nodeChunk)
+			}
+			if n := len(r.arena.filled); n != 0 {
+				t.Errorf("%d filled chunks survive the step at time 21, want 0", n)
 			}
 		}
-		for i := range stream {
-			ms, err := r.Step(&stream[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stream[i].Time == 21 {
-				if len(ms) != nodeChunk {
-					t.Fatalf("%d instances expired accepting at time 21, want %d", len(ms), nodeChunk)
-				}
-				filledAt21 = len(r.arena.filled)
-			}
-			emit(ms)
+		got = append(got, ms...)
+	}
+	got = append(got, r.Flush()...)
+
+	if len(got) != len(want) {
+		t.Fatalf("%d matches, want %d", len(got), len(want))
+	}
+	for i, m := range got {
+		w := want[i]
+		if len(m.Bindings) != 2 {
+			t.Fatalf("match %d = %s, want {x/e%d, y/e%d}", i, m, w[0], w[1])
 		}
-		emit(r.Flush())
-		return out, filledAt21
-	}
-	got, filled := run(New(a))
-	want, kept := run(New(a, func(c *config) { c.keepChunks = true }))
-	if kept != 2 {
-		t.Fatalf("the never-retiring runner holds %d filled chunks after time 21, want 2: the step did not fill a chunk", kept)
-	}
-	if filled != 0 {
-		t.Errorf("%d filled chunks survive the step at time 21, want 0", filled)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("match bytes differ from the never-retiring runner:\n got %s\nwant %s", got, want)
-	}
-	if n := bytes.Count(want, []byte{'\n'}); n != nodeChunk+1 {
-		t.Errorf("%d matches, want %d", n, nodeChunk+1)
+		for k, bd := range m.Bindings {
+			e := stream[w[k]]
+			if bd.Var != []string{"x", "y"}[k] || len(bd.Events) != 1 || bd.Events[0].Seq != e.Seq ||
+				bd.Events[0].Time != e.Time || !slices.EqualFunc(bd.Events[0].Attrs, e.Attrs, event.Value.Equal) {
+				t.Fatalf("match %d = %s, want {x/e%d, y/e%d}", i, m, w[0], w[1])
+			}
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // interpreting the predicate through Compare: on schema-valid events
 // they take the specialized fast path, and on drifted events (runtime
 // kind differs from the declared kind) they fall back to the full
-// Compare semantics, so compiled and interpreted evaluation produce
-// byte-identical match streams on every input.
+// Compare semantics, so a compiled predicate's verdict equals Compare's
+// on every input.
 
 // PredOutcome is the tri-state result of a compiled predicate.
 type PredOutcome uint8
@@ -72,8 +72,8 @@ func (op CmpOp) tab() [3]PredOutcome {
 
 // outcome maps a Compare result onto the truth table: errors become
 // PredFail for NaN (unordered data) and PredMismatch for incomparable
-// kinds (schema drift), exactly the split the interpreted path's
-// "error means false" behaviour collapses.
+// kinds (schema drift), exactly the split that reading Compare as
+// "error means false" collapses.
 func outcome(tab [3]PredOutcome, cmp int, err error) PredOutcome {
 	if err != nil {
 		if errors.Is(err, ErrUnordered) {
@@ -91,7 +91,7 @@ func CompilePred(k Kind, op CmpOp, c Value) func(Value) PredOutcome {
 	tab := op.tab()
 	// drift is the cold path for events whose runtime kind differs
 	// from the declared kind: full Compare semantics keep the compiled
-	// path byte-identical to the interpreted one even off-schema.
+	// verdict equal to Compare's even off-schema.
 	drift := func(v Value) PredOutcome {
 		cmp, err := Compare(v, c)
 		return outcome(tab, cmp, err)
