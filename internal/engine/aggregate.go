@@ -165,9 +165,10 @@ func CompileAggregate(a *automaton.Automaton, spec *pattern.AggSpec) (*AggPlan, 
 	return p, nil
 }
 
-// foldAccepted folds an accepted instance into the aggregator. The
-// instance's match buffer β holds every binding the fold needs and is
-// intact at emission — the invariant buildMatch rests on — so the
+// foldAccepted folds an accepted instance, its match buffer β given as
+// a path newest binding first, into the aggregator. The buffer holds
+// every binding the fold needs and is intact at emission — the
+// invariant buildMatch rests on — so the
 // aggregate is computed here, once per accepted match, in time linear
 // in its bindings; an instance that never accepts costs the fold
 // nothing. The bindings are contributed oldest first, the order they
@@ -175,14 +176,8 @@ func CompileAggregate(a *automaton.Automaton, spec *pattern.AggSpec) (*AggPlan, 
 // the partition group, so a float sum does not depend on when or where
 // the match is folded. The partition key is the oldest bound event's
 // attribute.
-func (r *Runner) foldAccepted(inst *instance) {
+func (r *Runner) foldAccepted(chain []*node) {
 	plan := r.cfg.agg.plan
-	chain := r.foldChain[:0]
-	if len(plan.slots) > 0 || plan.partAttr >= 0 {
-		for n := inst.buf; n != nil; n = n.prev {
-			chain = append(chain, n)
-		}
-	}
 	var key event.Value
 	if plan.partAttr >= 0 && len(chain) > 0 {
 		key = chain[len(chain)-1].ev.Attrs[plan.partAttr]
@@ -199,9 +194,7 @@ func (r *Runner) foldAccepted(inst *instance) {
 		}
 	}
 	r.cfg.agg.fold(key, vals)
-	// The scratch must not keep retired arena chunks reachable.
-	clear(chain)
-	r.foldChain, r.foldVals = chain, vals
+	r.foldVals = vals
 }
 
 // contribute folds one event attribute into an accumulator slot. A

@@ -9,7 +9,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"repro/internal/automaton"
@@ -200,8 +199,9 @@ func WithShedLowWater(n int) Option { return func(c *config) { c.shedLowWater = 
 // event: fired transitions, start-instance spawns, window expiries,
 // overload sheds and match emissions (see TraceKind). With no hook
 // installed the fast path pays a single nil check per site; rendering
-// of buffer strings only happens when a hook is present. A Runner calls
-// the hook from the goroutine stepping it, keyed runners included.
+// of buffer strings only happens when a hook is present. Steps are per
+// instance, one per path of a class's buffer DAG. A Runner calls the
+// hook from the goroutine stepping it, keyed runners included.
 func WithTrace(f func(TraceStep)) Option { return func(c *config) { c.trace = f } }
 
 // WithMetricsRegistry attaches an obs.Registry into which a Runner
@@ -232,13 +232,16 @@ func WithMetricLabels(kv ...string) Option {
 // when detection latency matters more than maximality.
 func WithEmitOnAccept(on bool) Option { return func(c *config) { c.emitOnAccept = on } }
 
-// node is one binding v/e in a match buffer β. Buffers are persistent
-// singly-linked lists so that branching instances share their common
-// prefix in O(1).
+// node is one binding v/e in the match-buffer DAG: prev is the head of
+// the class whose transition made it (nil for a first binding), alt the
+// next node of its step that landed on the same class. The instances'
+// buffers share their common prefixes, so a fired transition costs one
+// node per class, not per instance (see eachPath for the paths).
 type node struct {
 	varIdx int32
 	ev     *event.Event
 	prev   *node
+	alt    *node
 }
 
 // nodeChunk is the number of buffer nodes a nodeArena allocates per
@@ -260,10 +263,11 @@ const nodeChunk = 128
 type nodeArena struct {
 	chunk []node
 	// filled holds the chunks handed out in full and not yet retired, in
-	// creation order (so last is non-decreasing along it); spare is the
-	// last chunk retired, zeroed, which the next new chunk reuses.
+	// creation order (so last is non-decreasing along it); spare holds
+	// the chunks retired, zeroed, which new chunks reuse: at most the
+	// window's peak, so a steady stream allocates no chunk.
 	filled []filledChunk
-	spare  []node
+	spare  [][]node
 }
 
 // filledChunk is a full chunk and the event time of its last node,
@@ -282,7 +286,9 @@ func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 		if len(a.chunk) > 0 {
 			a.filled = append(a.filled, filledChunk{a.chunk, a.chunk[len(a.chunk)-1].ev.Time})
 		}
-		if a.chunk, a.spare = a.spare, nil; a.chunk == nil {
+		if n := len(a.spare); n > 0 {
+			a.chunk, a.spare = a.spare[n-1], a.spare[:n-1]
+		} else {
 			a.chunk = make([]node, 0, nodeChunk)
 		}
 	}
@@ -298,19 +304,19 @@ func (a *nodeArena) new(varIdx int32, ev *event.Event, prev *node) *node {
 // whose newest node is that old (a sparse query) is zeroed and reused.
 //
 // Invariant (Definition 2's window): it runs only at the end of a step
-// on the event timed now, after every instance has been visited or
-// expired and its match built. At that point every live instance has
-// minT >= now - within — the unfiltered path checks each instance, the
-// filtered path sweeps whenever the oldest instance has lapsed,
-// RejectNew calls expire — and a node is created no earlier than its
-// lineage's minT, so no node older than now - within is reachable from
-// Ω. It must not run mid-step: an instance expiring in the accepting
-// state later in the same loop still walks its buffer in buildMatch.
+// on the event timed now, after every class has been visited or expired
+// and its matches built. At that point every live class has minT >=
+// now - within — the unfiltered path checks each class, the filtered
+// path sweeps whenever the oldest class has lapsed, RejectNew calls
+// expire — and a node's prev and alt lead only to nodes bound no
+// earlier than its class's minT, so no node older than now - within is
+// reachable from Ω. It must not run mid-step: the step's accepted
+// classes walk their paths in buildMatch after the loop.
 func (a *nodeArena) retire(now event.Time, within event.Duration) {
 	n := 0
 	for n < len(a.filled) && event.Duration(now-a.filled[n].last) > within {
 		clear(a.filled[n].nodes)
-		a.spare = a.filled[n].nodes[:0]
+		a.spare = append(a.spare, a.filled[n].nodes[:0])
 		n++
 	}
 	if n > 0 {
@@ -324,31 +330,19 @@ func (a *nodeArena) retire(now event.Time, within event.Duration) {
 	}
 }
 
-// reset recycles the current chunk for a fresh run and forgets the
-// filled ones. Only safe when no instance references arena nodes
-// anymore (Runner.Reset guarantees this: it drops all instances first).
-// Every chunk is zeroed so stale event pointers do not pin the previous
-// input.
+// reset recycles the current chunk and the filled ones for a fresh
+// run. Only safe when no instance references arena nodes anymore
+// (Runner.Reset guarantees this: it drops all instances first). Every
+// chunk is zeroed so stale event pointers do not pin the previous input.
 func (a *nodeArena) reset() {
 	for i := range a.filled {
 		clear(a.filled[i].nodes)
+		a.spare = append(a.spare, a.filled[i].nodes[:0])
 	}
 	clear(a.filled)
 	a.filled = a.filled[:0]
 	clear(a.chunk)
 	a.chunk = a.chunk[:0]
-}
-
-// instance is an automaton instance (qc, β) of Definition 4, extended
-// with cached aggregates used by the expiry check and the inter-set
-// time constraints of the concatenation (Section 4.2.2).
-type instance struct {
-	state       int32
-	curSet      int32      // highest event set pattern with a binding
-	buf         *node      // match buffer β; nil in the start state
-	minT        event.Time // earliest bound event time (minT(β))
-	maxT        event.Time // latest bound event time
-	prevSetsMax event.Time // max event time over sets < curSet
 }
 
 const noTime = event.Time(math.MinInt64)
@@ -358,11 +352,20 @@ const noTime = event.Time(math.MinInt64)
 type Runner struct {
 	a       *automaton.Automaton
 	cfg     config
-	insts   []instance
-	scratch []instance
+	plan    *keyPlan
 	arena   nodeArena
 	metrics Metrics
 	done    bool
+
+	// classes is Ω in first-event order, vals their key values, live the
+	// multiplicities summed. A step builds next and nextVals (kids: its
+	// fired children of one first event) and emits after its cap check.
+	classes, next  []class
+	vals, nextVals []event.Value
+	kids           []int32
+	live           int64
+	emits          []class
+	path           []*node
 	// clock is the time of the last event stepped (noTime before the
 	// first). Step refuses an earlier event: every window argument in
 	// this file, chunk retirement included, rests on time order.
@@ -373,11 +376,8 @@ type Runner struct {
 	// the second).
 	buildScratch []int
 
-	// foldChain and foldVals are foldAccepted's scratch: an accepted
-	// instance's buffer oldest binding last, and its per-slot
-	// accumulator.
-	foldChain []*node
-	foldVals  []aggVal
+	// foldVals is foldAccepted's per-slot accumulator scratch.
+	foldVals []aggVal
 
 	// matchBuf backs the slice returned by Step/StepBlock/Flush; it is
 	// reused across calls (the Match values themselves reference the
@@ -401,10 +401,6 @@ type Runner struct {
 	// runner suppresses fresh start instances.
 	shedding bool
 
-	// stepMatches collects matches emitted mid-consume under the
-	// WithEmitOnAccept mode; drained by Step.
-	stepMatches []Match
-
 	// keyed holds the per-key sub-runners of a WithPartitionKey runner,
 	// which steps every event on its key's sub-runner instead of itself;
 	// nil on an unkeyed runner.
@@ -413,7 +409,7 @@ type Runner struct {
 
 // New creates a Runner for the automaton.
 func New(a *automaton.Automaton, opts ...Option) *Runner {
-	r := &Runner{a: a, clock: noTime}
+	r := &Runner{a: a, plan: newKeyPlan(a), clock: noTime}
 	for _, o := range opts {
 		o(&r.cfg)
 	}
@@ -449,13 +445,13 @@ func (r *Runner) Metrics() Metrics { return r.metrics }
 // currently alive (excluding the per-event fresh start instance),
 // summed over the keys of a keyed runner.
 func (r *Runner) ActiveInstances() int {
-	n := len(r.insts)
+	n := r.live
 	if r.keyed != nil {
 		for _, s := range r.keyed.subs {
-			n += len(s.insts)
+			n = satAdd(n, s.live)
 		}
 	}
-	return n
+	return int(n)
 }
 
 // Reset discards all instances and metrics, making the runner ready
@@ -463,8 +459,9 @@ func (r *Runner) ActiveInstances() int {
 // arena) is retained, so a reused runner evaluates subsequent inputs
 // nearly allocation-free.
 func (r *Runner) Reset() {
-	r.insts = r.insts[:0]
-	r.stepMatches = r.stepMatches[:0]
+	clear(r.classes)
+	clear(r.vals)
+	r.classes, r.vals, r.live = r.classes[:0], r.vals[:0], 0
 	r.arena.reset()
 	if r.cfg.agg != nil {
 		r.cfg.agg.reset()
@@ -546,7 +543,7 @@ func (r *Runner) stepInto(e *event.Event, matches []Match) ([]Match, error) {
 
 // consumeEvent is Algorithm 1's loop body for one event: filter, window
 // expiry, overload policy, the fresh start instance and Algorithm 2 for
-// every instance.
+// every class of instances.
 func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) {
 	r.metrics.EventsProcessed++
 	if r.cfg.filter && !r.a.PassesFilter(e) {
@@ -555,9 +552,9 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 		// its timestamp still advances the clock, so instances whose
 		// window has lapsed are swept (and accepting ones emitted) now
 		// instead of lingering until the next unfiltered event. The
-		// instance list is ordered by start time, so one comparison
-		// against the oldest instance gates the sweep.
-		if len(r.insts) > 0 && event.Duration(e.Time-r.insts[0].minT) > r.a.Within {
+		// class list is ordered by start time, so one comparison
+		// against the oldest class gates the sweep.
+		if len(r.classes) > 0 && event.Duration(e.Time-r.classes[0].minT) > r.a.Within {
 			pre := len(matches)
 			matches = r.expire(e.Time, matches)
 			r.metrics.Matches += int64(len(matches) - pre)
@@ -566,15 +563,15 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 		return matches, nil
 	}
 
-	limit := r.cfg.maxInstances
+	limit := int64(r.cfg.maxInstances)
 	base := len(matches)
 
 	// RejectNew: while the instance set sits at the cap, the event is
 	// not admitted; only the expiry check runs against its timestamp so
 	// that the set can drain and admission resumes.
-	if limit > 0 && r.cfg.policy == RejectNew && len(r.insts) >= limit {
+	if limit > 0 && r.cfg.policy == RejectNew && r.live >= limit {
 		matches = r.expire(e.Time, matches)
-		if len(r.insts) >= limit {
+		if r.live >= limit {
 			r.metrics.EventsRejected++
 			r.metrics.DegradedSteps++
 			r.metrics.Matches += int64(len(matches) - base)
@@ -594,13 +591,13 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 	// mark, so no new matches begin while in-flight ones complete.
 	shed := false
 	if limit > 0 && r.cfg.policy == ShedStartStates {
-		low := r.cfg.shedLowWater
+		low := int64(r.cfg.shedLowWater)
 		if low <= 0 || low > limit {
 			low = max(1, limit/2)
 		}
-		if len(r.insts) >= limit {
+		if r.live >= limit {
 			r.shedding = true
-		} else if r.shedding && len(r.insts) < low {
+		} else if r.shedding && r.live < low {
 			r.shedding = false
 		}
 		shed = r.shedding
@@ -608,6 +605,7 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 
 	// Line 4 of Algorithm 1: a fresh instance in the start state joins
 	// Ω for every (unfiltered) input event — unless it is being shed.
+	omega := r.live
 	if shed {
 		r.metrics.InstancesShed++
 		r.metrics.DegradedSteps++
@@ -617,88 +615,71 @@ func (r *Runner) consumeEvent(e *event.Event, matches []Match) ([]Match, error) 
 		}
 	} else {
 		r.metrics.StartInstances++
+		omega = satAdd(omega, 1)
 		if r.cfg.trace != nil {
 			r.cfg.trace(TraceStep{Kind: TraceSpawn, Event: e,
 				FromState: r.a.Start, ToState: r.a.Start, Var: -1})
 		}
 	}
-	omega := int64(len(r.insts))
-	if !shed {
-		omega++
-	}
-	if omega > r.metrics.MaxSimultaneousInstances {
-		r.metrics.MaxSimultaneousInstances = omega
-	}
+	r.metrics.MaxSimultaneousInstances = max(r.metrics.MaxSimultaneousInstances, omega)
 
-	out := r.scratch[:0]
-	fresh := instance{state: int32(r.a.Start), minT: noTime, maxT: noTime, prevSetsMax: noTime}
-
-	consumeAll := func(inst *instance) {
-		r.metrics.InstanceIterations++
-		if inst.buf != nil && event.Duration(e.Time-inst.minT) > r.a.Within {
-			// The instance expires: the time interval spanned by the
-			// earliest buffered event and the current event exceeds τ.
-			r.metrics.ExpiredInstances++
-			if r.cfg.trace != nil {
-				r.cfg.trace(TraceStep{Kind: TraceExpire, Event: e,
-					FromState: int(inst.state), ToState: int(inst.state), Var: -1,
-					Buffer: r.bufferString(inst.buf)})
-			}
-			if int(inst.state) == r.a.Accept {
-				matches = r.emitAccepted(inst, matches)
-			}
-			return
-		}
-		out = r.consume(inst, e, out)
-	}
-
-	for i := range r.insts {
-		consumeAll(&r.insts[i])
+	for i := range r.classes {
+		r.consumeClass(&r.classes[i], e)
 	}
 	if !shed {
-		consumeAll(&fresh)
+		r.consumeClass(&class{state: int32(r.a.Start), minT: noTime, maxT: noTime, prevSetsMax: noTime, mult: 1}, e)
 	}
-	if len(r.stepMatches) > 0 {
-		matches = append(matches, r.stepMatches...)
-		clear(r.stepMatches)
-		r.stepMatches = r.stepMatches[:0]
-	}
+	// The old list is the next scratch; its values, which may hold
+	// strings of decoded blocks, are emptied so that they pin nothing.
+	r.classes, r.next = r.next, r.classes
+	r.vals, r.nextVals = r.nextVals, r.vals
+	clear(r.nextVals)
+	r.next, r.nextVals, r.kids = r.next[:0], r.nextVals[:0], r.kids[:0]
+	r.recount()
 
-	r.insts, r.scratch = out, r.insts
-	if limit > 0 && len(r.insts) > limit {
+	if limit > 0 && r.live > limit {
 		switch r.cfg.policy {
 		case DropOldest:
-			r.evictOldest(len(r.insts) - limit)
+			r.evictOldest(r.live - limit)
 			r.metrics.DegradedSteps++
 		case Fail:
-			clear(matches[base:]) // the failing event's matches are not delivered
-			return matches[:base], fmt.Errorf("engine: %d simultaneous automaton instances exceed the cap of %d",
-				len(r.insts), limit)
+			// The failing event's matches are not enumerated at all.
+			clear(r.emits)
+			r.emits = r.emits[:0]
+			return matches, fmt.Errorf("engine: %d simultaneous automaton instances exceed the cap of %d",
+				r.live, limit)
 			// RejectNew and ShedStartStates may overshoot transiently:
 			// a single admitted event can branch into several instances.
 			// The overshoot is bounded by the automaton's out-degree and
 			// drains via expiry / the shedding hysteresis.
 		}
 	}
+	matches = r.emitPending(matches)
 	r.metrics.Matches += int64(len(matches) - base)
 	r.traceMatches(e, matches, base)
 	return matches, nil
 }
 
-// emitAccepted handles an instance that completed in the accepting
-// state: when an aggregation plan is attached the instance is folded
-// into its partition group, and unless running aggregate-only the
-// materialized match is appended. In aggregate-only mode the Matches
-// metric is bumped here, since callers count appended matches.
-func (r *Runner) emitAccepted(inst *instance, matches []Match) []Match {
-	if r.cfg.agg != nil {
-		r.foldAccepted(inst)
+// emitPending emits every path of the step's accepted classes in order:
+// folded when an aggregation plan is attached, and appended as a match
+// unless aggregate-only, where it bumps Matches (callers count appends).
+func (r *Runner) emitPending(matches []Match) []Match {
+	for _, em := range r.emits {
+		r.eachPath(em.head, func(p []*node) bool {
+			if r.cfg.agg != nil {
+				r.foldAccepted(p)
+			}
+			if r.cfg.aggOnly {
+				r.metrics.Matches++
+			} else {
+				matches = append(matches, r.buildMatch(p, em.minT, em.maxT))
+			}
+			return true
+		})
 	}
-	if r.cfg.aggOnly {
-		r.metrics.Matches++
-		return matches
-	}
-	return append(matches, r.buildMatch(inst))
+	clear(r.emits)
+	r.emits = r.emits[:0]
+	return matches
 }
 
 // traceMatches reports matches[from:] to the trace hook, if any.
@@ -711,202 +692,28 @@ func (r *Runner) traceMatches(e *event.Event, matches []Match, from int) {
 	}
 }
 
-// expire removes every instance whose window has lapsed as of now,
-// appending those that expire in the accepting state to matches. It is
-// the standalone analogue of the expiry check embedded in Step, used
+// expire removes every class whose window has lapsed as of now,
+// appending the matches of those that expire in the accepting state. It
+// is the standalone analogue of the expiry check embedded in Step, used
 // by the filtered-event τ sweep and by the RejectNew overload policy to
 // age the instance set without consuming the event.
 func (r *Runner) expire(now event.Time, matches []Match) []Match {
-	kept := r.insts[:0]
-	for i := range r.insts {
-		inst := &r.insts[i]
-		if inst.buf != nil && event.Duration(now-inst.minT) > r.a.Within {
-			r.metrics.ExpiredInstances++
-			if r.cfg.trace != nil {
-				r.cfg.trace(TraceStep{Kind: TraceExpire,
-					FromState: int(inst.state), ToState: int(inst.state), Var: -1,
-					Buffer: r.bufferString(inst.buf)})
-			}
-			if int(inst.state) == r.a.Accept {
-				matches = r.emitAccepted(inst, matches)
+	kept := r.classes[:0]
+	for _, c := range r.classes {
+		if c.head != nil && event.Duration(now-c.minT) > r.a.Within {
+			r.metrics.ExpiredInstances = satAdd(r.metrics.ExpiredInstances, c.mult)
+			r.traceClass(TraceExpire, nil, &c)
+			if int(c.state) == r.a.Accept {
+				r.emits = append(r.emits, c)
 			}
 			continue
 		}
-		kept = append(kept, r.insts[i])
+		kept = append(kept, c)
 	}
-	r.insts = kept
-	return matches
-}
-
-// evictOldest sheds the n instances whose start time (earliest bound
-// event) is oldest, implementing the DropOldest overload policy. Ties
-// are broken by instance order, which is deterministic, so degraded
-// runs remain reproducible.
-func (r *Runner) evictOldest(n int) {
-	if n <= 0 {
-		return
-	}
-	idx := make([]int, len(r.insts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return r.insts[idx[a]].minT < r.insts[idx[b]].minT })
-	doomed := make([]bool, len(r.insts))
-	for _, i := range idx[:n] {
-		doomed[i] = true
-		if r.cfg.trace != nil {
-			inst := &r.insts[i]
-			r.cfg.trace(TraceStep{Kind: TraceShed,
-				FromState: int(inst.state), ToState: int(inst.state), Var: -1,
-				Buffer: r.bufferString(inst.buf)})
-		}
-	}
-	kept := r.insts[:0]
-	for i := range r.insts {
-		if !doomed[i] {
-			kept = append(kept, r.insts[i])
-		}
-	}
-	r.insts = kept
-	r.metrics.InstancesShed += int64(n)
-}
-
-// consume implements Algorithm 2 for one instance: it tries every
-// outgoing transition of the instance's current state against e and
-// appends the resulting instances to out, which it returns.
-func (r *Runner) consume(inst *instance, e *event.Event, out []instance) []instance {
-	fired := 0
-	for ti := range r.a.Out[inst.state] {
-		t := &r.a.Out[inst.state][ti]
-		r.metrics.TransitionsAttempted++
-		if !r.eval(t, inst, e) {
-			continue
-		}
-		fired++
-		r.metrics.TransitionsFired++
-		r.metrics.InstancesCreated++
-		child := instance{
-			state: int32(t.Target),
-			buf:   r.arena.new(int32(t.Var), e, inst.buf),
-			minT:  inst.minT,
-			maxT:  e.Time,
-		}
-		if child.minT == noTime {
-			child.minT = e.Time
-		}
-		vset := int32(r.a.Vars[t.Var].Set)
-		if inst.buf == nil {
-			child.curSet, child.prevSetsMax = vset, noTime
-		} else if vset > inst.curSet {
-			child.curSet, child.prevSetsMax = vset, inst.maxT
-		} else {
-			child.curSet, child.prevSetsMax = inst.curSet, inst.prevSetsMax
-		}
-		if inst.maxT > child.maxT {
-			child.maxT = inst.maxT
-		}
-		if r.cfg.trace != nil {
-			r.cfg.trace(TraceStep{
-				Kind:      TraceTransition,
-				Event:     e,
-				FromState: int(inst.state),
-				ToState:   t.Target,
-				Var:       t.Var,
-				Loop:      t.Loop,
-				Buffer:    r.bufferString(child.buf),
-			})
-		}
-		if r.cfg.emitOnAccept && t.Target == r.a.Accept {
-			// First-match alerting: emit immediately and terminate the
-			// lineage instead of waiting for expiry.
-			r.stepMatches = r.emitAccepted(&child, r.stepMatches)
-			continue
-		}
-		out = append(out, child)
-	}
-	if fired == 0 {
-		// No transition fired: the event is skipped. Instances still in
-		// the start state die (only the per-event fresh instance sits
-		// there); all others wait for the next matching event
-		// (skip-till-next-match).
-		if int(inst.state) != r.a.Start {
-			out = append(out, *inst)
-		}
-		return out
-	}
-	if r.cfg.strategy == SkipTillAny && int(inst.state) != r.a.Start {
-		// Extension: the instance may also ignore the event.
-		out = append(out, *inst)
-	}
-	return out
-}
-
-// eval checks a transition's conditions plus the structural inter-set
-// time constraint for binding event e on instance inst.
-func (r *Runner) eval(t *automaton.Transition, inst *instance, e *event.Event) bool {
-	// Concatenation constraint (Section 4.2.2): every event bound to a
-	// variable of event set pattern Vj must occur strictly after all
-	// events bound to variables of V1..V(j-1).
-	if vset := int32(r.a.Vars[t.Var].Set); vset > 0 && inst.buf != nil {
-		prevMax := inst.prevSetsMax
-		if vset > inst.curSet {
-			prevMax = inst.maxT
-		}
-		if prevMax != noTime && e.Time <= prevMax {
-			return false
-		}
-	}
-	for ci := range t.Conds {
-		c := &t.Conds[ci]
-		switch {
-		case c.OtherVar < 0:
-			if oc := c.OutcomeConst(e); oc != event.PredPass {
-				r.noteOutcome(oc, t, c, inst, e)
-				return false
-			}
-		case c.SelfOnly:
-			// v.A φ v.A': per the decomposition semantics each
-			// decomposed substitution holds one binding per variable,
-			// so the condition relates attributes of the same event.
-			if oc := c.Outcome2(e.Attrs[c.BindAttr], e.Attrs[c.OtherAttr]); oc != event.PredPass {
-				r.noteOutcome(oc, t, c, inst, e)
-				return false
-			}
-		default:
-			// The new event must satisfy the condition against every
-			// existing binding of the other variable (group variables
-			// may hold several).
-			left := e.Attrs[c.BindAttr]
-			for n := inst.buf; n != nil; n = n.prev {
-				if int(n.varIdx) != c.OtherVar {
-					continue
-				}
-				if oc := c.Outcome2(left, n.ev.Attrs[c.OtherAttr]); oc != event.PredPass {
-					r.noteOutcome(oc, t, c, inst, e)
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// noteOutcome records a failed compiled predicate: incomparable kinds
-// (schema drift) bump CondTypeMismatches and surface in instance
-// tracing rather than pass for an ordinary data-dependent miss.
-func (r *Runner) noteOutcome(oc event.PredOutcome, t *automaton.Transition, c *automaton.CondCheck, inst *instance, e *event.Event) {
-	if oc != event.PredMismatch {
-		return
-	}
-	r.metrics.CondTypeMismatches++
-	if r.mismatches != nil {
-		r.mismatches.Inc()
-	}
-	if r.cfg.trace != nil {
-		r.cfg.trace(TraceStep{Kind: TraceCondMismatch, Event: e,
-			FromState: int(inst.state), ToState: t.Target, Var: t.Var,
-			Buffer: c.Source.String()})
-	}
+	clear(r.classes[len(kept):])
+	r.classes = kept
+	r.recount()
+	return r.emitPending(matches)
 }
 
 // Flush ends the input and returns the matches of all remaining
@@ -933,13 +740,15 @@ func (r *Runner) flushInto(matches []Match) []Match {
 		return r.keyed.flush(r, matches)
 	}
 	base := len(matches)
-	for i := range r.insts {
-		if int(r.insts[i].state) == r.a.Accept {
-			matches = r.emitAccepted(&r.insts[i], matches)
+	for i := range r.classes {
+		if int(r.classes[i].state) == r.a.Accept {
+			r.emits = append(r.emits, r.classes[i])
 		}
 	}
+	matches = r.emitPending(matches)
 	r.metrics.Matches += int64(len(matches) - base)
-	r.insts = r.insts[:0]
+	clear(r.classes)
+	r.classes, r.live = r.classes[:0], 0
 	r.traceMatches(nil, matches, base)
 	return matches
 }

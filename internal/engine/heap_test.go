@@ -55,7 +55,8 @@ func liveHeap() uint64 {
 // stream, and what it keeps alive must be the τ window, not the stream.
 // Before chunk retirement the arena's chunks kept each other — and every
 // block with a bound event — alive from the first event on, and this
-// test read over 6x.
+// test read over 6x. After every block no buffer node older than τ is
+// reachable from the runner's classes.
 func TestHeapFlatAcrossPasses(t *testing.T) {
 	rel := chemo.MustGenerate(chemo.Small())
 	first, last, _ := rel.TimeSpan()
@@ -114,6 +115,7 @@ func TestHeapFlatAcrossPasses(t *testing.T) {
 							matches += len(ms)
 						}
 					}
+					assertWindowReachable(t, r)
 					peak = max(peak, len(r.arena.filled))
 				}
 				switch pass {

@@ -31,6 +31,7 @@ type keyed struct {
 	index map[event.Value]int
 	keys  []event.Value // first-occurrence order; subs is parallel
 	subs  []*Runner
+	spare []*Runner // sub-runners of forgotten keys, reset, for reuse
 }
 
 func newKeyed(a *automaton.Automaton, attr string) *keyed {
@@ -42,16 +43,20 @@ func newKeyed(a *automaton.Automaton, attr string) *keyed {
 	return k
 }
 
-// sub returns key's sub-runner, creating it at the key's first
-// occurrence. It is built without New, which would reset the shared
-// Aggregator, and shares the parent's counters.
+// sub returns key's sub-runner; at the key's first occurrence it reuses
+// a forgotten key's or builds one without New, which would reset the
+// shared Aggregator. Sub-runners share the parent's counters.
 func (k *keyed) sub(r *Runner, key event.Value) *Runner {
 	if i, ok := k.index[key]; ok {
 		return k.subs[i]
 	}
-	cfg := r.cfg
-	cfg.partitionKey = ""
-	s := &Runner{a: r.a, cfg: cfg, clock: noTime, mismatches: r.mismatches}
+	var s *Runner
+	if n := len(k.spare); n > 0 {
+		s, k.spare = k.spare[n-1], k.spare[:n-1]
+	} else {
+		s = &Runner{a: r.a, cfg: r.cfg, plan: r.plan, clock: noTime, mismatches: r.mismatches}
+		s.cfg.partitionKey = ""
+	}
 	k.index[key] = len(k.subs)
 	k.keys = append(k.keys, key)
 	k.subs = append(k.subs, s)
@@ -81,8 +86,14 @@ func (k *keyed) flush(r *Runner, matches []Match) []Match {
 	return matches
 }
 
-// reset forgets every key.
+// reset forgets every key and keeps its sub-runner, reset, for reuse.
 func (k *keyed) reset() {
 	clear(k.index)
-	k.keys, k.subs = nil, nil
+	for _, s := range k.subs {
+		s.Reset()
+	}
+	k.spare = append(k.spare, k.subs...)
+	clear(k.keys)
+	clear(k.subs)
+	k.keys, k.subs = k.keys[:0], k.subs[:0]
 }

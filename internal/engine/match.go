@@ -109,7 +109,8 @@ func (r *Runner) allocBinds(n int) []Binding {
 	return s
 }
 
-// buildMatch materialises an instance's buffer chain into a Match.
+// buildMatch materialises an instance's buffer, a path newest binding
+// first, into a Match.
 // The per-variable event slices of all bindings share one backing
 // array sized in a counting pass and cut from the runner's match
 // arena, so steady-state match construction allocates only when an
@@ -118,7 +119,7 @@ func (r *Runner) allocBinds(n int) []Binding {
 // neighbour. Chunks started more than τ before the event being consumed
 // are left to their matches: through its current chunks the runner
 // pins the events — and decoded blocks — of the matches cut from them.
-func (r *Runner) buildMatch(inst *instance) Match {
+func (r *Runner) buildMatch(path []*node, minT, maxT event.Time) Match {
 	if event.Duration(r.clock-r.matchFrom) > r.a.Within {
 		r.matchEvs, r.matchBinds, r.matchFrom = nil, nil, r.clock
 	}
@@ -131,14 +132,14 @@ func (r *Runner) buildMatch(inst *instance) Match {
 		counts[i] = 0
 	}
 	total, bound := 0, 0
-	for n := inst.buf; n != nil; n = n.prev {
+	for _, n := range path {
 		if counts[n.varIdx] == 0 {
 			bound++
 		}
 		counts[n.varIdx]++
 		total++
 	}
-	m := Match{First: inst.minT, Last: inst.maxT}
+	m := Match{First: minT, Last: maxT}
 	backing := r.allocEvs(total)
 	m.Bindings = r.allocBinds(bound)
 	off := 0
@@ -153,12 +154,12 @@ func (r *Runner) buildMatch(inst *instance) Match {
 			Events: backing[off : off+c],
 		})
 		// Repurpose the count as this variable's fill cursor (one past
-		// its segment end): the chain is newest-first, so filling each
+		// its segment end): the path is newest-first, so filling each
 		// segment back to front restores chronology.
 		counts[v] = off + c
 		off += c
 	}
-	for n := inst.buf; n != nil; n = n.prev {
+	for _, n := range path {
 		counts[n.varIdx]--
 		backing[counts[n.varIdx]] = n.ev
 	}
@@ -315,16 +316,12 @@ func dropSubsets(matches []Match, idxs []int, drop []bool) bool {
 	return any
 }
 
-// bufferString renders a buffer chain like the paper's Figure 6,
-// oldest binding first.
-func (r *Runner) bufferString(buf *node) string {
-	var parts []string
-	for n := buf; n != nil; n = n.prev {
-		label := r.a.Vars[n.varIdx].String()
-		parts = append(parts, fmt.Sprintf("%s/e%d", label, n.ev.Seq))
-	}
-	for l, h := 0, len(parts)-1; l < h; l, h = l+1, h-1 {
-		parts[l], parts[h] = parts[h], parts[l]
+// bufferString renders a buffer, a path newest binding first, like the
+// paper's Figure 6, oldest binding first.
+func (r *Runner) bufferString(path []*node) string {
+	parts := make([]string, len(path))
+	for i, n := range path {
+		parts[len(path)-1-i] = fmt.Sprintf("%s/e%d", r.a.Vars[n.varIdx], n.ev.Seq)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -8,6 +8,7 @@ import (
 // Metrics collects the execution counters used throughout the paper's
 // evaluation (Section 5), most importantly MaxSimultaneousInstances,
 // the measured parameter of Experiments 1 and 2 (|Ω| in Algorithm 1).
+// Counts of instances saturate at math.MaxInt64 instead of wrapping.
 type Metrics struct {
 	// EventsProcessed counts the input events seen by Step.
 	EventsProcessed int64
@@ -61,22 +62,22 @@ type Metrics struct {
 // coincident in any shared timeline) use Merge instead.
 func (m *Metrics) Add(o Metrics) { m.add(o, 1) }
 
-// add accumulates k times o into m.
+// add accumulates k times o into m, saturating at math.MaxInt64.
 func (m *Metrics) add(o Metrics, k int64) {
-	m.EventsProcessed += k * o.EventsProcessed
-	m.EventsFiltered += k * o.EventsFiltered
-	m.StartInstances += k * o.StartInstances
-	m.InstancesCreated += k * o.InstancesCreated
-	m.MaxSimultaneousInstances += k * o.MaxSimultaneousInstances
-	m.TransitionsAttempted += k * o.TransitionsAttempted
-	m.TransitionsFired += k * o.TransitionsFired
-	m.InstanceIterations += k * o.InstanceIterations
-	m.ExpiredInstances += k * o.ExpiredInstances
-	m.Matches += k * o.Matches
-	m.InstancesShed += k * o.InstancesShed
-	m.EventsRejected += k * o.EventsRejected
-	m.DegradedSteps += k * o.DegradedSteps
-	m.CondTypeMismatches += k * o.CondTypeMismatches
+	m.EventsProcessed = satAdd(m.EventsProcessed, k*o.EventsProcessed)
+	m.EventsFiltered = satAdd(m.EventsFiltered, k*o.EventsFiltered)
+	m.StartInstances = satAdd(m.StartInstances, k*o.StartInstances)
+	m.InstancesCreated = satAdd(m.InstancesCreated, k*o.InstancesCreated)
+	m.MaxSimultaneousInstances = satAdd(m.MaxSimultaneousInstances, k*o.MaxSimultaneousInstances)
+	m.TransitionsAttempted = satAdd(m.TransitionsAttempted, k*o.TransitionsAttempted)
+	m.TransitionsFired = satAdd(m.TransitionsFired, k*o.TransitionsFired)
+	m.InstanceIterations = satAdd(m.InstanceIterations, k*o.InstanceIterations)
+	m.ExpiredInstances = satAdd(m.ExpiredInstances, k*o.ExpiredInstances)
+	m.Matches = satAdd(m.Matches, k*o.Matches)
+	m.InstancesShed = satAdd(m.InstancesShed, k*o.InstancesShed)
+	m.EventsRejected = satAdd(m.EventsRejected, k*o.EventsRejected)
+	m.DegradedSteps = satAdd(m.DegradedSteps, k*o.DegradedSteps)
+	m.CondTypeMismatches = satAdd(m.CondTypeMismatches, k*o.CondTypeMismatches)
 }
 
 // account keeps m, a Merge over independent runs, current while one of

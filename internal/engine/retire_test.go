@@ -7,6 +7,44 @@ import (
 	"repro/internal/event"
 )
 
+// oldestReachable returns the earliest event time of any buffer node
+// reachable from r's classes, keyed sub-runners' included, through prev
+// and alt, and whether there is one.
+func oldestReachable(r *Runner) (event.Time, bool) {
+	seen := map[*node]bool{}
+	oldest, any := event.Time(0), false
+	var walk func(n *node)
+	walk = func(n *node) {
+		for ; n != nil && !seen[n]; n = n.prev {
+			seen[n] = true
+			if !any || n.ev.Time < oldest {
+				oldest, any = n.ev.Time, true
+			}
+			walk(n.alt)
+		}
+	}
+	runners := []*Runner{r}
+	if r.keyed != nil {
+		runners = append(runners, r.keyed.subs...)
+	}
+	for _, s := range runners {
+		for _, c := range s.classes {
+			walk(c.head)
+		}
+	}
+	return oldest, any
+}
+
+// assertWindowReachable fails when a buffer node more than τ older than
+// the clock is reachable after a step: every live class's first binding
+// is within τ, and every node of its paths is no older.
+func assertWindowReachable(t *testing.T, r *Runner) {
+	t.Helper()
+	if oldest, ok := oldestReachable(r); ok && event.Duration(r.clock-oldest) > r.a.Within {
+		t.Fatalf("a node bound at %d is reachable at clock %d, more than τ = %d behind", oldest, r.clock, r.a.Within)
+	}
+}
+
 // TestRetireInAcceptingExpiryStep pins where retirement runs. 128
 // instances bind x at time 0 (chunk 0) and y at time 1 (chunk 1), then
 // wait in the accepting state. The A event at time 21 is the step in
@@ -15,6 +53,7 @@ import (
 // at whose end both chunks are out of the window and retire. Retiring
 // any earlier in that step would build the matches from zeroed nodes,
 // so every match is checked binding by binding against the stream.
+// After every step no node older than τ is reachable from the classes.
 func TestRetireInAcceptingExpiryStep(t *testing.T) {
 	a := compile(t, seqPattern(t, 10), simpleSchema())
 	var stream []event.Event
@@ -49,6 +88,7 @@ func TestRetireInAcceptingExpiryStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertWindowReachable(t, r)
 		if i == a21 {
 			if len(ms) != nodeChunk {
 				t.Fatalf("%d instances expired accepting at time 21, want %d", len(ms), nodeChunk)

@@ -22,11 +22,11 @@ import (
 const SnapshotVersion = 3
 
 // The snapshot format is versioned JSON. Events referenced by match
-// buffers are written once and referenced by index; buffer nodes are
-// written as a DAG (each node names its predecessor by index), so the
-// structural sharing of branched instances — the reason buffers are
-// persistent lists in the first place — survives a round trip instead
-// of being expanded into per-instance copies.
+// buffers are written once and referenced by index. Each class is
+// written expanded, one instance per path, and buffer nodes as a tree
+// (each node names its predecessor by index), so instances that share
+// a buffer prefix share its nodes; a restored instance is a class of
+// its own.
 
 type snapEvent struct {
 	Seq   int        `json:"seq"`
@@ -143,42 +143,39 @@ func (r *Runner) WriteSnapshot(w io.Writer) error {
 		eventIDs[e] = id
 		return id
 	}
-	nodeIDs := make(map[*node]int)
-	var nodeID func(n *node) int
-	nodeID = func(n *node) int {
-		if n == nil {
-			return -1
-		}
-		if id, ok := nodeIDs[n]; ok {
-			return id
-		}
-		prev := nodeID(n.prev) // emit predecessors first: Prev < own index
-		id := len(snap.Nodes)
-		snap.Nodes = append(snap.Nodes, snapNode{Var: n.varIdx, Event: eventID(n.ev), Prev: prev})
-		nodeIDs[n] = id
-		return id
+	// A written node is a DAG node on top of a written prefix.
+	type nodeKey struct {
+		n    *node
+		prev int
 	}
-	instances := func(insts []instance) []snapInstance {
-		out := make([]snapInstance, len(insts))
-		for i := range insts {
-			inst := &insts[i]
-			out[i] = snapInstance{
-				State:       inst.state,
-				CurSet:      inst.curSet,
-				Buf:         nodeID(inst.buf),
-				MinT:        inst.minT,
-				MaxT:        inst.maxT,
-				PrevSetsMax: inst.prevSetsMax,
-			}
+	nodeIDs := make(map[nodeKey]int)
+	instances := func(s *Runner) []snapInstance {
+		out := []snapInstance{}
+		for _, c := range s.classes {
+			s.eachPath(c.head, func(p []*node) bool {
+				id := -1
+				for j := len(p) - 1; j >= 0; j-- { // predecessors first: Prev < own index
+					k := nodeKey{p[j], id}
+					var ok bool
+					if id, ok = nodeIDs[k]; !ok {
+						id = len(snap.Nodes)
+						snap.Nodes = append(snap.Nodes, snapNode{Var: p[j].varIdx, Event: eventID(p[j].ev), Prev: k.prev})
+						nodeIDs[k] = id
+					}
+				}
+				out = append(out, snapInstance{State: c.state, CurSet: c.curSet, Buf: id,
+					MinT: c.minT, MaxT: c.maxT, PrevSetsMax: c.prevSetsMax})
+				return true
+			})
 		}
 		return out
 	}
-	snap.Instances = instances(r.insts)
+	snap.Instances = instances(r)
 	if r.keyed != nil {
 		snap.Keys = make([]snapKey, len(r.keyed.subs))
 		for i, s := range r.keyed.subs {
 			snap.Keys[i] = snapKey{Key: r.keyed.keys[i].Encode(), Shedding: s.shedding,
-				Metrics: s.metrics, Instances: instances(s.insts)}
+				Metrics: s.metrics, Instances: instances(s)}
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -290,27 +287,33 @@ func RestoreRunner(a *automaton.Automaton, rd io.Reader, opts ...Option) (*Runne
 	return r, nil
 }
 
-// restoreInstances loads one instance section of a snapshot onto r.
+// restoreInstances loads one instance section of a snapshot onto r,
+// each instance as a class of its own.
 func (r *Runner) restoreInstances(sis []snapInstance, nodes []*node) error {
-	r.insts = make([]instance, len(sis))
 	for i, si := range sis {
 		if int(si.State) < 0 || int(si.State) >= r.a.NumStates() || si.Buf < -1 || si.Buf >= len(nodes) {
 			return fmt.Errorf("engine: snapshot instance %d is corrupt", i)
 		}
-		inst := instance{
-			state:       si.State,
-			curSet:      si.CurSet,
-			minT:        si.MinT,
-			maxT:        si.MaxT,
-			prevSetsMax: si.PrevSetsMax,
-		}
+		c := class{state: si.State, curSet: si.CurSet, vals: int32(len(r.vals)),
+			minT: si.MinT, maxT: si.MaxT, prevSetsMax: si.PrevSetsMax, mult: 1}
 		if si.Buf >= 0 {
-			inst.buf = nodes[si.Buf]
+			c.head, c.tail = nodes[si.Buf], nodes[si.Buf]
 		}
-		r.insts[i] = inst
+		slots := r.plan.slots[c.state]
+		r.vals = append(r.vals, make([]event.Value, len(slots))...)
+		for n := c.head; n != nil; n = n.prev {
+			c.first = n.ev.Seq
+			for j, s := range slots {
+				if int(n.varIdx) == s.v {
+					r.vals[int(c.vals)+j] = n.ev.Attrs[s.attr]
+				}
+			}
+		}
+		r.classes = append(r.classes, c)
 		// The stream resumes no earlier than the newest bound event.
-		r.clock = max(r.clock, inst.maxT)
+		r.clock = max(r.clock, c.maxT)
 	}
+	r.recount()
 	return nil
 }
 

@@ -225,8 +225,8 @@ func TestMatchBufferHoldsNoStaleMatches(t *testing.T) {
 				t.Fatalf("stale match %d behind the %d returned is still reachable", i, returned)
 			}
 		}
-		for _, m := range r.stepMatches[:cap(r.stepMatches)] {
-			if m.Bindings != nil {
+		for _, em := range r.emits[:cap(r.emits)] {
+			if em.head != nil {
 				t.Fatal("stale first-match alert is still reachable")
 			}
 		}
